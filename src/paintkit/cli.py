@@ -21,7 +21,8 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from .metrics import Frontier, rep_matrix_from_csv
-from .pipeline import PatchSpec, run_patch, split_task
+from .pipeline import PatchSpec, check_selection, run_patch, split_task
+from .search import default_grid
 from .tensors import (
     CheckpointError,
     cosine_similarity,
@@ -104,11 +105,21 @@ def require(cfg, *keys):
 
 def parse_grid(text):
     """'start:stop:step' or comma-separated values."""
-    if ":" in text:
-        start, stop, step = (float(v) for v in text.split(":"))
-        n = int(round((stop - start) / step))
-        return [round(start + i * step, 10) for i in range(n + 1)]
-    return [float(v) for v in text.split(",")]
+    try:
+        values = [float(v) for v in text.split(":" if ":" in text else ",")]
+    except ValueError:
+        raise ConfigError(f"alpha_grid is not numeric: {text!r}") from None
+    if not all(np.isfinite(values)):
+        raise ConfigError(f"alpha_grid is not finite: {text!r}")
+    if ":" not in text:
+        return values
+    if len(values) != 3:
+        raise ConfigError(f"alpha_grid range must be start:stop:step: {text!r}")
+    start, stop, step = values
+    if step <= 0:
+        raise ConfigError(f"alpha_grid step must be positive: {text!r}")
+    n = int(round((stop - start) / step))
+    return [round(start + i * step, 10) for i in range(n + 1)]
 
 
 def parse_partition(text):
@@ -230,6 +241,12 @@ def cmd_patch(cfg):
     patching_text, supported_text, out_dir = require(
         cfg, "patching_tasks", "supported_tasks", "out_dir"
     )
+    alpha_grid = parse_grid(cfg["alpha_grid"]) if "alpha_grid" in cfg else default_grid()
+    search = cfg.get("search", "grid")
+    try:
+        check_selection(alpha_grid, search)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     os.makedirs(out_dir, exist_ok=True)
     patching = load_tasks(patching_text)
     supported = load_tasks(supported_text)
@@ -249,9 +266,8 @@ def cmd_patch(cfg):
         patching_tasks=patching,
         supported_tasks=supported,
         strategy=cfg.get("strategy", "single"),
-        alpha_grid=parse_grid(cfg["alpha_grid"]) if "alpha_grid" in cfg
-        else PatchSpec.__dataclass_fields__["alpha_grid"].default_factory(),
-        search=cfg.get("search", "grid"),
+        alpha_grid=alpha_grid,
+        search=search,
         order_seeds=tuple(int(s) for s in cfg.get("order_seeds", "0").split(",")),
         budget=int(cfg.get("budget", 50)),
         group_weighting=cfg.get("group_weighting", "").lower() in ("1", "true", "yes"),

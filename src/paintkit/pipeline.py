@@ -3,8 +3,6 @@ strategies, disjoint-class task splitting, and the broad-transfer protocol."""
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -13,21 +11,26 @@ from .metrics import Frontier, sweep_to_frontier
 from .search import (
     SearchObjective,
     black_box_search,
+    check_grid,
     default_grid,
     grid_search_1d,
-    uniform_search_parallel,
+    uniform_ray,
 )
 from .tensors import Checkpoint, lerp, multi_combine
 from .toylab import TaskDataset, ToyModel, TrainConfig, evaluate, finetune, merge_tasks
 
+SEARCHES = ("grid", "uniform", "blackbox")
 
-def thread_cap(default=1):
-    """Internal parallelism cap, settable via PAINTKIT_THREADS."""
-    raw = os.environ.get("PAINTKIT_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return default
+
+def check_selection(alpha_grid, search):
+    """Reject an alpha grid or search method that selection cannot use.
+    Needs no model, so callers can run it before any training."""
+    grid = check_grid(alpha_grid)
+    # The frontier is anchored at the zero-shot and fine-tuned endpoints.
+    if 0.0 not in grid or 1.0 not in grid:
+        raise ValueError("alpha grid must contain 0 and 1")
+    if search not in SEARCHES:
+        raise ValueError(f"unknown search {search!r}; expected one of {', '.join(SEARCHES)}")
 
 
 @dataclass
@@ -50,6 +53,7 @@ class PatchSpec:
             raise ValueError("need at least one supported task")
         if self.strategy == "sequential" and not self.order_seeds:
             raise ValueError("sequential strategy needs at least one order seed")
+        check_selection(self.alpha_grid, self.search)
 
 
 @dataclass
@@ -81,53 +85,69 @@ def _eval_all(model, ckpt, tasks, split, log):
     return {t.name: evaluate(m, t, split, log) for t in tasks}
 
 
-def _sweep_and_select(model, zs, ft, patching_tasks, supported_tasks, grid, group_weighting):
-    """Sweep the alpha grid on validation splits, pick alpha, build frontier."""
-    selection_log = []
-    tasks = supported_tasks + patching_tasks
+def _val_objective(spec, model, patching, combine, log):
+    """Search objective over `combine(coeffs)`: each call scores the combined
+    weights once on the val split of every supported and patching task. The
+    returned dict maps each scored coefficient tuple to its accuracies."""
+    tasks = spec.supported_tasks + patching
     records = {}
 
     def objective(coeffs):
-        (alpha,) = coeffs
-        accs = _eval_all(model, lerp(zs, ft, alpha), tasks, "val", selection_log)
-        records[alpha] = accs
-        return _objective_value(accs, supported_tasks, patching_tasks, group_weighting)
+        accs = _eval_all(model, combine(coeffs), tasks, "val", log)
+        records[coeffs] = accs
+        return _objective_value(accs, spec.supported_tasks, patching, spec.group_weighting)
 
-    result = grid_search_1d(SearchObjective(objective), grid)
-    (alpha_star,) = result.best
+    return SearchObjective(objective), records
+
+
+def _sweep(spec, model, patching, combine, log):
+    """Grid-search the single coefficient of `combine` over the alpha grid.
+    Returns the search result, the frontier of the scored points, and their
+    val accuracies keyed by coefficient tuple."""
+    obj, records = _val_objective(spec, model, patching, combine, log)
+    result = grid_search_1d(obj, spec.alpha_grid)
     frontier = sweep_to_frontier(
-        sorted(records.items()),
-        [t.name for t in supported_tasks],
-        [t.name for t in patching_tasks],
+        [(alpha, accs) for (alpha,), accs in sorted(records.items())],
+        [t.name for t in spec.supported_tasks],
+        [t.name for t in patching],
         unit="fraction",
     )
-    return alpha_star, result, frontier, records, selection_log
+    return result, frontier, records
 
 
-def _single_result(model, zs, ft, ft_task_name, patching_tasks, supported_tasks, spec):
-    alpha_star, search_result, frontier, records, selection_log = _sweep_and_select(
-        model, zs, ft, patching_tasks, supported_tasks, spec.alpha_grid, spec.group_weighting
-    )
-    patched = lerp(zs, ft, alpha_star)
+def _result(spec, patched, coefficients, frontier, val_accs, selection_log,
+            provenance, fine_tuned):
+    """Package a selection already scored on val; only the test report is new."""
     report_log = []
-    tasks = supported_tasks + patching_tasks
-    test_accs = _eval_all(model, patched, tasks, "test", report_log)
+    tasks = spec.supported_tasks + spec.patching_tasks
     return PatchResult(
         patched=patched,
-        coefficients=(alpha_star,),
+        coefficients=tuple(coefficients),
         frontier=frontier,
-        val_accuracies=records[alpha_star],
-        test_accuracies=test_accs,
-        provenance={
-            "strategy": spec.strategy,
-            "fine_tuned_on": ft_task_name,
-            "alphas": [alpha_star],
-            "search_evaluations": search_result.evaluations,
-        },
-        fine_tuned=[ft],
-        zero_shot=zs,
+        val_accuracies=val_accs,
+        test_accuracies=_eval_all(spec.model, patched, tasks, "test", report_log),
+        provenance=provenance,
+        fine_tuned=fine_tuned,
+        zero_shot=spec.model.ckpt,
         access_log={"selection": selection_log, "report": report_log},
     )
+
+
+def _patch_one(spec, ft, ft_task_name):
+    """Sweep lerp(zs, ft, alpha) and return the selected interpolation."""
+    zs = spec.model.ckpt
+    log = []
+    search, frontier, records = _sweep(spec, spec.model, spec.patching_tasks,
+                                       lambda c: lerp(zs, ft, c[0]), log)
+    (alpha,) = search.best
+    provenance = {
+        "strategy": spec.strategy,
+        "fine_tuned_on": ft_task_name,
+        "alphas": [alpha],
+        "search_evaluations": search.evaluations,
+    }
+    return _result(spec, lerp(zs, ft, alpha), search.best, frontier,
+                   records[search.best], log, provenance, [ft])
 
 
 def patch_single(spec: PatchSpec) -> PatchResult:
@@ -136,11 +156,7 @@ def patch_single(spec: PatchSpec) -> PatchResult:
     if len(spec.patching_tasks) != 1:
         raise ValueError("patch_single expects exactly one patching task")
     task = spec.patching_tasks[0]
-    zs = spec.model.ckpt
-    ft = finetune(spec.model, task, spec.train).final
-    return _single_result(
-        spec.model, zs, ft, task.name, spec.patching_tasks, spec.supported_tasks, spec
-    )
+    return _patch_one(spec, finetune(spec.model, task, spec.train).final, task.name)
 
 
 def patch_joint(spec: PatchSpec) -> PatchResult:
@@ -149,11 +165,7 @@ def patch_joint(spec: PatchSpec) -> PatchResult:
     if len(spec.patching_tasks) == 1:
         return patch_single(replace(spec, strategy="single"))
     merged = merge_tasks(spec.patching_tasks, name="joint")
-    zs = spec.model.ckpt
-    ft = finetune(spec.model, merged, spec.train).final
-    return _single_result(
-        spec.model, zs, ft, merged.name, spec.patching_tasks, spec.supported_tasks, spec
-    )
+    return _patch_one(spec, finetune(spec.model, merged, spec.train).final, merged.name)
 
 
 def patch_sequential(spec: PatchSpec) -> PatchResult:
@@ -165,43 +177,29 @@ def patch_sequential(spec: PatchSpec) -> PatchResult:
         order = list(np.random.default_rng(seed).permutation(len(spec.patching_tasks)))
         current = spec.model
         seen = []
-        steps = []
+        alphas = []
+        fts = []
         selection_log = []
         for task_idx in order:
-            task = spec.patching_tasks[task_idx]
+            seen.append(spec.patching_tasks[task_idx])
             zs = current.ckpt
-            ft = finetune(current, task, spec.train).final
-            alpha_star, _, frontier, records, log = _sweep_and_select(
-                current, zs, ft, seen + [task], spec.supported_tasks,
-                spec.alpha_grid, spec.group_weighting,
-            )
-            selection_log.extend(log)
-            patched = lerp(zs, ft, alpha_star)
-            steps.append({"task": task.name, "alpha": alpha_star, "ft": ft, "frontier": frontier})
-            current = current.with_weights(patched)
-            seen.append(task)
-        report_log = []
-        tasks = spec.supported_tasks + spec.patching_tasks
-        val_accs = _eval_all(spec.model, current.ckpt, tasks, "val", selection_log)
-        test_accs = _eval_all(spec.model, current.ckpt, tasks, "test", report_log)
-        per_seed.append(
-            PatchResult(
-                patched=current.ckpt,
-                coefficients=tuple(s["alpha"] for s in steps),
-                frontier=steps[-1]["frontier"],
-                val_accuracies=val_accs,
-                test_accuracies=test_accs,
-                provenance={
-                    "strategy": "sequential",
-                    "order_seed": seed,
-                    "task_order": [s["task"] for s in steps],
-                    "alphas": [s["alpha"] for s in steps],
-                },
-                fine_tuned=[s["ft"] for s in steps],
-                zero_shot=spec.model.ckpt,
-                access_log={"selection": selection_log, "report": report_log},
-            )
-        )
+            ft = finetune(current, seen[-1], spec.train).final
+            search, frontier, records = _sweep(spec, current, seen,
+                                               lambda c: lerp(zs, ft, c[0]), selection_log)
+            (alpha,) = search.best
+            alphas.append(alpha)
+            fts.append(ft)
+            current = current.with_weights(lerp(zs, ft, alpha))
+        provenance = {
+            "strategy": "sequential",
+            "order_seed": seed,
+            "task_order": [t.name for t in seen],
+            "alphas": alphas,
+        }
+        # The last step scored every task on val, so its record at the
+        # selected alpha is the final model's val report.
+        per_seed.append(_result(spec, current.ckpt, alphas, frontier, records[search.best],
+                                selection_log, provenance, fts))
     names = list(per_seed[0].test_accuracies)
     avg_val = {n: float(np.mean([r.val_accuracies[n] for r in per_seed])) for n in names}
     avg_test = {n: float(np.mean([r.test_accuracies[n] for r in per_seed])) for n in names}
@@ -220,69 +218,33 @@ def patch_parallel(spec: PatchSpec) -> PatchResult:
     if len(spec.patching_tasks) == 1:
         return patch_single(replace(spec, strategy="single"))
     zs = spec.model.ckpt
-    configs = [replace(spec.train, seed=spec.train.seed + i)
-               for i in range(len(spec.patching_tasks))]
-    with ThreadPoolExecutor(max_workers=thread_cap()) as pool:
-        fts = [
-            r.final
-            for r in pool.map(lambda tc: finetune(spec.model, tc[0], tc[1]),
-                              zip(spec.patching_tasks, configs))
-        ]
-
+    fts = [finetune(spec.model, task, replace(spec.train, seed=spec.train.seed + i)).final
+           for i, task in enumerate(spec.patching_tasks)]
+    k = len(fts)
     selection_log = []
-    tasks = spec.supported_tasks + spec.patching_tasks
-
-    def score(ckpt):
-        accs = _eval_all(spec.model, ckpt, tasks, "val", selection_log)
-        return _objective_value(accs, spec.supported_tasks, spec.patching_tasks,
-                                spec.group_weighting)
-
+    # The uniform ray is the uniform search and, for every search method,
+    # the reported frontier.
+    ray, frontier, ray_records = _sweep(spec, spec.model, spec.patching_tasks,
+                                        lambda c: uniform_ray(zs, fts, c[0]), selection_log)
     if spec.search == "blackbox":
-        obj = SearchObjective(lambda coeffs: score(multi_combine(zs, fts, coeffs)))
-        result = black_box_search(obj, k=len(fts), budget=spec.budget,
+        obj, records = _val_objective(spec, spec.model, spec.patching_tasks,
+                                      lambda c: multi_combine(zs, fts, c), selection_log)
+        search = black_box_search(obj, k=k, budget=spec.budget,
                                   init=0.5, seed=spec.order_seeds[0])
+        coeffs = search.best
     else:
-        result = uniform_search_parallel(zs, fts, score, spec.alpha_grid)
-
-    coeffs = result.best
-    patched = multi_combine(zs, fts, coeffs)
-
-    # Uniform-ray frontier for reporting, regardless of search method.
-    frontier_records = []
-    frontier_log = []
-    for beta in spec.alpha_grid:
-        ckpt = multi_combine(zs, fts, [beta / len(fts)] * len(fts))
-        frontier_records.append(
-            (beta, _eval_all(spec.model, ckpt, tasks, "val", frontier_log))
-        )
-    frontier = sweep_to_frontier(
-        frontier_records,
-        [t.name for t in spec.supported_tasks],
-        [t.name for t in spec.patching_tasks],
-        unit="fraction",
-    )
-    selection_log.extend(frontier_log)
-
-    report_log = []
-    val_accs = _eval_all(spec.model, patched, tasks, "val", selection_log)
-    test_accs = _eval_all(spec.model, patched, tasks, "test", report_log)
-    return PatchResult(
-        patched=patched,
-        coefficients=tuple(coeffs),
-        frontier=frontier,
-        val_accuracies=val_accs,
-        test_accuracies=test_accs,
-        provenance={
-            "strategy": "parallel",
-            "search": spec.search,
-            "alphas": list(coeffs),
-            "search_evaluations": result.evaluations,
-            "best_value": result.best_value,
-        },
-        fine_tuned=fts,
-        zero_shot=zs,
-        access_log={"selection": selection_log, "report": report_log},
-    )
+        search, records = ray, ray_records
+        (beta,) = ray.best
+        coeffs = (beta / k,) * k
+    provenance = {
+        "strategy": "parallel",
+        "search": spec.search,
+        "alphas": list(coeffs),
+        "search_evaluations": search.evaluations,
+        "best_value": search.best_value,
+    }
+    return _result(spec, multi_combine(zs, fts, coeffs), coeffs, frontier,
+                   records[search.best], selection_log, provenance, fts)
 
 
 def run_patch(spec: PatchSpec) -> PatchResult:

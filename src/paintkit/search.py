@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensors import average, lerp
+from .tensors import multi_combine
 
 
 class SearchObjective:
@@ -58,14 +58,20 @@ def _argmax_smallest(trace):
     return best
 
 
-def grid_search_1d(obj, grid) -> SearchResult:
-    """Evaluate every grid alpha exactly once; argmax, smallest alpha on ties."""
+def check_grid(grid):
+    """The grid as floats; rejects an empty grid or a value outside [0, 1]."""
     grid = [float(a) for a in grid]
     if not grid:
         raise ValueError("empty grid")
     for a in grid:
         if not 0.0 <= a <= 1.0:
             raise ValueError(f"grid value out of range: {a}")
+    return grid
+
+
+def grid_search_1d(obj, grid) -> SearchResult:
+    """Evaluate every grid alpha exactly once; argmax, smallest alpha on ties."""
+    grid = check_grid(grid)
     trace = [((a,), obj((a,))) for a in grid]
     best, best_value = _argmax_smallest(trace)
     return SearchResult(best, best_value, trace)
@@ -74,6 +80,14 @@ def grid_search_1d(obj, grid) -> SearchResult:
 def default_grid(step=0.05):
     n = round(1.0 / step)
     return [round(i * step, 10) for i in range(n + 1)]
+
+
+def uniform_ray(zs, fts, beta):
+    """The checkpoint at `beta` on the ray from zs toward the average of the
+    fine-tuned checkpoints, combined from per-model coefficients beta/k so it
+    is bit-equal to the model those coefficients select."""
+    k = len(fts)
+    return multi_combine(zs, fts, [beta / k] * k)
 
 
 def uniform_search_parallel(zs, fts, eval_model, grid) -> SearchResult:
@@ -85,17 +99,15 @@ def uniform_search_parallel(zs, fts, eval_model, grid) -> SearchResult:
     fts = list(fts)
     if not fts:
         raise ValueError("no fine-tuned checkpoints")
-    avg = average(fts)
     k = len(fts)
 
     def objective(coeffs):
         (beta,) = coeffs
-        return eval_model(lerp(zs, avg, beta))
+        return eval_model(uniform_ray(zs, fts, beta))
 
     result = grid_search_1d(SearchObjective(objective), grid)
     (beta_star,) = result.best
-    trace = [((beta,) , v) for (beta,), v in result.trace]
-    return SearchResult(tuple([beta_star / k] * k), result.best_value, trace)
+    return SearchResult(tuple([beta_star / k] * k), result.best_value, result.trace)
 
 
 def project_capped_simplex(x):
@@ -165,12 +177,7 @@ def black_box_search(obj, k, budget=50, init=0.5, seed=0) -> SearchResult:
 
 def exhaustive_search_2d(obj, grid) -> SearchResult:
     """Evaluate all feasible (a1, a2) grid pairs with a1 + a2 <= 1."""
-    grid = [float(a) for a in grid]
-    if not grid:
-        raise ValueError("empty grid")
-    for a in grid:
-        if not 0.0 <= a <= 1.0:
-            raise ValueError(f"grid value out of range: {a}")
+    grid = check_grid(grid)
     trace = []
     for a1 in sorted(grid):
         for a2 in sorted(grid):

@@ -3,6 +3,7 @@ weight-space arithmetic (interpolation, combination, similarity)."""
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -197,14 +198,19 @@ def load_checkpoint(path) -> Checkpoint:
         meta[key] = r.read_str("I")
     tensors = {}
     for name, dtype, shape in table:
-        n_elem = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        # Python ints cannot wrap around, so a huge shape reads as a payload
+        # longer than the file instead of a small int64 product.
+        n_elem = math.prod(shape)
         raw = r.take(n_elem * dtype.itemsize)
         arr = np.frombuffer(raw, dtype=dtype.newbyteorder("<")).astype(dtype)
         if arr.size != n_elem:
             raise FormatError(f"shape mismatch for tensor {name!r}")
         if not np.all(np.isfinite(arr)):
             raise FormatError(f"non-finite element in tensor {name!r}")
-        tensors[name] = arr.reshape(shape)
+        try:
+            tensors[name] = arr.reshape(shape)
+        except ValueError:  # an empty tensor whose other dims exceed numpy's limits
+            raise FormatError(f"invalid shape {shape} for tensor {name!r}") from None
     if r.pos != len(r.data):
         raise FormatError("trailing bytes after payload")
     return Checkpoint(tensors, meta)

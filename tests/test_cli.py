@@ -60,6 +60,11 @@ class TestConfigParsing:
         assert len(parse_grid("0:1:0.05")) == 21
         assert parse_grid("0,0.5,1") == [0.0, 0.5, 1.0]
 
+    def test_parse_grid_rejects_bad_step_and_values(self):
+        for text in ("0:1:0", "0:1:-0.1", "a,b", "0:1:x", "0:1", "0,nan,1", ""):
+            with pytest.raises(ConfigError):
+                parse_grid(text)
+
     def test_parse_partition(self):
         assert parse_partition("0-2|3,4") == [[0, 1, 2], [3, 4]]
         assert parse_partition("0-9|10-14") == [list(range(10)), [10, 11, 12, 13, 14]]
@@ -205,6 +210,25 @@ class TestPretrainFinetunePatch:
         result = json.loads((tmp_path / "patch_result.json").read_text())
         assert len(result["coefficients"]) == 2
         assert len(set(result["coefficients"])) == 1
+
+    @pytest.mark.parametrize("extra", [
+        ["--alpha_grid", "0:1:0"],
+        ["--alpha_grid", "a,b"],
+        ["--alpha_grid", "0:-1:0.5"],
+        ["--alpha_grid", "0,0.5"],
+        ["--alpha_grid", "0.5,1"],
+        ["--alpha_grid", "0,0.5,1,1.5"],
+        ["--strategy", "parallel", "--search", "bogus"],
+    ])
+    def test_bad_selection_is_usage_error_before_training(self, workspace, tmp_path,
+                                                          capsys, extra):
+        # A missing checkpoint would exit 2 once loaded; exit 1 shows the
+        # grid and search are checked before the model is loaded or trained.
+        args = patch_args(workspace, tmp_path, extra)
+        args[args.index("--zs_checkpoint") + 1] = str(tmp_path / "missing.ckpt")
+        assert main(args) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "patch_result.json").exists()
 
     def test_missing_zs_checkpoint_is_usage_error(self, workspace, tmp_path, capsys):
         args = patch_args(workspace, tmp_path)

@@ -16,7 +16,6 @@ from paintkit import (
     split_task,
     TrainConfig,
 )
-from paintkit.pipeline import thread_cap
 
 
 def lab(seed=0, partition=((0, 1, 2, 3), (4, 5), (6, 7), (8, 9)), noise=0.3):
@@ -140,6 +139,18 @@ class TestPatchSequential:
         first_seen = {n: log_names.index(n) for n in set(log_names)}
         assert first_seen[order[0]] < first_seen[order[1]]
 
+    def test_no_val_evaluation_after_last_sweep(self, env):
+        # Step i scores the supported task plus the i tasks seen so far on
+        # every grid point; the final model's val accuracies come from the
+        # last step's sweep, not from another evaluation.
+        spec = spec_for(env, "sequential", patch_idx=(1, 2, 3), order_seeds=(0,))
+        result = patch_sequential(spec)
+        n_sup = len(spec.supported_tasks)
+        steps = len(spec.patching_tasks)
+        expected = sum(len(spec.alpha_grid) * (n_sup + i) for i in range(1, steps + 1))
+        assert len(result.access_log["selection"]) == expected
+        assert set(result.val_accuracies) == set(result.test_accuracies)
+
     def test_multiple_seeds_averaged(self, env):
         result = patch_sequential(spec_for(env, "sequential", patch_idx=(1, 2),
                                            order_seeds=(0, 1, 2)))
@@ -192,21 +203,29 @@ class TestPatchParallel:
         assert blackbox.provenance["best_value"] >= (
             uniform.provenance["best_value"] - 1e-6)
 
-    def test_thread_cap_env(self, env, monkeypatch):
-        monkeypatch.setenv("PAINTKIT_THREADS", "4")
-        assert thread_cap() == 4
-        a = patch_parallel(spec_for(env, "parallel", patch_idx=(1, 2),
-                                    search="uniform"))
-        monkeypatch.setenv("PAINTKIT_THREADS", "1")
-        b = patch_parallel(spec_for(env, "parallel", patch_idx=(1, 2),
-                                    search="uniform"))
-        assert np.array_equal(a.patched.flat(), b.patched.flat())
+    def test_uniform_scores_each_grid_point_once(self, env):
+        # The uniform ray is both the search and the frontier: one val
+        # evaluation per (grid point, task), none repeated for the report.
+        spec = spec_for(env, "parallel", patch_idx=(1, 2), search="uniform")
+        result = patch_parallel(spec)
+        n_tasks = len(spec.supported_tasks) + len(spec.patching_tasks)
+        assert len(result.access_log["selection"]) == len(spec.alpha_grid) * n_tasks
+        assert result.provenance["search_evaluations"] == len(spec.alpha_grid)
 
-    def test_thread_cap_defaults(self, monkeypatch):
-        monkeypatch.delenv("PAINTKIT_THREADS", raising=False)
-        assert thread_cap() == 1
-        monkeypatch.setenv("PAINTKIT_THREADS", "junk")
-        assert thread_cap() == 1
+
+class TestPatchSpecValidation:
+    @pytest.mark.parametrize("kw", [
+        {"alpha_grid": []},
+        {"alpha_grid": [0.0, 0.5, 1.0, 1.5]},
+        {"alpha_grid": [0.0, 0.5]},
+        {"alpha_grid": [0.5, 1.0]},
+        {"search": "bogus"},
+    ])
+    def test_rejects_bad_selection(self, env, kw):
+        model, tasks, _ = env
+        with pytest.raises(ValueError):
+            PatchSpec(model=model, patching_tasks=[tasks[1], tasks[2]],
+                      supported_tasks=[tasks[0]], strategy="parallel", **kw)
 
 
 class TestRunPatch:

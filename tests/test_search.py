@@ -9,6 +9,7 @@ from paintkit import (
     exhaustive_search_2d,
     grid_search_1d,
     lerp,
+    multi_combine,
     uniform_search_parallel,
 )
 from paintkit.search import project_capped_simplex
@@ -88,6 +89,22 @@ class TestUniformSearchParallel:
         reference = grid_search_1d(
             SearchObjective(lambda c: score(lerp(zs, fts[0], c[0]))), default_grid())
         assert result.best == reference.best
+
+    def test_scores_the_model_it_selects(self, rng):
+        # Each scored checkpoint is bit-equal to the combination the
+        # returned per-model coefficients build.
+        for k in (2, 3):
+            zs, fts = self.make(rng, k=k)
+            grid = default_grid(0.1)
+            seen = []
+            result = uniform_search_parallel(
+                zs, fts, lambda c: seen.append(c) or float(c.flat()[0]), grid)
+            assert len(seen) == len(grid)
+            for beta, ckpt in zip(grid, seen):
+                expected = multi_combine(zs, fts, [beta / k] * k)
+                assert ckpt["w"].tobytes() == expected["w"].tobytes()
+            chosen = multi_combine(zs, fts, result.best)
+            assert any(chosen["w"].tobytes() == c["w"].tobytes() for c in seen)
 
     def test_result_sums_to_beta(self, rng):
         zs, fts = self.make(rng, k=3)

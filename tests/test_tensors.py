@@ -104,6 +104,18 @@ class TestSaveLoad:
         with pytest.raises(FormatError, match="truncated"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("shape", [(2 ** 62, 4), (2 ** 32, 2 ** 32), (0, 2 ** 62)])
+    def test_huge_header_shape(self, tmp_path, shape):
+        # int64 products of these shapes wrap to 0; the load must still fail
+        # as a malformed file, not leak numpy's ValueError.
+        path = tmp_path / "huge.ckpt"
+        header = MAGIC + struct.pack("<II", 1, 1)
+        header += struct.pack("<H", 1) + b"w" + struct.pack("<BB", 1, len(shape))
+        header += struct.pack(f"<{len(shape)}Q", *shape) + struct.pack("<I", 0)
+        path.write_bytes(header + b"\x00" * 64)
+        with pytest.raises(FormatError):
+            load_checkpoint(path)
+
     def test_payload_shape_mismatch(self, tmp_path):
         # Extra bytes beyond what the tensor table declares.
         c = ck(w=np.arange(6.0))
