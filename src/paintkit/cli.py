@@ -13,7 +13,6 @@ import csv
 import json
 import os
 import sys
-import tempfile
 import time
 from dataclasses import replace
 
@@ -21,7 +20,8 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from .metrics import Frontier, rep_matrix_from_csv
-from .pipeline import PatchSpec, check_selection, run_patch, split_task
+from ._atomic import atomic_open
+from .pipeline import STRATEGIES, PatchSpec, check_selection, run_patch, split_task
 from .search import default_grid
 from .tensors import (
     CheckpointError,
@@ -34,6 +34,9 @@ from .toylab import TaskDataset, ToyModel, TrainConfig, finetune, generate_tasks
 
 USAGE_ERROR = 1
 RUNTIME_ERROR = 2
+
+# A start:stop:step alpha_grid may expand to at most this many points.
+MAX_GRID_POINTS = 10_001
 
 KNOWN_KEYS = {
     # general
@@ -118,6 +121,12 @@ def parse_grid(text):
     start, stop, step = values
     if step <= 0:
         raise ConfigError(f"alpha_grid step must be positive: {text!r}")
+    if not (0.0 <= start <= 1.0 and 0.0 <= stop <= 1.0):
+        raise ConfigError(f"alpha_grid range must lie in [0, 1]: {text!r}")
+    # Bounded before the list is built: a tiny step would otherwise ask for
+    # billions of points.
+    if (stop - start) / step + 1 > MAX_GRID_POINTS:
+        raise ConfigError(f"alpha_grid has more than {MAX_GRID_POINTS} points: {text!r}")
     n = int(round((stop - start) / step))
     return [round(start + i * step, 10) for i in range(n + 1)]
 
@@ -137,33 +146,54 @@ def parse_partition(text):
     return groups
 
 
-def atomic_write_text(path, text):
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".")
-    with os.fdopen(fd, "w") as f:
-        f.write(text)
-    os.replace(tmp, path)
-
-
 def atomic_write_json(path, obj):
-    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    with atomic_open(path) as f:
+        f.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+def parse_value(cfg, key, cast, default=None):
+    """cfg[key] converted by `cast`, or `default` when the key is absent."""
+    if key not in cfg:
+        return default
+    try:
+        return cast(cfg[key])
+    except ValueError:
+        raise ConfigError(f"invalid {key}: {cfg[key]!r}") from None
+
+
+def truthy(text):
+    return text.lower() in ("1", "true", "yes")
+
+
+def int_list(text):
+    return tuple(int(v) for v in text.split(","))
+
+
+def _as_usage_error(fn, *args, **kwargs):
+    """fn(*args, **kwargs), with a ValueError reported as a ConfigError."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def train_config(cfg):
-    kwargs = {}
-    for key, cast in [
+    casts = [
         ("iterations", int), ("batch_size", int), ("lr", float), ("warmup", int),
         ("weight_decay", float), ("seed", int), ("l2_init", float),
         ("snapshot_every", int), ("embed_dim", int), ("logit_scale", float),
-    ]:
-        if key in cfg:
-            kwargs[key] = cast(cfg[key])
-    if "ema_decay" in cfg:
-        kwargs["ema_decay"] = float(cfg["ema_decay"])
-    if "constant_lr" in cfg:
-        kwargs["constant_lr"] = cfg["constant_lr"].lower() in ("1", "true", "yes")
-    if "hidden" in cfg:
-        kwargs["hidden"] = tuple(int(v) for v in cfg["hidden"].split(","))
-    return TrainConfig(**kwargs)
+        ("ema_decay", float), ("hidden", int_list), ("constant_lr", truthy),
+    ]
+    kwargs = {key: parse_value(cfg, key, cast) for key, cast in casts if key in cfg}
+    return _as_usage_error(TrainConfig, **kwargs)
+
+
+def pretrain_config(cfg):
+    """train_config, with pretrain_iterations (when set) in place of iterations."""
+    tc = train_config(cfg)
+    return _as_usage_error(
+        replace, tc, iterations=parse_value(cfg, "pretrain_iterations", int, tc.iterations)
+    )
 
 
 def load_tasks(paths_text):
@@ -200,10 +230,8 @@ def cmd_gen_tasks(cfg):
 
 def cmd_pretrain(cfg):
     tasks_text, out_dir = require(cfg, "pretrain_tasks", "out_dir")
+    tc = pretrain_config(cfg)
     os.makedirs(out_dir, exist_ok=True)
-    tc = train_config(cfg)
-    if "pretrain_iterations" in cfg:
-        tc = replace(tc, iterations=int(cfg["pretrain_iterations"]))
     model = pretrain(tc, load_tasks(tasks_text))
     path = os.path.join(out_dir, "zero_shot.ckpt")
     save_checkpoint(model.ckpt, path)
@@ -213,10 +241,11 @@ def cmd_pretrain(cfg):
 
 def cmd_finetune(cfg):
     ckpt_path, task_text, out_dir = require(cfg, "zs_checkpoint", "task", "out_dir")
+    tc = train_config(cfg)
     os.makedirs(out_dir, exist_ok=True)
     model = ToyModel(load_checkpoint(ckpt_path))
     (task,) = load_tasks(task_text)
-    record = finetune(model, task, train_config(cfg))
+    record = finetune(model, task, tc)
     path = os.path.join(out_dir, f"finetuned_{task.name}.ckpt")
     save_checkpoint(record.final, path)
     print(f"wrote {path}")
@@ -241,36 +270,42 @@ def cmd_patch(cfg):
     patching_text, supported_text, out_dir = require(
         cfg, "patching_tasks", "supported_tasks", "out_dir"
     )
+    # Every usage error is reported before anything is written, loaded or trained.
     alpha_grid = parse_grid(cfg["alpha_grid"]) if "alpha_grid" in cfg else default_grid()
     search = cfg.get("search", "grid")
-    try:
-        check_selection(alpha_grid, search)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    _as_usage_error(check_selection, alpha_grid, search)
+    strategy = cfg.get("strategy", "single")
+    if strategy not in STRATEGIES:
+        raise ConfigError(
+            f"unknown strategy {strategy!r}; expected one of {', '.join(STRATEGIES)}"
+        )
+    order_seeds = parse_value(cfg, "order_seeds", int_list, (0,))
+    budget = parse_value(cfg, "budget", int, 50)
+    tc = train_config(cfg)
+    if "zs_checkpoint" not in cfg:
+        if not parse_value(cfg, "pretrain", truthy, False):
+            raise ConfigError("missing required key: zs_checkpoint (or set pretrain=true)")
+        ptc = pretrain_config(cfg)
+        (pretrain_text,) = require(cfg, "pretrain_tasks")
+
     os.makedirs(out_dir, exist_ok=True)
     patching = load_tasks(patching_text)
     supported = load_tasks(supported_text)
-    tc = train_config(cfg)
     if "zs_checkpoint" in cfg:
         model = ToyModel(load_checkpoint(cfg["zs_checkpoint"]))
-    elif cfg.get("pretrain", "").lower() in ("1", "true", "yes"):
-        ptc = tc
-        if "pretrain_iterations" in cfg:
-            ptc = replace(tc, iterations=int(cfg["pretrain_iterations"]))
-        model = pretrain(ptc, load_tasks(require(cfg, "pretrain_tasks")[0]))
     else:
-        raise ConfigError("missing required key: zs_checkpoint (or set pretrain=true)")
+        model = pretrain(ptc, load_tasks(pretrain_text))
 
     spec = PatchSpec(
         model=model,
         patching_tasks=patching,
         supported_tasks=supported,
-        strategy=cfg.get("strategy", "single"),
+        strategy=strategy,
         alpha_grid=alpha_grid,
         search=search,
-        order_seeds=tuple(int(s) for s in cfg.get("order_seeds", "0").split(",")),
-        budget=int(cfg.get("budget", 50)),
-        group_weighting=cfg.get("group_weighting", "").lower() in ("1", "true", "yes"),
+        order_seeds=order_seeds,
+        budget=budget,
+        group_weighting=parse_value(cfg, "group_weighting", truthy, False),
         train=tc,
     )
     result = run_patch(spec)
@@ -373,10 +408,8 @@ def cmd_report(cfg):
                     rows.append([label, p.alpha, p.supported_acc, p.patching_acc])
 
     scatter_path = os.path.join(out_dir, "scatter.csv")
-    buf = []
-    for row in rows:
-        buf.append(",".join(str(v) for v in row))
-    atomic_write_text(scatter_path, "\n".join(buf) + "\n")
+    with atomic_open(scatter_path) as f:
+        f.write("".join(",".join(str(v) for v in row) + "\n" for row in rows))
     atomic_write_json(
         os.path.join(out_dir, "report.json"),
         {"experiments": [label for label, _ in series], "scatter_csv": scatter_path},

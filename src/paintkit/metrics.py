@@ -9,6 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._atomic import atomic_open
+
 
 @dataclass(frozen=True)
 class FrontierPoint:
@@ -55,7 +57,7 @@ class Frontier:
         return [p.alpha for p in self.points]
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as f:
+        with atomic_open(path, "w", newline="") as f:
             w = csv.writer(f)
             w.writerow(["alpha", "supported_acc", "patching_acc"])
             for p in self.points:
@@ -77,7 +79,7 @@ class Frontier:
         ]
 
     def to_json(self, path):
-        with open(path, "w") as f:
+        with atomic_open(path) as f:
             json.dump({"unit": self.unit, "points": self.to_records()}, f, indent=2)
 
     @classmethod

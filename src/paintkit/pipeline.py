@@ -7,6 +7,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ._atomic import atomic_open
 from .metrics import Frontier, sweep_to_frontier
 from .search import (
     SearchObjective,
@@ -19,6 +20,7 @@ from .search import (
 from .tensors import Checkpoint, lerp, multi_combine
 from .toylab import TaskDataset, ToyModel, TrainConfig, evaluate, finetune, merge_tasks
 
+STRATEGIES = ("single", "joint", "sequential", "parallel")
 SEARCHES = ("grid", "uniform", "blackbox")
 
 
@@ -254,7 +256,7 @@ def run_patch(spec: PatchSpec) -> PatchResult:
         "sequential": patch_sequential,
         "parallel": patch_parallel,
     }
-    if spec.strategy not in strategies:
+    if spec.strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {spec.strategy!r}")
     return strategies[spec.strategy](spec)
 
@@ -314,7 +316,7 @@ def split_task(task: TaskDataset, seed: int) -> SplitProtocol:
 
 def write_broad_transfer_csv(rows, path):
     """Broad-transfer report: one row per held-out task."""
-    with open(path, "w") as f:
+    with atomic_open(path) as f:
         f.write("task,unpatched_B,patched_B,delta\n")
         for row in rows:
             f.write(f"{row['task']},{row['unpatched_B']!r},"

@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._atomic import atomic_open
 from .tensors import multi_combine
 
 
@@ -36,7 +37,7 @@ class SearchResult:
         return len(self.trace)
 
     def to_json(self, path):
-        with open(path, "w") as f:
+        with atomic_open(path) as f:
             json.dump(
                 {
                     "best": list(self.best),

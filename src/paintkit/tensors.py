@@ -8,6 +8,8 @@ import struct
 
 import numpy as np
 
+from ._atomic import atomic_open
+
 MAGIC = b"PAINTCKP"
 FORMAT_VERSION = 1
 
@@ -27,15 +29,26 @@ class CompatibilityError(CheckpointError):
     """Two checkpoints cannot be combined (names, shapes, or dtype differ)."""
 
 
+def _layout(shapes):
+    """name -> (offset, shape) for tensors stored back to back in order."""
+    layout, offset = {}, 0
+    for name, shape in shapes:
+        layout[name] = (offset, shape)
+        offset += math.prod(shape)
+    return layout
+
+
 class Checkpoint:
     """Ordered, immutable map from tensor name to array.
 
     All tensors share one dtype (float32 or float64) and every element must
-    be finite. Iteration order is insertion order and is preserved on disk.
+    be finite. They live back to back, in insertion order (also the order on
+    disk), in one contiguous read-only buffer; each tensor is a read-only view
+    into it at a fixed offset.
     """
 
     def __init__(self, tensors, meta=None):
-        self._tensors = {}
+        arrays = {}
         dtype = None
         for name, arr in dict(tensors).items():
             if not isinstance(name, str) or not name:
@@ -49,64 +62,72 @@ class Checkpoint:
                 raise CheckpointError(
                     f"mixed dtypes: tensor {name!r} is {arr.dtype}, expected {dtype}"
                 )
-            if not np.all(np.isfinite(arr)):
-                raise CheckpointError(f"non-finite element in tensor {name!r}")
-            arr = arr.copy()
-            arr.flags.writeable = False
-            self._tensors[name] = arr
-        self._dtype = dtype if dtype is not None else np.dtype(np.float64)
+            arrays[name] = arr
+        buf = np.concatenate([a.ravel() for a in arrays.values()]) if arrays else np.zeros(0)
+        self._adopt(buf, _layout((n, a.shape) for n, a in arrays.items()), meta)
+
+    def _adopt(self, buf, layout, meta, error=CheckpointError):
+        """Take `buf`, which nothing else may write, as the storage of `layout`."""
+        buf.flags.writeable = False
+        self._buf = buf
+        self._layout = layout
+        self._views = self.views(buf)
         self.meta = {str(k): str(v) for k, v in (meta or {}).items()}
+        if not np.isfinite(buf).all():
+            name = next(n for n, a in self.items() if not np.isfinite(a).all())
+            raise error(f"non-finite element in tensor {name!r}")
+        return self
+
+    def _like(self, vec, meta):
+        """A checkpoint with this layout and dtype over a copy of the flat `vec`."""
+        return Checkpoint.__new__(Checkpoint)._adopt(vec.astype(self.dtype), self._layout, meta)
+
+    def views(self, vec):
+        """Name -> view of the flat vector `vec`, laid out like this checkpoint."""
+        return {n: vec[o : o + math.prod(s)].reshape(s) for n, (o, s) in self._layout.items()}
 
     @property
     def dtype(self):
-        return self._dtype
+        return self._buf.dtype
 
     def names(self):
-        return list(self._tensors)
+        return list(self._views)
 
     def items(self):
-        return self._tensors.items()
+        return self._views.items()
 
     def __getitem__(self, name):
-        return self._tensors[name]
+        return self._views[name]
 
     def __contains__(self, name):
-        return name in self._tensors
+        return name in self._views
 
     def __iter__(self):
-        return iter(self._tensors)
+        return iter(self._views)
 
     def __len__(self):
-        return len(self._tensors)
+        return len(self._views)
 
     @property
     def num_params(self):
-        return sum(a.size for a in self._tensors.values())
+        return self._buf.size
 
     def flat(self, exclude=()):
-        """Concatenate all tensors (minus `exclude`) in name order as float64."""
-        parts = [
-            a.ravel().astype(np.float64)
-            for n, a in self._tensors.items()
-            if n not in exclude
-        ]
-        if not parts:
-            return np.zeros(0, dtype=np.float64)
-        return np.concatenate(parts)
+        """Concatenate all tensors (minus `exclude`) in name order as float64.
+        Without `exclude`, a float64 checkpoint returns its own read-only buffer."""
+        if not exclude:
+            return self._buf.astype(np.float64, copy=False)
+        parts = [a.ravel() for n, a in self.items() if n not in exclude]
+        return np.concatenate(parts, dtype=np.float64) if parts else np.zeros(0)
 
     def equal(self, other):
         """Bit-exact equality of names, shapes, dtype, and values."""
-        if self.names() != other.names() or self.dtype != other.dtype:
-            return False
-        return all(
-            a.shape == other[n].shape and np.array_equal(a, other[n])
-            for n, a in self.items()
-        )
+        same_layout = list(self._layout.items()) == list(other._layout.items())
+        return same_layout and self.dtype == other.dtype and np.array_equal(self._buf, other._buf)
 
     def with_meta(self, meta):
         ckpt = Checkpoint.__new__(Checkpoint)
-        ckpt._tensors = self._tensors
-        ckpt._dtype = self._dtype
+        ckpt._buf, ckpt._layout, ckpt._views = self._buf, self._layout, self._views
         ckpt.meta = {str(k): str(v) for k, v in meta.items()}
         return ckpt
 
@@ -114,16 +135,14 @@ class Checkpoint:
 def validate_compatible(a: Checkpoint, b: Checkpoint):
     """Raise CompatibilityError unless a and b share names, shapes, and dtype."""
     if a.names() != b.names():
-        only_a = [n for n in a.names() if n not in b]
-        only_b = [n for n in b.names() if n not in a]
-        offender = (only_a + only_b)[0] if (only_a or only_b) else a.names()[0]
+        unshared = (n for n in a.names() + b.names() if n not in a or n not in b)
+        offender = next(unshared, a.names()[0])
         raise CompatibilityError(f"name-set mismatch (tensor {offender!r})")
-    for name in a.names():
-        if a[name].shape != b[name].shape:
-            raise CompatibilityError(
-                f"shape mismatch for tensor {name!r}: "
-                f"{a[name].shape} vs {b[name].shape}"
-            )
+    if a._layout != b._layout:
+        name = next(n for n, arr in a.items() if arr.shape != b[n].shape)
+        raise CompatibilityError(
+            f"shape mismatch for tensor {name!r}: {a[name].shape} vs {b[name].shape}"
+        )
     if a.dtype != b.dtype:
         raise CompatibilityError(f"dtype mismatch: {a.dtype} vs {b.dtype}")
 
@@ -135,20 +154,19 @@ def _write_str(f, s, width="H"):
 
 
 def save_checkpoint(ckpt: Checkpoint, path):
-    """Write `ckpt` to `path` in the little-endian PAINTCKP container."""
-    with open(path, "wb") as f:
+    """Write `ckpt` to `path` in the little-endian PAINTCKP container,
+    atomically: `path` is either left as it was or fully replaced."""
+    with atomic_open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<II", FORMAT_VERSION, len(ckpt)))
         for name, arr in ckpt.items():
             _write_str(f, name, "H")
-            f.write(struct.pack("<BB", _DTYPE_CODES[arr.dtype], arr.ndim))
-            f.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
+            f.write(struct.pack(f"<BB{arr.ndim}Q", _DTYPE_CODES[arr.dtype], arr.ndim, *arr.shape))
         f.write(struct.pack("<I", len(ckpt.meta)))
         for key, value in ckpt.meta.items():
             _write_str(f, key, "I")
             _write_str(f, value, "I")
-        for _, arr in ckpt.items():
-            f.write(np.ascontiguousarray(arr).astype(arr.dtype.newbyteorder("<")).tobytes())
+        f.write(ckpt._buf.astype(ckpt.dtype.newbyteorder("<"), copy=False).tobytes())
 
 
 class _Reader:
@@ -168,7 +186,10 @@ class _Reader:
 
     def read_str(self, width):
         (n,) = self.unpack(width)
-        return self.take(n).decode("utf-8")
+        try:
+            return self.take(n).decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError("string is not valid UTF-8") from None
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -180,40 +201,39 @@ def load_checkpoint(path) -> Checkpoint:
     version, count = r.unpack("II")
     if version != FORMAT_VERSION:
         raise FormatError(f"unsupported version {version}")
-    table = []
+    shapes, codes = {}, set()
     for _ in range(count):
         name = r.read_str("H")
         code, rank = r.unpack("BB")
+        if not name or name in shapes:
+            raise FormatError(f"empty or duplicate tensor name {name!r}")
         if code not in _CODE_DTYPES:
             raise FormatError(f"unknown dtype code {code} for tensor {name!r}")
-        shape = r.unpack(f"{rank}Q") if rank else ()
-        table.append((name, _CODE_DTYPES[code], tuple(int(d) for d in shape)))
-    names = [t[0] for t in table]
-    if len(set(names)) != len(names):
-        raise FormatError("duplicate tensor name")
+        codes.add(code)
+        shapes[name] = r.unpack(f"{rank}Q")
+    if len(codes) > 1:
+        raise FormatError("mixed float32 and float64 tensors")
+    dtype = _CODE_DTYPES[codes.pop()] if codes else np.dtype(np.float64)
     meta = {}
     (n_meta,) = r.unpack("I")
     for _ in range(n_meta):
         key = r.read_str("I")
+        if key in meta:
+            raise FormatError(f"duplicate meta key {key!r}")
         meta[key] = r.read_str("I")
-    tensors = {}
-    for name, dtype, shape in table:
-        # Python ints cannot wrap around, so a huge shape reads as a payload
-        # longer than the file instead of a small int64 product.
-        n_elem = math.prod(shape)
-        raw = r.take(n_elem * dtype.itemsize)
-        arr = np.frombuffer(raw, dtype=dtype.newbyteorder("<")).astype(dtype)
-        if arr.size != n_elem:
-            raise FormatError(f"shape mismatch for tensor {name!r}")
-        if not np.all(np.isfinite(arr)):
-            raise FormatError(f"non-finite element in tensor {name!r}")
-        try:
-            tensors[name] = arr.reshape(shape)
-        except ValueError:  # an empty tensor whose other dims exceed numpy's limits
-            raise FormatError(f"invalid shape {shape} for tensor {name!r}") from None
+    # Python ints cannot wrap around, so a huge shape reads as a payload
+    # longer than the file instead of a small int64 product.
+    n_elem = sum(math.prod(shape) for shape in shapes.values())
+    raw = r.take(n_elem * dtype.itemsize)
     if r.pos != len(r.data):
         raise FormatError("trailing bytes after payload")
-    return Checkpoint(tensors, meta)
+    buf = np.frombuffer(raw, dtype=dtype.newbyteorder("<")).astype(dtype)
+    try:
+        return Checkpoint.__new__(Checkpoint)._adopt(
+            buf, _layout(shapes.items()), meta, FormatError
+        )
+    except ValueError as exc:  # an empty tensor whose other dims exceed numpy's limits
+        raise FormatError(f"invalid tensor shape: {exc}") from None
 
 
 def _ident(ckpt):
@@ -227,15 +247,10 @@ def lerp(zs: Checkpoint, ft: Checkpoint, alpha: float) -> Checkpoint:
         raise ValueError(f"alpha out of range: {alpha}")
     meta = {"alpha": repr(float(alpha)), "parent_zs": _ident(zs), "parent_ft": _ident(ft)}
     if alpha == 0.0:
-        return Checkpoint({n: a for n, a in zs.items()}, meta)
+        return zs._like(zs._buf, meta)
     if alpha == 1.0:
-        return Checkpoint({n: a for n, a in ft.items()}, meta)
-    dtype = zs.dtype
-    tensors = {
-        n: ((1.0 - alpha) * a.astype(np.float64) + alpha * ft[n].astype(np.float64)).astype(dtype)
-        for n, a in zs.items()
-    }
-    return Checkpoint(tensors, meta)
+        return zs._like(ft._buf, meta)
+    return zs._like((1.0 - alpha) * zs.flat() + alpha * ft.flat(), meta)
 
 
 def multi_combine(zs: Checkpoint, fts, alphas) -> Checkpoint:
@@ -250,19 +265,15 @@ def multi_combine(zs: Checkpoint, fts, alphas) -> Checkpoint:
         raise ValueError(f"coefficients sum to {total} > 1")
     for ft in fts:
         validate_compatible(zs, ft)
-    dtype = zs.dtype
-    tensors = {}
-    for name, base in zs.items():
-        acc = (1.0 - total) * base.astype(np.float64)
-        for a, ft in zip(alphas, fts):
-            acc = acc + a * ft[name].astype(np.float64)
-        tensors[name] = acc.astype(dtype)
+    acc = (1.0 - total) * zs.flat()
+    for a, ft in zip(alphas, fts):
+        acc = acc + a * ft.flat()
     meta = {
         "alphas": ",".join(repr(a) for a in alphas),
         "parent_zs": _ident(zs),
         "parent_fts": ";".join(_ident(ft) for ft in fts),
     }
-    return Checkpoint(tensors, meta)
+    return zs._like(acc, meta)
 
 
 def average(fts) -> Checkpoint:
@@ -273,12 +284,8 @@ def average(fts) -> Checkpoint:
     first = fts[0]
     for other in fts[1:]:
         validate_compatible(first, other)
-    k = len(fts)
-    tensors = {
-        name: (sum(ft[name].astype(np.float64) for ft in fts) / k).astype(first.dtype)
-        for name in first.names()
-    }
-    return Checkpoint(tensors, {"average_of": ";".join(_ident(ft) for ft in fts)})
+    mean = sum(ft.flat() for ft in fts) / len(fts)
+    return first._like(mean, {"average_of": ";".join(_ident(ft) for ft in fts)})
 
 
 def cosine_similarity(a: Checkpoint, b: Checkpoint, exclude=()) -> float:

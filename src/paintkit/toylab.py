@@ -12,6 +12,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ._atomic import atomic_open
 from .metrics import Frontier, FrontierPoint
 from .tensors import Checkpoint
 
@@ -68,13 +69,10 @@ class TaskDataset:
         return self.inputs[idx], self.labels[idx]
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as f:
+        with atomic_open(path, "w", newline="") as f:
             w = csv.writer(f)
             w.writerow(["id", "split", "label"] + [f"f{i}" for i in range(self.dim)])
-            split_of = {}
-            for split, idx in self.splits.items():
-                for i in idx:
-                    split_of[int(i)] = split
+            split_of = {int(i): split for split, idx in self.splits.items() for i in idx}
             for i in range(len(self.labels)):
                 w.writerow(
                     [i, split_of.get(i, ""), int(self.labels[i])]
@@ -269,16 +267,21 @@ class ToyModel:
             ckpt = self.ckpt
         return [(ckpt[f"enc.w{i}"], ckpt[f"enc.b{i}"]) for i in range(self.n_layers)]
 
-    def encode(self, x, ckpt=None):
-        """Unit-normalized encoder features for a batch of inputs."""
-        h = np.asarray(x, dtype=np.float64)
+    def _forward(self, x, ckpt):
+        """The input of every layer ([x, h1, ...]), the output norms, and the
+        unit-normalized output features."""
+        acts = [np.asarray(x, dtype=np.float64)]
         layers = self._layers(ckpt)
         for w, b in layers[:-1]:
-            h = np.tanh(h @ w.T + b)
+            acts.append(np.tanh(acts[-1] @ w.T + b))
         w, b = layers[-1]
-        z = h @ w.T + b
+        z = acts[-1] @ w.T + b
         norms = np.linalg.norm(z, axis=1, keepdims=True)
-        return z / norms
+        return acts, norms, z / norms
+
+    def encode(self, x, ckpt=None):
+        """Unit-normalized encoder features for a batch of inputs."""
+        return self._forward(x, ckpt)[2]
 
     def logits(self, x, class_ids, ckpt=None):
         head = head_matrix(class_ids, self.embed_dim)
@@ -286,21 +289,12 @@ class ToyModel:
 
     def loss_and_grad(self, ckpt, x, y_local, class_ids, init_ckpt=None, l2_init=0.0):
         """Mean cross-entropy over scaled-similarity logits, plus an optional
-        l2_init * ||theta - theta_init||^2 penalty; returns (loss, grads)."""
-        x = np.asarray(x, dtype=np.float64)
-        n = x.shape[0]
+        l2_init * ||theta - theta_init||^2 penalty; returns (loss, grads).
+        `ckpt` is a Checkpoint or any mapping from tensor name to weights."""
         head = head_matrix(class_ids, self.embed_dim)
         layers = self._layers(ckpt)
-
-        acts = [x]
-        h = x
-        for w, b in layers[:-1]:
-            h = np.tanh(h @ w.T + b)
-            acts.append(h)
-        w_out, b_out = layers[-1]
-        z = h @ w_out.T + b_out
-        norms = np.linalg.norm(z, axis=1, keepdims=True)
-        u = z / norms
+        acts, norms, u = self._forward(x, ckpt)
+        n = u.shape[0]
         logits = self.logit_scale * u @ head.T
 
         shifted = logits - logits.max(axis=1, keepdims=True)
@@ -315,9 +309,9 @@ class ToyModel:
         dz = (du - (du * u).sum(axis=1, keepdims=True) * u) / norms
 
         grads = {}
-        grads[f"enc.w{self.n_layers - 1}"] = dz.T @ h
+        grads[f"enc.w{self.n_layers - 1}"] = dz.T @ acts[-1]
         grads[f"enc.b{self.n_layers - 1}"] = dz.sum(axis=0)
-        da = dz @ w_out
+        da = dz @ layers[-1][0]
         for i in range(self.n_layers - 2, -1, -1):
             a = acts[i + 1]
             dzi = da * (1.0 - a * a)
@@ -327,8 +321,8 @@ class ToyModel:
                 da = dzi @ layers[i][0]
 
         if l2_init > 0.0 and init_ckpt is not None:
-            for name in ckpt.names():
-                delta = ckpt[name] - init_ckpt[name]
+            for name, w in ckpt.items():
+                delta = w - init_ckpt[name]
                 loss += float(l2_init * np.sum(delta * delta))
                 grads[name] = grads[name] + 2.0 * l2_init * delta
         return loss, grads
@@ -346,53 +340,47 @@ def finetune(model: ToyModel, task: TaskDataset, config: TrainConfig) -> TrainRe
     x_all, y_all = task.split_arrays("train")
     y_local = _local_labels(y_all, task.class_ids)
 
-    params = {n: a.astype(np.float64).copy() for n, a in model.ckpt.items()}
-    init = Checkpoint(params, model.ckpt.meta)
-    m = {n: np.zeros_like(a) for n, a in params.items()}
-    v = {n: np.zeros_like(a) for n, a in params.items()}
-    ema = {n: a.copy() for n, a in params.items()} if config.ema_decay is not None else None
+    start = model.ckpt
+    params = start.flat().copy()  # float64 weights, updated in place
+    live = start.views(params)  # name -> view of params, for loss_and_grad
+    init = Checkpoint(live, start.meta)
+    m = np.zeros_like(params)
+    v = np.zeros_like(params)
+    ema = params.copy() if config.ema_decay is not None else None
     b1, b2 = config.betas
 
     record = TrainRecord(final=init)
-    if config.snapshot_every > 0:
-        record.snapshots[0] = init
-        if ema is not None:
-            record.ema_snapshots[0] = init
+    every = config.snapshot_every
 
+    def snapshot(done):
+        if every > 0 and (done % every == 0 or done == config.iterations):
+            record.snapshots[done] = Checkpoint(live, start.meta)
+            if ema is not None:
+                record.ema_snapshots[done] = Checkpoint(start.views(ema), start.meta)
+
+    snapshot(0)
     for step in range(config.iterations):
         idx = rng.choice(len(y_local), size=min(config.batch_size, len(y_local)), replace=False)
-        ckpt = Checkpoint(params, model.ckpt.meta)
         loss, grads = model.loss_and_grad(
-            ckpt, x_all[idx], y_local[idx], task.class_ids, init, config.l2_init
+            live, x_all[idx], y_local[idx], task.class_ids, init, config.l2_init
         )
         if not math.isfinite(loss):
             raise RuntimeError(f"non-finite loss at step {step}: {loss}")
         record.losses.append(loss)
+        g = np.concatenate([grads[name].ravel() for name in live])
         lr = lr_schedule(step, config)
         t = step + 1
-        for name in params:
-            g = grads[name]
-            m[name] = b1 * m[name] + (1 - b1) * g
-            v[name] = b2 * v[name] + (1 - b2) * g * g
-            mhat = m[name] / (1 - b1**t)
-            vhat = v[name] / (1 - b2**t)
-            params[name] = params[name] - lr * (
-                mhat / (np.sqrt(vhat) + config.eps) + config.weight_decay * params[name]
-            )
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * g * g
+        mhat = m / (1 - b1**t)
+        vhat = v / (1 - b2**t)
+        params -= lr * (mhat / (np.sqrt(vhat) + config.eps) + config.weight_decay * params)
         if ema is not None:
-            d = config.ema_decay
-            for name in params:
-                ema[name] = d * ema[name] + (1 - d) * params[name]
-        done = step + 1
-        if config.snapshot_every > 0 and (
-            done % config.snapshot_every == 0 or done == config.iterations
-        ):
-            record.snapshots[done] = Checkpoint(params, model.ckpt.meta)
-            if ema is not None:
-                record.ema_snapshots[done] = Checkpoint(ema, model.ckpt.meta)
+            ema = config.ema_decay * ema + (1 - config.ema_decay) * params
+        snapshot(t)
 
-    record.final = Checkpoint(params, model.ckpt.meta)
-    if config.snapshot_every > 0:
+    record.final = Checkpoint(live, start.meta)
+    if every > 0:
         record.snapshots[config.iterations] = record.final
     return record
 

@@ -65,6 +65,12 @@ class TestConfigParsing:
             with pytest.raises(ConfigError):
                 parse_grid(text)
 
+    def test_parse_grid_bounds_range_before_expanding(self):
+        assert len(parse_grid("0:1:0.0001")) == 10001
+        for text in ("0:1:1e-9", "0:1:5e-324", "-0.5:1:0.5", "0:1.5:0.5"):
+            with pytest.raises(ConfigError):
+                parse_grid(text)
+
     def test_parse_partition(self):
         assert parse_partition("0-2|3,4") == [[0, 1, 2], [3, 4]]
         assert parse_partition("0-9|10-14") == [list(range(10)), [10, 11, 12, 13, 14]]
@@ -219,16 +225,35 @@ class TestPretrainFinetunePatch:
         ["--alpha_grid", "0.5,1"],
         ["--alpha_grid", "0,0.5,1,1.5"],
         ["--strategy", "parallel", "--search", "bogus"],
+        ["--alpha_grid", "0:1:1e-9"],
+        ["--alpha_grid", "0:2:0.5"],
+        ["--strategy", "bogus"],
+        ["--budget", "x"],
+        ["--order_seeds", "a"],
+        ["--iterations", "x"],
+        ["--iterations", "3"],  # below the warmup of 5
+        ["pretrain", "--iterations", "20"],  # below the default warmup
+        ["finetune", "--iterations", "50", "--warmup", "100"],
     ])
     def test_bad_selection_is_usage_error_before_training(self, workspace, tmp_path,
                                                           capsys, extra):
-        # A missing checkpoint would exit 2 once loaded; exit 1 shows the
-        # grid and search are checked before the model is loaded or trained.
-        args = patch_args(workspace, tmp_path, extra)
-        args[args.index("--zs_checkpoint") + 1] = str(tmp_path / "missing.ckpt")
+        # A missing checkpoint would exit 2 once loaded; exit 1 and an empty
+        # output directory show that every usage error is found before
+        # anything is loaded, trained or written. A leading command name
+        # runs that command instead of `patch`.
+        missing = str(tmp_path / "missing.ckpt")
+        if extra[0] == "pretrain":
+            args = ["pretrain", "--pretrain_tasks", str(workspace / "task0.csv"),
+                    "--out_dir", str(tmp_path), *extra[1:]]
+        elif extra[0] == "finetune":
+            args = ["finetune", "--zs_checkpoint", missing, "--task",
+                    str(workspace / "task1.csv"), "--out_dir", str(tmp_path), *extra[1:]]
+        else:
+            args = patch_args(workspace, tmp_path, extra)
+            args[args.index("--zs_checkpoint") + 1] = missing
         assert main(args) == 1
         assert "error:" in capsys.readouterr().err
-        assert not (tmp_path / "patch_result.json").exists()
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_zs_checkpoint_is_usage_error(self, workspace, tmp_path, capsys):
         args = patch_args(workspace, tmp_path)

@@ -1,0 +1,135 @@
+"""Property-based tests for the checkpoint container and weight arithmetic.
+
+Examples are derandomized and nothing is stored between runs, so every run
+checks the same cases.
+"""
+
+import hypothesis.extra.numpy as hnp
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from paintkit import (
+    Checkpoint,
+    FormatError,
+    average,
+    lerp,
+    load_checkpoint,
+    multi_combine,
+    save_checkpoint,
+)
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=15)
+
+DTYPES = (np.float32, np.float64)
+# A fixed alphabet with 1- to 4-byte UTF-8 characters; deriving one from a
+# codec would cost seconds on a cold cache.
+texts = st.text(alphabet="aZ._ é€\U0001f600", max_size=6)
+layouts = st.dictionaries(
+    texts.filter(bool),
+    st.lists(st.integers(0, 3), max_size=3).map(tuple),
+    max_size=4,
+)
+metas = st.dictionaries(texts, texts, max_size=3)
+alphas = st.floats(0.0, 1.0)
+
+
+def values(dtype, shape):
+    return hnp.arrays(dtype, shape, elements=st.floats(
+        allow_nan=False, allow_infinity=False, width=np.dtype(dtype).itemsize * 8))
+
+
+@st.composite
+def checkpoints(draw, layout=None, dtype=None, count=1):
+    """`count` checkpoints sharing one layout and dtype, drawn unless given."""
+    layout = draw(layouts) if layout is None else layout
+    dtype = draw(st.sampled_from(DTYPES)) if dtype is None else dtype
+    return [Checkpoint({n: draw(values(dtype, s)) for n, s in layout.items()}, draw(metas))
+            for _ in range(count)]
+
+
+def same_bits(a, b):
+    return a.names() == b.names() and all(
+        x.dtype == b[n].dtype and x.shape == b[n].shape and x.tobytes() == b[n].tobytes()
+        for n, x in a.items())
+
+
+@pytest.fixture(scope="module")
+def path(tmp_path_factory):
+    return tmp_path_factory.mktemp("properties") / "ckpt"
+
+
+@PROPERTY
+@given(checkpoints())
+def test_save_load_roundtrip(path, cs):
+    (c,) = cs
+    save_checkpoint(c, path)
+    data = path.read_bytes()
+    loaded = load_checkpoint(path)
+    assert same_bits(loaded, c) and loaded.dtype == c.dtype and loaded.meta == c.meta
+    save_checkpoint(loaded, path)
+    assert path.read_bytes() == data
+
+
+@settings(PROPERTY, max_examples=6)  # each example loads every mutated byte
+@given(checkpoints(), st.integers(1, 255))
+def test_each_one_byte_mutation_loads_canonically_or_is_format_error(path, cs, mask):
+    # Every byte in turn is XORed with `mask`. A file that loads must be
+    # exactly the encoding of what it loaded to.
+    save_checkpoint(cs[0], path)
+    original = path.read_bytes()
+    for i in range(len(original)):
+        raw = bytearray(original)
+        raw[i] ^= mask
+        path.write_bytes(raw)
+        try:
+            loaded = load_checkpoint(path)
+        except FormatError:
+            continue
+        save_checkpoint(loaded, path)
+        assert path.read_bytes() == raw
+
+
+@PROPERTY
+@given(checkpoints(count=2))
+def test_lerp_endpoints_copy_bit_exactly(cs):
+    a, b = cs
+    assert same_bits(lerp(a, b, 0.0), a)
+    assert same_bits(lerp(a, b, 1.0), b)
+
+
+@PROPERTY
+@given(checkpoints(count=2), alphas)
+def test_multi_combine_of_one_model_is_lerp(cs, alpha):
+    a, b = cs
+    assert multi_combine(a, [b], [alpha]).equal(lerp(a, b, alpha))
+
+
+@PROPERTY
+@given(st.integers(1, 3).flatmap(lambda k: checkpoints(dtype=np.float32, count=k + 1)),
+       st.lists(alphas, min_size=3, max_size=3))
+def test_float32_arithmetic_accumulates_in_float64(cs, raw_alphas):
+    zs, *fts = cs
+    k = len(fts)
+    coeffs = [a / k for a in raw_alphas[:k]]
+    wide = [{n: x.astype(np.float64) for n, x in c.items()} for c in cs]
+
+    def expect(combine):
+        return Checkpoint({n: combine(*(w[n] for w in wide)).astype(np.float32)
+                           for n in zs.names()})
+
+    alpha = raw_alphas[0]
+    if 0.0 < alpha < 1.0:
+        ref = expect(lambda z, f, *_: (1.0 - alpha) * z + alpha * f)
+        assert same_bits(lerp(zs, fts[0], alpha), ref)
+    total = sum(coeffs)
+
+    def combined(z, *fs):
+        acc = (1.0 - total) * z
+        for c, f in zip(coeffs, fs):
+            acc = acc + c * f
+        return acc
+
+    assert same_bits(multi_combine(zs, fts, coeffs), expect(combined))
+    assert same_bits(average(fts), expect(lambda z, *fs: sum(fs) / k))

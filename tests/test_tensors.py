@@ -1,3 +1,4 @@
+import os
 import struct
 
 import numpy as np
@@ -8,6 +9,8 @@ from paintkit import (
     CheckpointError,
     CompatibilityError,
     FormatError,
+    Frontier,
+    FrontierPoint,
     average,
     cosine_similarity,
     l1_mean_distance,
@@ -24,6 +27,22 @@ from conftest import random_checkpoint
 
 def ck(**tensors):
     return Checkpoint(tensors)
+
+
+def container(table, meta=()):
+    """PAINTCKP bytes from raw (name, dtype code, shape, payload) tensor
+    entries and raw (key, value) meta pairs, with no validation."""
+    data = MAGIC + struct.pack("<II", 1, len(table))
+    for name, code, shape, _ in table:
+        data += struct.pack("<H", len(name)) + name
+        data += struct.pack(f"<BB{len(shape)}Q", code, len(shape), *shape)
+    data += struct.pack("<I", len(meta))
+    for key, value in meta:
+        data += struct.pack("<I", len(key)) + key + struct.pack("<I", len(value)) + value
+    return data + b"".join(payload for *_, payload in table)
+
+
+F64 = np.array([1.0, 2.0]).tobytes()
 
 
 class TestCheckpoint:
@@ -115,6 +134,47 @@ class TestSaveLoad:
         path.write_bytes(header + b"\x00" * 64)
         with pytest.raises(FormatError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("table, meta", [
+        ([(b"a", 0, (2,), np.ones(2, "<f4").tobytes()), (b"b", 1, (2,), F64)], ()),
+        ([(b"", 1, (2,), F64)], ()),
+        ([(b"\xff", 1, (2,), F64)], ()),
+        ([(b"w", 1, (2,), F64)], [(b"k\xc3", b"v")]),
+        ([(b"w", 1, (2,), F64)], [(b"k", b"\xed\xa0\x80")]),  # an encoded surrogate
+        ([(b"w", 1, (2,), F64)], [(b"k", b"1"), (b"k", b"2")]),
+    ], ids=["mixed_dtypes", "empty_name", "name_not_utf8", "meta_key_not_utf8",
+            "meta_value_not_utf8", "duplicate_meta_key"])
+    def test_malformed_table_is_format_error(self, tmp_path, table, meta):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(container(table, meta))
+        with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    def test_container_helper_matches_save(self, tmp_path):
+        path = tmp_path / "ok.ckpt"
+        save_checkpoint(Checkpoint({"w": np.array([1.0, 2.0])}, {"k": "v"}), path)
+        assert path.read_bytes() == container([(b"w", 1, (2,), F64)], [(b"k", b"v")])
+
+    @pytest.mark.parametrize("writer", ["save_checkpoint", "Frontier.to_csv"])
+    def test_failed_write_keeps_previous_file(self, tmp_path, writer):
+        class FailingPoint:
+            @property
+            def alpha(self):
+                raise OSError("disk full")
+
+        path = tmp_path / "out"
+        path.write_bytes(b"previous")
+        with pytest.raises((OSError, UnicodeEncodeError)):
+            if writer == "save_checkpoint":
+                # The lone surrogate cannot be encoded, so the write fails
+                # after the tensor table is out.
+                save_checkpoint(Checkpoint({"w": np.ones(3)}, {"note": "\ud800"}), path)
+            else:
+                frontier = Frontier([FrontierPoint(0.0, 0.5, 0.5), FrontierPoint(1.0, 0.5, 0.5)])
+                frontier.points.append(FailingPoint())
+                frontier.to_csv(path)
+        assert path.read_bytes() == b"previous"
+        assert os.listdir(tmp_path) == ["out"]
 
     def test_payload_shape_mismatch(self, tmp_path):
         # Extra bytes beyond what the tensor table declares.

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from paintkit import (
+    Checkpoint,
     TaskDataset,
     ToyModel,
     TrainConfig,
@@ -204,6 +205,50 @@ class TestTraining:
         model = ToyModel.init(0, t.dim, (16,), 8)
         record = finetune(model, t, quick_cfg(ema_decay=0.0, snapshot_every=40))
         assert np.allclose(record.ema_snapshots[40].flat(), record.final.flat())
+
+    def test_matches_per_tensor_adamw_reference(self):
+        # finetune updates one flat vector; the same arithmetic done tensor by
+        # tensor on separate arrays must give the same bits.
+        (t, _) = small_tasks()
+        model = ToyModel.init(0, t.dim, (16, 8), 8)
+        cfg = quick_cfg(l2_init=0.05, ema_decay=0.9, snapshot_every=15)
+        record = finetune(model, t, cfg)
+
+        rng = np.random.default_rng(cfg.seed)
+        x_all, y_all = t.split_arrays("train")
+        y_local = np.searchsorted(t.class_ids, y_all)
+        params = {n: a.copy() for n, a in model.ckpt.items()}
+        init = Checkpoint(params)
+        m = {n: np.zeros_like(a) for n, a in params.items()}
+        v = {n: np.zeros_like(a) for n, a in params.items()}
+        ema = {n: a.copy() for n, a in params.items()}
+        b1, b2 = cfg.betas
+        losses, snapshots, ema_snapshots = [], {}, {}
+        for step in range(cfg.iterations):
+            idx = rng.choice(len(y_local), size=cfg.batch_size, replace=False)
+            loss, grads = model.loss_and_grad(
+                Checkpoint(params), x_all[idx], y_local[idx], t.class_ids, init, cfg.l2_init)
+            losses.append(loss)
+            lr, t_ = lr_schedule(step, cfg), step + 1
+            for n, g in grads.items():
+                m[n] = b1 * m[n] + (1 - b1) * g
+                v[n] = b2 * v[n] + (1 - b2) * g * g
+                mhat, vhat = m[n] / (1 - b1**t_), v[n] / (1 - b2**t_)
+                params[n] = params[n] - lr * (
+                    mhat / (np.sqrt(vhat) + cfg.eps) + cfg.weight_decay * params[n])
+                ema[n] = cfg.ema_decay * ema[n] + (1 - cfg.ema_decay) * params[n]
+            if t_ % cfg.snapshot_every == 0 or t_ == cfg.iterations:
+                snapshots[t_], ema_snapshots[t_] = Checkpoint(params), Checkpoint(ema)
+
+        def bits(ckpt):
+            return [(n, a.tobytes()) for n, a in ckpt.items()]
+
+        assert record.losses == losses
+        assert bits(record.final) == bits(Checkpoint(params))
+        assert sorted(record.snapshots) == [0, *sorted(snapshots)]
+        for step, ckpt in snapshots.items():
+            assert bits(record.snapshots[step]) == bits(ckpt)
+            assert bits(record.ema_snapshots[step]) == bits(ema_snapshots[step])
 
 
 class TestGradients:
