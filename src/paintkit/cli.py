@@ -203,24 +203,26 @@ def load_tasks(paths_text):
 
 def cmd_gen_tasks(cfg):
     (out_dir,) = require(cfg, "out_dir")
-    os.makedirs(out_dir, exist_ok=True)
+    # Every usage error is reported before the output directory is created.
     if "split_source" in cfg:
+        split_seed = parse_value(cfg, "split_seed", int, parse_value(cfg, "seed", int, 0))
+        os.makedirs(out_dir, exist_ok=True)
         task = TaskDataset.from_csv(
             cfg["split_source"],
             name=os.path.splitext(os.path.basename(cfg["split_source"]))[0],
         )
-        proto = split_task(task, int(cfg.get("split_seed", cfg.get("seed", 0))))
+        proto = split_task(task, split_seed)
         for sub in (proto.task_a, proto.task_b):
             sub.to_csv(os.path.join(out_dir, f"{sub.name}.csv"))
             print(f"wrote {os.path.join(out_dir, sub.name + '.csv')}")
         return 0
-    seed, num_classes, dim, spc, noise, partition = require(
-        cfg, "seed", "num_classes", "dim", "samples_per_class", "noise_scale", "tasks"
-    )
-    tasks = generate_tasks(
-        int(seed), int(num_classes), int(dim), int(spc), float(noise),
-        parse_partition(partition),
-    )
+    casts = [
+        ("seed", int), ("num_classes", int), ("dim", int), ("samples_per_class", int),
+        ("noise_scale", float), ("tasks", parse_partition),
+    ]
+    require(cfg, *(key for key, _ in casts))
+    tasks = _as_usage_error(generate_tasks, *(parse_value(cfg, k, cast) for k, cast in casts))
+    os.makedirs(out_dir, exist_ok=True)
     for task in tasks:
         path = os.path.join(out_dir, f"{task.name}.csv")
         task.to_csv(path)

@@ -7,6 +7,7 @@ learning-rate ladder, EMA)."""
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -14,9 +15,10 @@ import numpy as np
 
 from ._atomic import atomic_open
 from .metrics import Frontier, FrontierPoint
-from .tensors import Checkpoint
+from .tensors import Checkpoint, CheckpointError
 
 _EMBED_STREAM = 0x0E03BEDD  # fixed stream id so embeddings depend only on the class id
+_HEAD_CACHE_SIZE = 256  # distinct (class ids, dim) heads kept per process
 
 
 def class_embedding(class_id: int, dim: int) -> np.ndarray:
@@ -29,8 +31,19 @@ def class_embedding(class_id: int, dim: int) -> np.ndarray:
 
 
 def head_matrix(class_ids, dim) -> np.ndarray:
-    """Frozen head: one unit-norm embedding row per class id."""
-    return np.stack([class_embedding(c, dim) for c in class_ids])
+    """Frozen head: one unit-norm embedding row per class id.
+
+    Built once per (class ids, dim) and then shared, so the array is
+    read-only. A tuple of ids is its own cache key; numpy and Python ints
+    with the same value share an entry."""
+    return _frozen_head(tuple(class_ids), dim)
+
+
+@functools.lru_cache(maxsize=_HEAD_CACHE_SIZE)
+def _frozen_head(class_ids, dim):
+    head = np.stack([class_embedding(c, dim) for c in class_ids])
+    head.flags.writeable = False
+    return head
 
 
 @dataclass
@@ -81,19 +94,23 @@ class TaskDataset:
 
     @classmethod
     def from_csv(cls, path, name=None):
-        with open(path, newline="") as f:
-            rows = list(csv.reader(f))
-        header = rows[0]
-        if header[:3] != ["id", "split", "label"]:
-            raise ValueError(f"bad task CSV header in {path}")
-        dim = len(header) - 3
         inputs, labels, splits = [], [], {"train": [], "val": [], "test": []}
-        for row in rows[1:]:
-            i, split, label = int(row[0]), row[1], int(row[2])
-            inputs.append([float(v) for v in row[3 : 3 + dim]])
-            labels.append(label)
-            if split:
-                splits.setdefault(split, []).append(i)
+        with open(path, newline="") as f:
+            reader = csv.reader(f)
+            header = next(reader, [])
+            if header[:3] != ["id", "split", "label"]:
+                raise ValueError(f"bad task CSV header in {path}")
+            for row in reader:
+                if len(row) != len(header):
+                    raise ValueError(
+                        f"{path}:{reader.line_num}: expected {len(header)} fields, "
+                        f"got {len(row)}"
+                    )
+                i, split, label = int(row[0]), row[1], int(row[2])
+                inputs.append([float(v) for v in row[3:]])
+                labels.append(label)
+                if split:
+                    splits.setdefault(split, []).append(i)
         labels = np.asarray(labels, dtype=np.int64)
         class_ids = tuple(sorted(set(labels.tolist())))
         return cls(
@@ -228,6 +245,19 @@ class TrainRecord:
     losses: list = field(default_factory=list)
 
 
+def _meta_value(ckpt, key, cast):
+    """ckpt.meta[key] converted by `cast`; a CheckpointError names a missing
+    or unparsable key."""
+    if key not in ckpt.meta:
+        raise CheckpointError(f"checkpoint metadata has no {key!r}")
+    try:
+        return cast(ckpt.meta[key])
+    except ValueError:
+        raise CheckpointError(
+            f"checkpoint metadata {key!r} is not a valid {cast.__name__}: {ckpt.meta[key]!r}"
+        ) from None
+
+
 class ToyModel:
     """Small MLP encoder with tanh activations, unit-normalized output
     features, and a frozen procedural class-embedding head.
@@ -238,9 +268,9 @@ class ToyModel:
 
     def __init__(self, ckpt: Checkpoint):
         self.ckpt = ckpt
-        self.logit_scale = float(ckpt.meta["logit_scale"])
-        self.embed_dim = int(ckpt.meta["embed_dim"])
-        self.n_layers = int(ckpt.meta["n_layers"])
+        self.logit_scale = _meta_value(ckpt, "logit_scale", float)
+        self.embed_dim = _meta_value(ckpt, "embed_dim", int)
+        self.n_layers = _meta_value(ckpt, "n_layers", int)
 
     @classmethod
     def init(cls, seed, in_dim, hidden=(64, 64), embed_dim=16, logit_scale=20.0):

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from paintkit import TaskDataset, load_checkpoint
+from paintkit import TaskDataset, load_checkpoint, save_checkpoint
 from paintkit.cli import (
     ConfigError,
     main,
@@ -234,6 +234,8 @@ class TestPretrainFinetunePatch:
         ["--iterations", "3"],  # below the warmup of 5
         ["pretrain", "--iterations", "20"],  # below the default warmup
         ["finetune", "--iterations", "50", "--warmup", "100"],
+        ["gen-tasks", "--seed", "x"],
+        ["gen-tasks", "--tasks", "0,a|2,3"],
     ])
     def test_bad_selection_is_usage_error_before_training(self, workspace, tmp_path,
                                                           capsys, extra):
@@ -245,6 +247,10 @@ class TestPretrainFinetunePatch:
         if extra[0] == "pretrain":
             args = ["pretrain", "--pretrain_tasks", str(workspace / "task0.csv"),
                     "--out_dir", str(tmp_path), *extra[1:]]
+        elif extra[0] == "gen-tasks":
+            args = ["gen-tasks", "--out_dir", str(tmp_path / "new"), "--seed", "0",
+                    "--num_classes", "4", "--dim", "3", "--samples_per_class", "20",
+                    "--noise_scale", "0.1", "--tasks", "0,1|2,3", *extra[1:]]
         elif extra[0] == "finetune":
             args = ["finetune", "--zs_checkpoint", missing, "--task",
                     str(workspace / "task1.csv"), "--out_dir", str(tmp_path), *extra[1:]]
@@ -254,6 +260,27 @@ class TestPretrainFinetunePatch:
         assert main(args) == 1
         assert "error:" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_short_task_csv_row_is_runtime_error(self, workspace, tmp_path, capsys):
+        text = (workspace / "task0.csv").read_text()
+        task = tmp_path / "short.csv"
+        task.write_text(text + "5,train\n")
+        code = main(["pretrain", "--pretrain_tasks", str(task), "--out_dir",
+                     str(tmp_path / "out"), "--iterations", "20", "--warmup", "5"])
+        assert code == 2
+        line = len(text.splitlines()) + 1
+        assert f"short.csv:{line}: expected 9 fields, got 2" in capsys.readouterr().err
+
+    def test_checkpoint_without_model_metadata_is_runtime_error(self, workspace, tmp_path,
+                                                                capsys):
+        zs = load_checkpoint(workspace / "zero_shot.ckpt")
+        path = tmp_path / "no_scale.ckpt"
+        save_checkpoint(zs.with_meta({k: v for k, v in zs.meta.items() if k != "logit_scale"}),
+                        path)
+        code = main(["finetune", "--zs_checkpoint", str(path), "--task",
+                     str(workspace / "task1.csv"), "--out_dir", str(tmp_path / "out")])
+        assert code == 2
+        assert "metadata has no 'logit_scale'" in capsys.readouterr().err
 
     def test_missing_zs_checkpoint_is_usage_error(self, workspace, tmp_path, capsys):
         args = patch_args(workspace, tmp_path)

@@ -1,4 +1,5 @@
-"""Property-based tests for the checkpoint container and weight arithmetic.
+"""Property-based tests for the checkpoint container, weight arithmetic and
+the capped-simplex projection.
 
 Examples are derandomized and nothing is stored between runs, so every run
 checks the same cases.
@@ -19,6 +20,7 @@ from paintkit import (
     multi_combine,
     save_checkpoint,
 )
+from paintkit.search import project_capped_simplex
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=15)
 
@@ -133,3 +135,28 @@ def test_float32_arithmetic_accumulates_in_float64(cs, raw_alphas):
 
     assert same_bits(multi_combine(zs, fts, coeffs), expect(combined))
     assert same_bits(average(fts), expect(lambda z, *fs: sum(fs) / k))
+
+
+vectors = st.lists(st.floats(-2.0, 3.0), min_size=1, max_size=8).map(np.array)
+# Dyadic gaps between sorted cut points in [0, 2^20]: every coordinate in
+# [0, 1] and an exact sum <= 1, including the faces and vertices.
+SCALE = 2.0**20
+feasible = st.lists(st.integers(0, 2**20), min_size=2, max_size=9).map(
+    lambda cuts: np.diff(sorted(cuts)) / SCALE)
+
+
+@settings(PROPERTY, max_examples=40)
+@given(vectors)
+def test_capped_simplex_projection_is_feasible_and_idempotent(x):
+    p = project_capped_simplex(x)
+    assert p.shape == x.shape
+    assert np.all((0.0 <= p) & (p <= 1.0)) and p.sum() <= 1.0 + 1e-12
+    # A projected sum may round to just above 1, so a second projection can
+    # move the point by a few ulps.
+    np.testing.assert_allclose(project_capped_simplex(p), p, rtol=0.0, atol=1e-12)
+
+
+@settings(PROPERTY, max_examples=40)
+@given(feasible)
+def test_capped_simplex_projection_keeps_feasible_points(x):
+    assert np.array_equal(project_capped_simplex(x), x)

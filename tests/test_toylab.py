@@ -6,6 +6,7 @@ import pytest
 
 from paintkit import (
     Checkpoint,
+    CheckpointError,
     TaskDataset,
     ToyModel,
     TrainConfig,
@@ -19,6 +20,7 @@ from paintkit import (
     merge_tasks,
     pretrain,
 )
+from paintkit.toylab import _frozen_head
 
 
 def small_tasks(seed=0, partition=((0, 1, 2), (3, 4)), noise=0.3, spc=20):
@@ -55,6 +57,60 @@ class TestFrozenHead:
     def test_negative_id_rejected(self):
         with pytest.raises(ValueError):
             class_embedding(-1, 8)
+
+
+class TestHeadCache:
+    def test_repeat_call_returns_same_read_only_array(self):
+        head = head_matrix((0, 3, 7), 8)
+        assert head_matrix((0, 3, 7), 8) is head
+        assert not head.flags.writeable
+        with pytest.raises(ValueError):
+            head[0, 0] = 1.0
+
+    def test_bit_equal_to_stacked_embeddings(self):
+        ids = (2, 11, 5, 40)
+        expected = np.stack([class_embedding(c, 12) for c in ids])
+        head = head_matrix(ids, 12)
+        assert head.shape == (4, 12) and head.dtype == np.float64
+        assert head.tobytes() == expected.tobytes()
+
+    def test_id_containers_share_bits(self):
+        ref = np.stack([class_embedding(c, 6) for c in range(4)]).tobytes()
+        for ids in ([0, 1, 2, 3], range(4), (0, 1, 2, 3), np.arange(4),
+                    tuple(np.int32(c) for c in range(4))):
+            assert head_matrix(ids, 6).tobytes() == ref
+
+    def test_dims_do_not_collide(self):
+        ids = (1, 2, 3)
+        for dim in (4, 5, 9):
+            head = head_matrix(ids, dim)
+            assert head.shape == (3, dim)
+            assert head.tobytes() == np.stack([class_embedding(c, dim) for c in ids]).tobytes()
+
+    def test_negative_id_is_rejected_and_not_cached(self):
+        before = _frozen_head.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                head_matrix((0, -1), 7)
+        assert _frozen_head.cache_info().currsize == before
+
+    def test_cache_is_bounded(self):
+        assert _frozen_head.cache_info().maxsize == 256
+
+
+class TestModelMetadata:
+    @pytest.mark.parametrize("key", ["logit_scale", "embed_dim", "n_layers"])
+    def test_missing_key_is_checkpoint_error(self, key):
+        ckpt = ToyModel.init(0, 4, hidden=(8,), embed_dim=4).ckpt
+        meta = {k: v for k, v in ckpt.meta.items() if k != key}
+        with pytest.raises(CheckpointError, match=key):
+            ToyModel(ckpt.with_meta(meta))
+
+    @pytest.mark.parametrize("key", ["logit_scale", "embed_dim", "n_layers"])
+    def test_unparsable_key_is_checkpoint_error(self, key):
+        ckpt = ToyModel.init(0, 4, hidden=(8,), embed_dim=4).ckpt
+        with pytest.raises(CheckpointError, match=key):
+            ToyModel(ckpt.with_meta({**ckpt.meta, key: "x"}))
 
 
 class TestGenerateTasks:
