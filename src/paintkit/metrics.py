@@ -91,6 +91,12 @@ class Frontier:
         return cls(pts, obj.get("unit", "percent"))
 
 
+def mean_accuracy(accs) -> float:
+    """float(np.mean(accs)) for a short list of accuracies: the same sum and
+    division, without np.mean's Python-level overhead."""
+    return float(np.add.reduce(accs) / len(accs))
+
+
 def combined_accuracy(supported_accs, patching_accs) -> float:
     """Average of the mean supported-task and mean patching-task accuracies."""
     supported_accs = list(supported_accs)
@@ -185,8 +191,8 @@ def sweep_to_frontier(records, supported_ids, patching_ids, unit="percent") -> F
         for tid in supported_ids + patching_ids:
             if tid not in accs:
                 raise ValueError(f"record at alpha={alpha} missing task {tid!r}")
-        x = float(np.mean([accs[t] for t in supported_ids]))
-        y = float(np.mean([accs[t] for t in patching_ids]))
+        x = mean_accuracy([accs[t] for t in supported_ids])
+        y = mean_accuracy([accs[t] for t in patching_ids])
         if alpha in seen:
             if seen[alpha] != (x, y):
                 raise ValueError(f"conflicting duplicate records at alpha={alpha}")

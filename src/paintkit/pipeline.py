@@ -8,20 +8,31 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._atomic import atomic_open
-from .metrics import Frontier, sweep_to_frontier
+from .metrics import Frontier, mean_accuracy, sweep_to_frontier
 from .search import (
     SearchObjective,
     black_box_search,
     check_grid,
     default_grid,
     grid_search_1d,
-    uniform_ray,
+    uniform_ray_rows,
 )
-from .tensors import Checkpoint, lerp, multi_combine
-from .toylab import TaskDataset, ToyModel, TrainConfig, evaluate, finetune, merge_tasks
+from .tensors import Checkpoint, combine_rows, lerp, lerp_rows, multi_combine
+from .toylab import (
+    TaskDataset,
+    ToyModel,
+    TrainConfig,
+    evaluate,
+    evaluate_stack,
+    finetune,
+    merge_tasks,
+)
 
 STRATEGIES = ("single", "joint", "sequential", "parallel")
 SEARCHES = ("grid", "uniform", "blackbox")
+# Grid points scored per forward pass. A whole 51-point grid in one pass was
+# no faster and its temporaries cost megabytes; blocks of 8 keep them small.
+_ALPHA_BLOCK = 8
 
 
 def check_selection(alpha_grid, search):
@@ -76,10 +87,10 @@ class PatchResult:
 
 def _objective_value(accs, supported, patching, group_weighting):
     if group_weighting:
-        sup = np.mean([accs[t.name] for t in supported])
-        pat = np.mean([accs[t.name] for t in patching])
-        return (float(sup) + float(pat)) / 2.0
-    return float(np.mean([accs[t.name] for t in supported + patching]))
+        sup = mean_accuracy([accs[t.name] for t in supported])
+        pat = mean_accuracy([accs[t.name] for t in patching])
+        return (sup + pat) / 2.0
+    return mean_accuracy([accs[t.name] for t in supported + patching])
 
 
 def _eval_all(model, ckpt, tasks, split, log):
@@ -87,27 +98,29 @@ def _eval_all(model, ckpt, tasks, split, log):
     return {t.name: evaluate(m, t, split, log) for t in tasks}
 
 
-def _val_objective(spec, model, patching, combine, log):
-    """Search objective over `combine(coeffs)`: each call scores the combined
-    weights once on the val split of every supported and patching task. The
-    returned dict maps each scored coefficient tuple to its accuracies."""
+def _score(spec, model, patching, rows, log):
+    """Val accuracies of every supported and patching task for each row of
+    the weight stack `rows`: one {task name: accuracy} dict per row."""
     tasks = spec.supported_tasks + patching
-    records = {}
-
-    def objective(coeffs):
-        accs = _eval_all(model, combine(coeffs), tasks, "val", log)
-        records[coeffs] = accs
-        return _objective_value(accs, spec.supported_tasks, patching, spec.group_weighting)
-
-    return SearchObjective(objective), records
+    accs = {t.name: evaluate_stack(model, rows, t, "val", log) for t in tasks}
+    return [dict(zip(accs, row)) for row in zip(*accs.values())]
 
 
-def _sweep(spec, model, patching, combine, log):
-    """Grid-search the single coefficient of `combine` over the alpha grid.
+def _sweep(spec, model, patching, stack, log):
+    """Grid-search the single coefficient of `stack`, which maps a list of
+    coefficients to the stack of their flat weights, over the alpha grid.
+    The grid is scored in blocks of _ALPHA_BLOCK points, task by task.
     Returns the search result, the frontier of the scored points, and their
     val accuracies keyed by coefficient tuple."""
-    obj, records = _val_objective(spec, model, patching, combine, log)
-    result = grid_search_1d(obj, spec.alpha_grid)
+    grid = check_grid(spec.alpha_grid)
+    records = {}
+    for i in range(0, len(grid), _ALPHA_BLOCK):
+        block = grid[i : i + _ALPHA_BLOCK]
+        scored = _score(spec, model, patching, stack(block), log)
+        records.update(((alpha,), accs) for alpha, accs in zip(block, scored))
+    obj = SearchObjective(lambda coeffs: _objective_value(
+        records[coeffs], spec.supported_tasks, patching, spec.group_weighting))
+    result = grid_search_1d(obj, grid)
     frontier = sweep_to_frontier(
         [(alpha, accs) for (alpha,), accs in sorted(records.items())],
         [t.name for t in spec.supported_tasks],
@@ -140,7 +153,7 @@ def _patch_one(spec, ft, ft_task_name):
     zs = spec.model.ckpt
     log = []
     search, frontier, records = _sweep(spec, spec.model, spec.patching_tasks,
-                                       lambda c: lerp(zs, ft, c[0]), log)
+                                       lambda alphas: lerp_rows(zs, ft, alphas), log)
     (alpha,) = search.best
     provenance = {
         "strategy": spec.strategy,
@@ -187,7 +200,8 @@ def patch_sequential(spec: PatchSpec) -> PatchResult:
             zs = current.ckpt
             ft = finetune(current, seen[-1], spec.train).final
             search, frontier, records = _sweep(spec, current, seen,
-                                               lambda c: lerp(zs, ft, c[0]), selection_log)
+                                               lambda alphas: lerp_rows(zs, ft, alphas),
+                                               selection_log)
             (alpha,) = search.best
             alphas.append(alpha)
             fts.append(ft)
@@ -227,11 +241,19 @@ def patch_parallel(spec: PatchSpec) -> PatchResult:
     # The uniform ray is the uniform search and, for every search method,
     # the reported frontier.
     ray, frontier, ray_records = _sweep(spec, spec.model, spec.patching_tasks,
-                                        lambda c: uniform_ray(zs, fts, c[0]), selection_log)
+                                        lambda betas: uniform_ray_rows(zs, fts, betas),
+                                        selection_log)
     if spec.search == "blackbox":
-        obj, records = _val_objective(spec, spec.model, spec.patching_tasks,
-                                      lambda c: multi_combine(zs, fts, c), selection_log)
-        search = black_box_search(obj, k=k, budget=spec.budget,
+        # Each black-box point depends on the ones before it, so it is scored alone.
+        records = {}
+
+        def score_point(coeffs):
+            (records[coeffs],) = _score(spec, spec.model, spec.patching_tasks,
+                                        combine_rows(zs, fts, [coeffs]), selection_log)
+            return _objective_value(records[coeffs], spec.supported_tasks,
+                                    spec.patching_tasks, spec.group_weighting)
+
+        search = black_box_search(SearchObjective(score_point), k=k, budget=spec.budget,
                                   init=0.5, seed=spec.order_seeds[0])
         coeffs = search.best
     else:

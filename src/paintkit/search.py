@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._atomic import atomic_open
-from .tensors import multi_combine
+from .tensors import combine_rows, multi_combine
 
 
 class SearchObjective:
@@ -89,6 +89,13 @@ def uniform_ray(zs, fts, beta):
     is bit-equal to the model those coefficients select."""
     k = len(fts)
     return multi_combine(zs, fts, [beta / k] * k)
+
+
+def uniform_ray_rows(zs, fts, betas):
+    """The stack whose row i holds the weights of uniform_ray(zs, fts, betas[i])
+    (see tensors.combine_rows)."""
+    k = len(fts)
+    return combine_rows(zs, fts, [[beta / k] * k for beta in betas])
 
 
 def uniform_search_parallel(zs, fts, eval_model, grid) -> SearchResult:

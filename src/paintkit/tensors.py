@@ -83,8 +83,12 @@ class Checkpoint:
         return Checkpoint.__new__(Checkpoint)._adopt(vec.astype(self.dtype), self._layout, meta)
 
     def views(self, vec):
-        """Name -> view of the flat vector `vec`, laid out like this checkpoint."""
-        return {n: vec[o : o + math.prod(s)].reshape(s) for n, (o, s) in self._layout.items()}
+        """Name -> view of the flat vector `vec`, laid out like this checkpoint.
+        A stack of flat vectors, shape (A, num_params), keeps its leading axis:
+        each view then has shape (A, *tensor_shape)."""
+        lead = vec.shape[:-1]
+        return {n: vec[..., o : o + math.prod(s)].reshape(lead + s)
+                for n, (o, s) in self._layout.items()}
 
     @property
     def dtype(self):
@@ -242,38 +246,65 @@ def _ident(ckpt):
 
 def lerp(zs: Checkpoint, ft: Checkpoint, alpha: float) -> Checkpoint:
     """(1-alpha)*zs + alpha*ft elementwise. Endpoints are exact copies."""
-    validate_compatible(zs, ft)
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha out of range: {alpha}")
+    (row,) = lerp_rows(zs, ft, [alpha])
     meta = {"alpha": repr(float(alpha)), "parent_zs": _ident(zs), "parent_ft": _ident(ft)}
-    if alpha == 0.0:
-        return zs._like(zs._buf, meta)
-    if alpha == 1.0:
-        return zs._like(ft._buf, meta)
-    return zs._like((1.0 - alpha) * zs.flat() + alpha * ft.flat(), meta)
+    return zs._like(row, meta)
+
+
+def lerp_rows(zs: Checkpoint, ft: Checkpoint, alphas) -> np.ndarray:
+    """A (len(alphas), num_params) stack in zs's dtype whose row i holds the
+    weights of lerp(zs, ft, alphas[i]), laid out like zs (see `views`).
+    Rows at alpha 0 and 1 are exact copies of zs and ft."""
+    validate_compatible(zs, ft)
+    alphas = [float(a) for a in alphas]
+    for a in alphas:
+        if not 0.0 <= a <= 1.0:
+            raise ValueError(f"alpha out of range: {a}")
+    a = np.array(alphas).reshape(-1, 1)
+    acc = (1.0 - a) * zs.flat()
+    acc += a * ft.flat()
+    rows = acc.astype(zs.dtype, copy=False)
+    for i, alpha in enumerate(alphas):
+        if alpha == 0.0:
+            rows[i] = zs._buf
+        elif alpha == 1.0:
+            rows[i] = ft._buf
+    return rows
 
 
 def multi_combine(zs: Checkpoint, fts, alphas) -> Checkpoint:
     """(1 - sum(alphas))*zs + sum_i alphas[i]*fts[i]."""
     alphas = [float(a) for a in alphas]
-    if len(alphas) != len(fts):
-        raise ValueError("alphas and fts length mismatch")
-    if any(a < 0 for a in alphas):
-        raise ValueError("negative coefficient")
-    total = sum(alphas)
-    if total > 1.0 + 1e-12:
-        raise ValueError(f"coefficients sum to {total} > 1")
-    for ft in fts:
-        validate_compatible(zs, ft)
-    acc = (1.0 - total) * zs.flat()
-    for a, ft in zip(alphas, fts):
-        acc = acc + a * ft.flat()
+    (row,) = combine_rows(zs, fts, [alphas])
     meta = {
         "alphas": ",".join(repr(a) for a in alphas),
         "parent_zs": _ident(zs),
         "parent_fts": ";".join(_ident(ft) for ft in fts),
     }
-    return zs._like(acc, meta)
+    return zs._like(row, meta)
+
+
+def combine_rows(zs: Checkpoint, fts, alpha_rows) -> np.ndarray:
+    """A (len(alpha_rows), num_params) stack in zs's dtype whose row i holds
+    the weights of multi_combine(zs, fts, alpha_rows[i]), laid out like zs."""
+    alpha_rows = [[float(a) for a in alphas] for alphas in alpha_rows]
+    totals = []
+    for alphas in alpha_rows:
+        if len(alphas) != len(fts):
+            raise ValueError("alphas and fts length mismatch")
+        if any(a < 0 for a in alphas):
+            raise ValueError("negative coefficient")
+        total = sum(alphas)
+        if total > 1.0 + 1e-12:
+            raise ValueError(f"coefficients sum to {total} > 1")
+        totals.append(total)
+    for ft in fts:
+        validate_compatible(zs, ft)
+    coeffs = np.array(alpha_rows, dtype=np.float64).reshape(len(alpha_rows), len(fts))
+    acc = (1.0 - np.array(totals, dtype=np.float64)).reshape(-1, 1) * zs.flat()
+    for i, ft in enumerate(fts):
+        acc += coeffs[:, i : i + 1] * ft.flat()
+    return acc.astype(zs.dtype, copy=False)
 
 
 def average(fts) -> Checkpoint:

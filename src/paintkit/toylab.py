@@ -62,16 +62,24 @@ class TaskDataset:
         self.class_ids = tuple(int(c) for c in self.class_ids)
         if not set(self.labels.tolist()) <= set(self.class_ids):
             raise ValueError(f"task {self.name!r}: label outside class_ids")
+        n = len(self.labels)
         seen = set()
         for split, idx in self.splits.items():
             idx = np.asarray(idx, dtype=np.int64)
             self.splits[split] = idx
+            where = f"task {self.name!r}: split {split!r}"
             if idx.size == 0:
                 raise ValueError(f"task {self.name!r}: empty split {split!r}")
-            overlap = seen & set(idx.tolist())
-            if overlap:
+            outside = idx[(idx < 0) | (idx >= n)]
+            if outside.size:
+                raise ValueError(f"{where}: index {outside[0]} outside [0, {n})")
+            members = set(idx.tolist())
+            if len(members) != idx.size:
+                values, counts = np.unique(idx, return_counts=True)
+                raise ValueError(f"{where}: index {values[counts > 1][0]} repeated")
+            if seen & members:
                 raise ValueError(f"task {self.name!r}: overlapping split indices")
-            seen |= set(idx.tolist())
+            seen |= members
 
     @property
     def dim(self):
@@ -106,8 +114,11 @@ class TaskDataset:
                         f"{path}:{reader.line_num}: expected {len(header)} fields, "
                         f"got {len(row)}"
                     )
-                i, split, label = int(row[0]), row[1], int(row[2])
-                inputs.append([float(v) for v in row[3:]])
+                try:
+                    i, split, label = int(row[0]), row[1], int(row[2])
+                    inputs.append([float(v) for v in row[3:]])
+                except ValueError:
+                    raise ValueError(_bad_cell(path, reader.line_num, header, row)) from None
                 labels.append(label)
                 if split:
                     splits.setdefault(split, []).append(i)
@@ -120,6 +131,18 @@ class TaskDataset:
             class_ids,
             {k: v for k, v in splits.items() if v},
         )
+
+
+def _bad_cell(path, line, header, row):
+    """Name the first cell of a task-CSV row that does not parse."""
+    for col, (name, cell) in enumerate(zip(header, row)):
+        if col == 1:  # the split name is free text
+            continue
+        cast = int if col in (0, 2) else float
+        try:
+            cast(cell)
+        except ValueError:
+            return f"{path}:{line}: column {name!r}: not a valid {cast.__name__}: {cell!r}"
 
 
 def generate_tasks(seed, num_classes, dim, samples_per_class, noise_scale, partition):
@@ -271,6 +294,7 @@ class ToyModel:
         self.logit_scale = _meta_value(ckpt, "logit_scale", float)
         self.embed_dim = _meta_value(ckpt, "embed_dim", int)
         self.n_layers = _meta_value(ckpt, "n_layers", int)
+        self._names = _layer_names(ckpt, self.n_layers, self.embed_dim)
 
     @classmethod
     def init(cls, seed, in_dim, hidden=(64, 64), embed_dim=16, logit_scale=20.0):
@@ -295,67 +319,116 @@ class ToyModel:
     def _layers(self, ckpt=None):
         if ckpt is None:
             ckpt = self.ckpt
-        return [(ckpt[f"enc.w{i}"], ckpt[f"enc.b{i}"]) for i in range(self.n_layers)]
+        return [(ckpt[w], ckpt[b]) for w, b in self._names]
 
-    def _forward(self, x, ckpt):
+    def _forward(self, x, layers):
         """The input of every layer ([x, h1, ...]), the output norms, and the
-        unit-normalized output features."""
+        unit-normalized output features. Weights with a leading stack axis
+        (see Checkpoint.views) give every output that axis too."""
         acts = [np.asarray(x, dtype=np.float64)]
-        layers = self._layers(ckpt)
         for w, b in layers[:-1]:
-            acts.append(np.tanh(acts[-1] @ w.T + b))
-        w, b = layers[-1]
-        z = acts[-1] @ w.T + b
-        norms = np.linalg.norm(z, axis=1, keepdims=True)
-        return acts, norms, z / norms
+            z = _affine(acts[-1], w, b)
+            acts.append(np.tanh(z, out=z))
+        z = _affine(acts[-1], *layers[-1])
+        norms = np.sqrt(np.add.reduce(z * z, axis=-1, keepdims=True))  # np.linalg.norm
+        z /= norms
+        return acts, norms, z
 
     def encode(self, x, ckpt=None):
         """Unit-normalized encoder features for a batch of inputs."""
-        return self._forward(x, ckpt)[2]
+        return self._forward(x, self._layers(ckpt))[2]
 
     def logits(self, x, class_ids, ckpt=None):
         head = head_matrix(class_ids, self.embed_dim)
-        return self.logit_scale * self.encode(x, ckpt) @ head.T
+        u = self.encode(x, ckpt)
+        u *= self.logit_scale
+        return u @ head.T
 
-    def loss_and_grad(self, ckpt, x, y_local, class_ids, init_ckpt=None, l2_init=0.0):
+    def loss_and_grad(self, ckpt, x, y_local, class_ids, init_ckpt=None, l2_init=0.0,
+                      out=None):
         """Mean cross-entropy over scaled-similarity logits, plus an optional
         l2_init * ||theta - theta_init||^2 penalty; returns (loss, grads).
-        `ckpt` is a Checkpoint or any mapping from tensor name to weights."""
+        `ckpt` is a Checkpoint or any mapping from tensor name to weights.
+        `out`, a mapping from every tensor name to a writable float64 array of
+        that tensor's shape, receives the gradients and is returned as grads."""
         head = head_matrix(class_ids, self.embed_dim)
         layers = self._layers(ckpt)
-        acts, norms, u = self._forward(x, ckpt)
+        acts, norms, u = self._forward(x, layers)
         n = u.shape[0]
-        logits = self.logit_scale * u @ head.T
+        rows = np.arange(n)
+        shifted = self.logit_scale * u @ head.T
+        shifted -= np.maximum.reduce(shifted, axis=1, keepdims=True)
+        p = np.exp(shifted)
+        sums = np.add.reduce(p, axis=1)
+        loss = float(-(np.add.reduce(shifted[rows, y_local] - np.log(sums)) / n))
 
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        exp = np.exp(shifted)
-        p = exp / exp.sum(axis=1, keepdims=True)
-        loss = float(-np.mean(shifted[np.arange(n), y_local] - np.log(exp.sum(axis=1))))
+        p /= sums[:, None]  # softmax, then turned in place into dloss/dlogits
+        p[rows, y_local] -= 1.0
+        p /= n
+        p *= self.logit_scale
+        dzi = p @ head  # dloss/du, then in place dloss/dz
+        dzi -= np.add.reduce(dzi * u, axis=1, keepdims=True) * u
+        dzi /= norms
 
-        dlogits = p.copy()
-        dlogits[np.arange(n), y_local] -= 1.0
-        dlogits /= n
-        du = self.logit_scale * dlogits @ head
-        dz = (du - (du * u).sum(axis=1, keepdims=True) * u) / norms
-
-        grads = {}
-        grads[f"enc.w{self.n_layers - 1}"] = dz.T @ acts[-1]
-        grads[f"enc.b{self.n_layers - 1}"] = dz.sum(axis=0)
-        da = dz @ layers[-1][0]
-        for i in range(self.n_layers - 2, -1, -1):
-            a = acts[i + 1]
-            dzi = da * (1.0 - a * a)
-            grads[f"enc.w{i}"] = dzi.T @ acts[i]
-            grads[f"enc.b{i}"] = dzi.sum(axis=0)
+        grads = {} if out is None else out
+        for i in range(self.n_layers - 1, -1, -1):
+            w, b = self._names[i]
+            grads[w] = np.matmul(dzi.T, acts[i], out=grads.get(w))
+            grads[b] = np.add.reduce(dzi, axis=0, out=grads.get(b))
             if i > 0:
-                da = dzi @ layers[i][0]
+                dtanh = acts[i] * acts[i]
+                np.subtract(1.0, dtanh, out=dtanh)
+                dzi = dzi @ layers[i][0]
+                dzi *= dtanh
 
         if l2_init > 0.0 and init_ckpt is not None:
             for name, w in ckpt.items():
                 delta = w - init_ckpt[name]
                 loss += float(l2_init * np.sum(delta * delta))
-                grads[name] = grads[name] + 2.0 * l2_init * delta
+                grads[name] += 2.0 * l2_init * delta
         return loss, grads
+
+
+def _affine(x, w, b):
+    """x @ w.T + b, broadcast over a leading stack axis of w and b."""
+    z = x @ w.swapaxes(-1, -2)
+    z += b[..., None, :]
+    return z
+
+
+def _layer_names(ckpt, n_layers, embed_dim):
+    """The (weight, bias) tensor names of each encoder layer, after checking
+    them against the weights: the checkpoint holds exactly these tensors, the
+    shapes chain from layer to layer, and the last layer outputs `embed_dim`
+    features. A CheckpointError names the offending key."""
+    if n_layers < 1:
+        raise CheckpointError(f"checkpoint metadata 'n_layers' must be >= 1, got {n_layers}")
+    names = [(f"enc.w{i}", f"enc.b{i}") for i in range(n_layers)]
+    width = None
+    for w, b in names:
+        for name in (w, b):
+            if name not in ckpt:
+                raise CheckpointError(f"checkpoint has no tensor {name!r} "
+                                      f"(metadata 'n_layers' is {n_layers})")
+        shape = ckpt[w].shape
+        if len(shape) != 2:
+            raise CheckpointError(f"tensor {w!r} has shape {shape}; expected a matrix")
+        if width is not None and shape[1] != width:
+            raise CheckpointError(f"tensor {w!r} has shape {shape}; the layer before "
+                                  f"outputs {width} features")
+        if ckpt[b].shape != shape[:1]:
+            raise CheckpointError(f"tensor {b!r} has shape {ckpt[b].shape}; "
+                                  f"expected {shape[:1]}")
+        width = shape[0]
+    if width != embed_dim:
+        raise CheckpointError(f"checkpoint metadata 'embed_dim' is {embed_dim}, but "
+                              f"tensor {names[-1][0]!r} outputs {width} features")
+    known = {name for layer in names for name in layer}
+    extra = next((name for name in ckpt if name not in known), None)
+    if extra is not None:
+        raise CheckpointError(f"tensor {extra!r} is not an encoder layer "
+                              f"(metadata 'n_layers' is {n_layers})")
+    return names
 
 
 def _local_labels(labels, class_ids):
@@ -369,13 +442,21 @@ def finetune(model: ToyModel, task: TaskDataset, config: TrainConfig) -> TrainRe
     rng = np.random.default_rng(config.seed)
     x_all, y_all = task.split_arrays("train")
     y_local = _local_labels(y_all, task.class_ids)
+    batch = min(config.batch_size, len(y_local))
 
     start = model.ckpt
-    params = start.flat().copy()  # float64 weights, updated in place
+    # Flat float64 vectors, all updated in place: the weights, the gradient
+    # (written through its views by loss_and_grad), the AdamW moments, the
+    # EMA shadow, and two scratch vectors for the update.
+    params = start.flat().copy()
     live = start.views(params)  # name -> view of params, for loss_and_grad
+    grad = np.empty_like(params)
+    grad_out = start.views(grad)
     init = Checkpoint(live, start.meta)
     m = np.zeros_like(params)
     v = np.zeros_like(params)
+    upd = np.empty_like(params)
+    tmp = np.empty_like(params)
     ema = params.copy() if config.ema_decay is not None else None
     b1, b2 = config.betas
 
@@ -390,23 +471,33 @@ def finetune(model: ToyModel, task: TaskDataset, config: TrainConfig) -> TrainRe
 
     snapshot(0)
     for step in range(config.iterations):
-        idx = rng.choice(len(y_local), size=min(config.batch_size, len(y_local)), replace=False)
-        loss, grads = model.loss_and_grad(
-            live, x_all[idx], y_local[idx], task.class_ids, init, config.l2_init
-        )
+        idx = rng.choice(len(y_local), size=batch, replace=False)
+        loss, _ = model.loss_and_grad(live, x_all[idx], y_local[idx], task.class_ids,
+                                      init, config.l2_init, out=grad_out)
         if not math.isfinite(loss):
             raise RuntimeError(f"non-finite loss at step {step}: {loss}")
         record.losses.append(loss)
-        g = np.concatenate([grads[name].ravel() for name in live])
         lr = lr_schedule(step, config)
         t = step + 1
-        m = b1 * m + (1 - b1) * g
-        v = b2 * v + (1 - b2) * g * g
-        mhat = m / (1 - b1**t)
-        vhat = v / (1 - b2**t)
-        params -= lr * (mhat / (np.sqrt(vhat) + config.eps) + config.weight_decay * params)
+        # m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g * g
+        m *= b1
+        m += np.multiply(grad, 1 - b1, out=tmp)
+        v *= b2
+        np.multiply(grad, 1 - b2, out=tmp)
+        v += np.multiply(tmp, grad, out=tmp)
+        # params -= lr * (mhat / (sqrt(vhat) + eps) + weight_decay * params)
+        np.divide(v, 1 - b2**t, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += config.eps
+        np.divide(m, 1 - b1**t, out=upd)
+        upd /= tmp
+        upd += np.multiply(params, config.weight_decay, out=tmp)
+        upd *= lr
+        params -= upd
         if ema is not None:
-            ema = config.ema_decay * ema + (1 - config.ema_decay) * params
+            # ema = decay * ema + (1 - decay) * params
+            ema *= config.ema_decay
+            ema += np.multiply(params, 1 - config.ema_decay, out=tmp)
         snapshot(t)
 
     record.final = Checkpoint(live, start.meta)
@@ -433,12 +524,31 @@ def pretrain(config: TrainConfig, base_tasks, in_dim=None) -> ToyModel:
 
 def evaluate(model: ToyModel, task: TaskDataset, split="test", access_log=None) -> float:
     """Fraction of argmax-correct predictions over the task's class set."""
+    return float(_accuracies(model, task, split, None, access_log, 1))
+
+
+def evaluate_stack(model: ToyModel, stack, task: TaskDataset, split="test",
+                   access_log=None) -> list:
+    """`evaluate` for many weight sets at once: one accuracy per row of
+    `stack`, an (A, num_params) array of flat weights laid out like
+    `model.ckpt` (see Checkpoint.views), all scored in one forward pass.
+    Logs one access per row."""
+    stack = np.asarray(stack)
+    if stack.ndim != 2 or stack.shape[1] != model.ckpt.num_params:
+        raise ValueError(f"weight stack of shape {stack.shape} does not hold rows of "
+                         f"{model.ckpt.num_params} parameters")
+    weights = model.ckpt.views(stack)
+    return _accuracies(model, task, split, weights, access_log, len(stack)).tolist()
+
+
+def _accuracies(model, task, split, weights, access_log, n_models):
     x, y = task.split_arrays(split)
     if access_log is not None:
-        access_log.append((task.name, split))
-    logits = model.logits(x, task.class_ids)
-    pred = np.asarray(task.class_ids)[np.argmax(logits, axis=1)]
-    return float(np.mean(pred == y))
+        access_log.extend([(task.name, split)] * n_models)
+    logits = model.logits(x, task.class_ids, weights)
+    pred = np.asarray(task.class_ids)[logits.argmax(axis=-1)]
+    # np.mean's float64 sum and division, without its Python-level overhead
+    return np.add.reduce(pred == y, axis=-1, dtype=np.float64) / len(y)
 
 
 _L2_LADDER = (10.0, 1.0, 0.1, 0.01, 0.001)

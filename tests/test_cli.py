@@ -282,6 +282,43 @@ class TestPretrainFinetunePatch:
         assert code == 2
         assert "metadata has no 'logit_scale'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("meta, message", [
+        ({"n_layers": "5"}, "checkpoint has no tensor 'enc.w2'"),
+        ({"embed_dim": "0"}, "metadata 'embed_dim' is 0, but tensor 'enc.w1' outputs 8"),
+        ({"embed_dim": "7"}, "metadata 'embed_dim' is 7, but tensor 'enc.w1' outputs 8"),
+    ], ids=["n_layers", "embed_dim_0", "embed_dim_7"])
+    def test_model_metadata_disagreeing_with_weights_is_runtime_error(
+            self, workspace, tmp_path, capsys, meta, message):
+        zs = load_checkpoint(workspace / "zero_shot.ckpt")
+        path = tmp_path / "bad_meta.ckpt"
+        save_checkpoint(zs.with_meta({**zs.meta, **meta}), path)
+        code = main(["finetune", "--zs_checkpoint", str(path), "--task",
+                     str(workspace / "task1.csv"), "--out_dir", str(tmp_path / "out")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda i, row: [str(int(row[0]) + 1), *row[1:]],
+         "task 'task1': split 'test': index 40 outside [0, 40)"),
+        (lambda i, row: ["-1", *row[1:]] if i == 0 else row,
+         "task 'task1': split 'train': index -1 outside [0, 40)"),
+        (lambda i, row: ["0", *row[1:]] if i == 1 else row,
+         "task 'task1': split 'train': index 0 repeated"),
+        (lambda i, row: [*row[:2], "x", *row[3:]] if i == 0 else row,
+         "task1.csv:2: column 'label': not a valid int: 'x'"),
+    ], ids=["shifted_ids", "negative_id", "repeated_id", "non_numeric_label"])
+    def test_malformed_task_csv_is_runtime_error(self, workspace, tmp_path, capsys, edit,
+                                                 message):
+        header, *lines = (workspace / "task1.csv").read_text().splitlines()
+        rows = [",".join(edit(i, line.split(","))) for i, line in enumerate(lines)]
+        path = tmp_path / "task1.csv"
+        path.write_text("\n".join([header, *rows]) + "\n")
+        args = patch_args(workspace, tmp_path / "out")
+        args[args.index("--patching_tasks") + 1] = str(path)
+        assert main(args) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out" / "patch_result.json").exists()
+
     def test_missing_zs_checkpoint_is_usage_error(self, workspace, tmp_path, capsys):
         args = patch_args(workspace, tmp_path)
         i = args.index("--zs_checkpoint")

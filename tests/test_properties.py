@@ -1,5 +1,5 @@
-"""Property-based tests for the checkpoint container, weight arithmetic and
-the capped-simplex projection.
+"""Property-based tests for the checkpoint container, weight arithmetic,
+stacked scoring and the capped-simplex projection.
 
 Examples are derandomized and nothing is stored between runs, so every run
 checks the same cases.
@@ -8,19 +8,28 @@ checks the same cases.
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from paintkit import (
     Checkpoint,
     FormatError,
+    PatchSpec,
+    TaskDataset,
+    ToyModel,
+    TrainConfig,
     average,
+    evaluate,
+    generate_tasks,
     lerp,
     load_checkpoint,
     multi_combine,
+    patch_single,
     save_checkpoint,
 )
-from paintkit.search import project_capped_simplex
+from paintkit.search import project_capped_simplex, uniform_ray, uniform_ray_rows
+from paintkit.tensors import combine_rows, lerp_rows
+from paintkit.toylab import evaluate_stack
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=15)
 
@@ -135,6 +144,105 @@ def test_float32_arithmetic_accumulates_in_float64(cs, raw_alphas):
 
     assert same_bits(multi_combine(zs, fts, coeffs), expect(combined))
     assert same_bits(average(fts), expect(lambda z, *fs: sum(fs) / k))
+
+
+# Alpha grids with endpoints, repeats and sizes on both sides of the
+# pipeline's 8-point scoring block.
+grids = st.lists(st.sampled_from([0.0, 1.0, 0.5]) | alphas, min_size=1, max_size=19)
+
+
+def bits(ckpt):
+    """A checkpoint's weights as float64 bits (exact for float32 too)."""
+    return ckpt.flat().tobytes()
+
+
+@PROPERTY
+@given(checkpoints(count=2), grids)
+def test_lerp_rows_hold_lerp_bits(cs, grid):
+    zs, ft = cs
+    rows = lerp_rows(zs, ft, grid)
+    assert rows.shape == (len(grid), zs.num_params) and rows.dtype == zs.dtype
+    for alpha, row in zip(grid, rows):
+        assert row.astype(np.float64).tobytes() == bits(lerp(zs, ft, alpha))
+
+
+@PROPERTY
+@given(st.integers(0, 3).flatmap(lambda k: checkpoints(count=k + 1)),
+       st.lists(alphas, min_size=1, max_size=9))
+def test_combine_and_ray_rows_hold_multi_combine_bits(cs, betas):
+    zs, *fts = cs
+    k = len(fts)
+    coeffs = [[b / max(k, 1)] * k for b in betas]
+    rows = combine_rows(zs, fts, coeffs)
+    assert rows.shape == (len(betas), zs.num_params) and rows.dtype == zs.dtype
+    for c, row in zip(coeffs, rows):
+        assert row.astype(np.float64).tobytes() == bits(multi_combine(zs, fts, c))
+    if k:
+        ray = uniform_ray_rows(zs, fts, betas)
+        assert ray.tobytes() == rows.tobytes()
+        for beta, row in zip(betas, ray):
+            assert row.astype(np.float64).tobytes() == bits(uniform_ray(zs, fts, beta))
+
+
+TASK = generate_tasks(4, num_classes=5, dim=3, samples_per_class=10, noise_scale=0.8,
+                      partition=[(0, 1, 2, 3, 4)])[0]
+
+
+@st.composite
+def toy_models(draw, dtype=None):
+    """Two toy models with the same architecture (zero-shot and fine-tuned)."""
+    dtype = draw(st.sampled_from(DTYPES)) if dtype is None else dtype
+    hidden = draw(st.sampled_from([(), (4,), (5, 3)]))
+    seeds = draw(st.lists(st.integers(0, 99), min_size=2, max_size=2))
+    models = [ToyModel.init(s, TASK.dim, hidden, embed_dim=4) for s in seeds]
+    return [ToyModel(Checkpoint({n: a.astype(dtype) for n, a in m.ckpt.items()}, m.ckpt.meta))
+            for m in models]
+
+
+@settings(PROPERTY, max_examples=25)
+@given(toy_models(), grids, st.sets(st.integers(0, len(TASK.labels) - 1), min_size=1))
+def test_stacked_scoring_equals_evaluate_per_row(models, grid, rows):
+    zs, ft = (m.ckpt for m in models)
+    task = TaskDataset("t", TASK.inputs, TASK.labels, TASK.class_ids, {"val": sorted(rows)})
+    stack = lerp_rows(zs, ft, grid)
+    log = []
+    accs = evaluate_stack(models[0], stack, task, "val", log)
+    assert log == [("t", "val")] * len(grid)
+    x, _ = task.split_arrays("val")
+    logits = models[0].logits(x, task.class_ids, zs.views(stack))
+    for alpha, acc, row_logits in zip(grid, accs, logits):
+        model = models[0].with_weights(lerp(zs, ft, alpha))
+        assert acc == evaluate(model, task, "val")
+        assert row_logits.tobytes() == model.logits(x, task.class_ids).tobytes()
+
+
+TWO_MODELS = [ToyModel.init(s, TASK.dim, (4,), embed_dim=4) for s in (5, 6)]
+
+
+@settings(PROPERTY, max_examples=10)
+@given(toy_models(dtype=np.float64),
+       st.lists(st.sampled_from([i / 20 for i in range(21)]), max_size=20).flatmap(
+           lambda g: st.permutations([0.0, 1.0] + g)))
+@example(TWO_MODELS, [i / 15 for i in range(16)])  # exactly two scoring blocks
+@example(TWO_MODELS, [i / 16 for i in range(17)] + [0.5])  # a repeat in a third block
+def test_sweep_scores_each_alpha_like_evaluate(models, grid):
+    sup, pat = generate_tasks(2, num_classes=6, dim=TASK.dim, samples_per_class=10,
+                              noise_scale=0.8, partition=[(0, 1, 2, 3), (4, 5)])
+    model = models[0]
+    spec = PatchSpec(model=model, patching_tasks=[pat], supported_tasks=[sup],
+                     alpha_grid=grid, train=TrainConfig(iterations=3, warmup=0, batch_size=4,
+                                                        hidden=(), embed_dim=4))
+    result = patch_single(spec)
+    ft = result.fine_tuned[0]
+    val = {a: [evaluate(model.with_weights(lerp(model.ckpt, ft, a)), t, "val")
+               for t in (sup, pat)] for a in grid}
+    assert [(p.alpha, p.supported_acc, p.patching_acc) for p in result.frontier.points] == [
+        (a, *val[a]) for a in sorted(val)]
+    best = max(sum(v) / 2 for v in val.values())
+    assert result.coefficients == (min(a for a, v in val.items() if sum(v) / 2 == best),)
+    assert result.val_accuracies == dict(zip((sup.name, pat.name), val[result.coefficients[0]]))
+    assert result.provenance["search_evaluations"] == len(grid)
+    assert len(result.access_log["selection"]) == 2 * len(grid)
 
 
 vectors = st.lists(st.floats(-2.0, 3.0), min_size=1, max_size=8).map(np.array)

@@ -68,6 +68,20 @@ class TestCheckpoint:
         assert np.array_equal(c.flat(), [3, 4, 1, 2])
         assert np.array_equal(c.flat(exclude={"b"}), [1, 2])
 
+    def test_views_of_a_stack_keep_the_leading_axis(self):
+        c = ck(w=np.zeros((2, 3)), s=np.zeros(()), e=np.zeros((0, 2)), b=np.zeros(3))
+        stack = np.arange(3.0 * c.num_params).reshape(3, c.num_params)
+        views = c.views(stack)
+        assert [(n, v.shape) for n, v in views.items()] == [
+            ("w", (3, 2, 3)), ("s", (3,)), ("e", (3, 0, 2)), ("b", (3, 3))]
+        for i, row in enumerate(stack):
+            one = c.views(row)
+            assert all(np.array_equal(views[n][i], one[n]) and one[n].shape == c[n].shape
+                       for n in c)
+            assert np.shares_memory(one["b"], row)
+        views["b"][1, 2] = -1.0  # views, not copies
+        assert stack[1, -1] == -1.0
+
 
 class TestSaveLoad:
     def test_empty_roundtrip(self, tmp_path):

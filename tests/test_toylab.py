@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -33,6 +34,51 @@ def quick_cfg(**kw):
                 hidden=(16,), embed_dim=8, seed=0)
     base.update(kw)
     return TrainConfig(**base)
+
+
+def reference_loss_and_grad(model, ckpt, x, y_local, class_ids, init_ckpt=None, l2_init=0.0):
+    """ToyModel.loss_and_grad as first written, every intermediate a new
+    array. The library's in-place version must give the same bits."""
+    head = head_matrix(class_ids, model.embed_dim)
+    layers = [(ckpt[f"enc.w{i}"], ckpt[f"enc.b{i}"]) for i in range(model.n_layers)]
+    acts = [np.asarray(x, dtype=np.float64)]
+    for w, b in layers[:-1]:
+        acts.append(np.tanh(acts[-1] @ w.T + b))
+    w, b = layers[-1]
+    z = acts[-1] @ w.T + b
+    norms = np.linalg.norm(z, axis=1, keepdims=True)
+    u = z / norms
+    n = u.shape[0]
+    logits = model.logit_scale * u @ head.T
+
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    p = exp / exp.sum(axis=1, keepdims=True)
+    loss = float(-np.mean(shifted[np.arange(n), y_local] - np.log(exp.sum(axis=1))))
+
+    dlogits = p.copy()
+    dlogits[np.arange(n), y_local] -= 1.0
+    dlogits /= n
+    du = model.logit_scale * dlogits @ head
+    dz = (du - (du * u).sum(axis=1, keepdims=True) * u) / norms
+
+    last = model.n_layers - 1
+    grads = {f"enc.w{last}": dz.T @ acts[-1], f"enc.b{last}": dz.sum(axis=0)}
+    da = dz @ layers[-1][0]
+    for i in range(last - 1, -1, -1):
+        a = acts[i + 1]
+        dzi = da * (1.0 - a * a)
+        grads[f"enc.w{i}"] = dzi.T @ acts[i]
+        grads[f"enc.b{i}"] = dzi.sum(axis=0)
+        if i > 0:
+            da = dzi @ layers[i][0]
+
+    if l2_init > 0.0 and init_ckpt is not None:
+        for name, w in ckpt.items():
+            delta = w - init_ckpt[name]
+            loss += float(l2_init * np.sum(delta * delta))
+            grads[name] = grads[name] + 2.0 * l2_init * delta
+    return loss, grads
 
 
 class TestFrozenHead:
@@ -112,6 +158,31 @@ class TestModelMetadata:
         with pytest.raises(CheckpointError, match=key):
             ToyModel(ckpt.with_meta({**ckpt.meta, key: "x"}))
 
+    @pytest.mark.parametrize("meta, key", [
+        ({"n_layers": "3"}, "'enc.w2'"),
+        ({"n_layers": "0"}, "'n_layers'"),
+        ({"n_layers": "1"}, "'embed_dim'"),
+        ({"embed_dim": "0"}, "'embed_dim'"),
+        ({"embed_dim": "7"}, "'embed_dim'"),
+    ], ids=["missing_layer", "no_layers", "too_few_layers", "embed_dim_0", "embed_dim_7"])
+    def test_metadata_disagreeing_with_weights_is_checkpoint_error(self, meta, key):
+        ckpt = ToyModel.init(0, 4, hidden=(8,), embed_dim=4).ckpt
+        with pytest.raises(CheckpointError, match=key):
+            ToyModel(ckpt.with_meta({**ckpt.meta, **meta}))
+
+    @pytest.mark.parametrize("name, value, key", [
+        ("enc.w1", np.zeros((4, 7)), "'enc.w1'"),   # does not take layer 0's 8 outputs
+        ("enc.w0", np.zeros(32), "'enc.w0'"),       # not a matrix
+        ("enc.b0", np.zeros(7), "'enc.b0'"),        # not one bias per output
+        ("enc.b1", np.zeros((4, 1)), "'enc.b1'"),
+        ("extra", np.zeros(3), "'extra'"),          # not a layer of the model
+    ], ids=["w_columns", "w_rank", "b_length", "b_rank", "extra_tensor"])
+    def test_weights_that_do_not_chain_are_checkpoint_error(self, name, value, key):
+        ckpt = ToyModel.init(0, 4, hidden=(8,), embed_dim=4).ckpt
+        tensors = {**dict(ckpt.items()), name: value}
+        with pytest.raises(CheckpointError, match=key):
+            ToyModel(Checkpoint(tensors, ckpt.meta))
+
 
 class TestGenerateTasks:
     def test_deterministic(self):
@@ -148,6 +219,35 @@ class TestGenerateTasks:
     def test_rejects_out_of_range_class(self):
         with pytest.raises(ValueError):
             generate_tasks(0, 3, 4, 20, 0.3, [(0, 5)])
+
+    @pytest.mark.parametrize("split, edit, message", [
+        ("test", lambda i: i + 1, "split 'test': index 60 outside [0, 60)"),
+        ("train", lambda i: np.where(i == 0, -1, i), "split 'train': index -1 outside [0, 60)"),
+        ("val", lambda i: np.where(i == i[1], i[0], i), "split 'val': index 16 repeated"),
+    ], ids=["shifted", "negative", "repeated"])
+    def test_bad_split_indices_rejected(self, split, edit, message):
+        (t, _) = small_tasks()
+        splits = {s: np.array(i) for s, i in t.splits.items()}
+        splits[split] = edit(splits[split])
+        with pytest.raises(ValueError, match=re.escape(f"task 'task0': {message}")):
+            TaskDataset(t.name, t.inputs, t.labels, t.class_ids, splits)
+
+    @pytest.mark.parametrize("column, cell, kind", [
+        (0, "7.5", "int"), (2, "x", "int"), (4, "abc", "float"),
+    ])
+    def test_csv_non_numeric_cell_names_line_and_column(self, tmp_path, column, cell, kind):
+        (t, _) = small_tasks()
+        path = tmp_path / "task.csv"
+        t.to_csv(path)
+        lines = path.read_text().splitlines()
+        header = lines[0].split(",")
+        row = lines[3].split(",")
+        row[column] = cell
+        lines[3] = ",".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        expected = f"task.csv:4: column '{header[column]}': not a valid {kind}: '{cell}'"
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            TaskDataset.from_csv(path)
 
     def test_csv_roundtrip(self, tmp_path):
         (t, _) = small_tasks()
@@ -262,12 +362,16 @@ class TestTraining:
         record = finetune(model, t, quick_cfg(ema_decay=0.0, snapshot_every=40))
         assert np.allclose(record.ema_snapshots[40].flat(), record.final.flat())
 
-    def test_matches_per_tensor_adamw_reference(self):
-        # finetune updates one flat vector; the same arithmetic done tensor by
-        # tensor on separate arrays must give the same bits.
+    @pytest.mark.parametrize("l2_init, ema_decay", [(0.0, None), (0.0, 0.9), (0.05, None),
+                                                    (0.05, 0.9)],
+                             ids=["plain", "ema", "l2", "l2-ema"])
+    def test_matches_per_tensor_adamw_reference(self, l2_init, ema_decay):
+        # finetune updates flat vectors in place; the same arithmetic done
+        # tensor by tensor on new arrays, with the reference loss_and_grad,
+        # must give the same bits.
         (t, _) = small_tasks()
         model = ToyModel.init(0, t.dim, (16, 8), 8)
-        cfg = quick_cfg(l2_init=0.05, ema_decay=0.9, snapshot_every=15)
+        cfg = quick_cfg(l2_init=l2_init, ema_decay=ema_decay, snapshot_every=15)
         record = finetune(model, t, cfg)
 
         rng = np.random.default_rng(cfg.seed)
@@ -282,8 +386,8 @@ class TestTraining:
         losses, snapshots, ema_snapshots = [], {}, {}
         for step in range(cfg.iterations):
             idx = rng.choice(len(y_local), size=cfg.batch_size, replace=False)
-            loss, grads = model.loss_and_grad(
-                Checkpoint(params), x_all[idx], y_local[idx], t.class_ids, init, cfg.l2_init)
+            loss, grads = reference_loss_and_grad(
+                model, params, x_all[idx], y_local[idx], t.class_ids, init, cfg.l2_init)
             losses.append(loss)
             lr, t_ = lr_schedule(step, cfg), step + 1
             for n, g in grads.items():
@@ -292,7 +396,8 @@ class TestTraining:
                 mhat, vhat = m[n] / (1 - b1**t_), v[n] / (1 - b2**t_)
                 params[n] = params[n] - lr * (
                     mhat / (np.sqrt(vhat) + cfg.eps) + cfg.weight_decay * params[n])
-                ema[n] = cfg.ema_decay * ema[n] + (1 - cfg.ema_decay) * params[n]
+                if ema_decay is not None:
+                    ema[n] = ema_decay * ema[n] + (1 - ema_decay) * params[n]
             if t_ % cfg.snapshot_every == 0 or t_ == cfg.iterations:
                 snapshots[t_], ema_snapshots[t_] = Checkpoint(params), Checkpoint(ema)
 
@@ -304,7 +409,32 @@ class TestTraining:
         assert sorted(record.snapshots) == [0, *sorted(snapshots)]
         for step, ckpt in snapshots.items():
             assert bits(record.snapshots[step]) == bits(ckpt)
-            assert bits(record.ema_snapshots[step]) == bits(ema_snapshots[step])
+            if ema_decay is not None:
+                assert bits(record.ema_snapshots[step]) == bits(ema_snapshots[step])
+        assert bool(record.ema_snapshots) == (ema_decay is not None)
+
+    @pytest.mark.parametrize("l2_init", [0.0, 0.3])
+    def test_loss_and_grad_matches_reference(self, l2_init):
+        # Fewer temporaries, and gradients written into caller-owned views
+        # through `out`, must not change a bit of the loss or the gradients.
+        (t, _) = small_tasks()
+        model = ToyModel.init(2, t.dim, (16, 8), 8)
+        x, y = t.split_arrays("train")
+        y_local = np.searchsorted(t.class_ids, y)
+        init = model.ckpt
+        ckpt = Checkpoint({n: a + 0.01 * (i + 1) for i, (n, a) in enumerate(init.items())})
+        expected_loss, expected = reference_loss_and_grad(
+            model, ckpt, x[:13], y_local[:13], t.class_ids, init, l2_init)
+        flat = np.full(init.num_params, np.nan)
+        out = init.views(flat)
+        for kwargs in ({}, {"out": out}):
+            loss, grads = model.loss_and_grad(ckpt, x[:13], y_local[:13], t.class_ids,
+                                              init, l2_init, **kwargs)
+            assert loss == expected_loss
+            assert sorted(grads) == sorted(expected)
+            for name, g in expected.items():
+                assert grads[name].tobytes() == g.tobytes()
+        assert grads is out and not np.isnan(flat).any()
 
 
 class TestGradients:
