@@ -22,12 +22,13 @@ def test_digests_are_deterministic():
     spec = importlib.util.spec_from_file_location("output_digests", SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    argv = ["--section", "pipeline", "--section", "training"]
+    argv = ["--section", "pipeline", "--section", "training", "--section", "baselines"]
     first = run(module, argv)
     assert run(module, argv) == first
     digests = json.loads(first)
-    assert set(digests) == {"pipeline", "training"}
+    assert set(digests) == {"pipeline", "training", "baselines"}
     assert all(r["reconstruct_equal"] for r in digests["pipeline"].values())
     assert len(digests["pipeline"]["sequential"]["per_seed"]) == 3
     assert set(digests["training"]["l2_init_ema"]["ema_snapshots"]) == {"0", "15", "30",
                                                                         "45", "60"}
+    assert set(digests["baselines"]) == {"early_stopping", "l2_init", "learning_rate", "ema"}

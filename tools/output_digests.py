@@ -20,6 +20,9 @@ Sections (ROADMAP's outputs that must not change):
 - ``training``: ``pretrain`` and ``finetune`` (plain, L2-to-init with EMA,
   constant-lr EMA, float32 weights): final weights, every snapshot and EMA
   snapshot, and the losses.
+- ``baselines``: every point of the four ``baseline_frontiers`` frontiers
+  (early stopping, L2-to-init, learning-rate ladder, EMA) on the training
+  lab's classes, with 100 noisier examples per class.
 
 A patch result's digest covers the patched weights, coefficients, frontier,
 provenance, val and test accuracies, per-seed results, ``reconstruct``, and
@@ -72,6 +75,10 @@ def _ckpt(ckpt) -> str:
     return h.hexdigest()[:32]
 
 
+def _frontier(frontier) -> str:
+    return _json_sha([(p.alpha, p.supported_acc, p.patching_acc) for p in frontier.points])
+
+
 def _result(pk, result):
     log = result.access_log
     counts = {part: sorted(collections.Counter(map(tuple, log[part])).items())
@@ -80,8 +87,7 @@ def _result(pk, result):
         "patched": _ckpt(result.patched),
         "reconstruct_equal": pk.reconstruct(result).equal(result.patched),
         "coefficients": _json_sha(list(result.coefficients)),
-        "frontier": _json_sha([(p.alpha, p.supported_acc, p.patching_acc)
-                               for p in result.frontier.points]),
+        "frontier": _frontier(result.frontier),
         "provenance": _json_sha(result.provenance),
         "val": _json_sha(result.val_accuracies),
         "test": _json_sha(result.test_accuracies),
@@ -182,12 +188,17 @@ def pipeline(pk):
     return {name: _result(pk, pk.run_patch(s)) for name, s in runs.items()}
 
 
-def training(pk):
-    tasks = pk.generate_tasks(1, num_classes=6, dim=6, samples_per_class=20, noise_scale=0.4,
-                              partition=((0, 1, 2, 3), (4, 5)))
+def _training_lab(pk, samples_per_class=20, noise_scale=0.4):
+    """Tasks, base config and pretrained model of ``training`` and ``baselines``."""
+    tasks = pk.generate_tasks(1, num_classes=6, dim=6, samples_per_class=samples_per_class,
+                              noise_scale=noise_scale, partition=((0, 1, 2, 3), (4, 5)))
     base = pk.TrainConfig(iterations=60, batch_size=16, lr=1e-2, warmup=5,
                           hidden=(16, 8), embed_dim=8, seed=3)
-    model = pk.pretrain(base, [tasks[0]])
+    return tasks, base, pk.pretrain(base, [tasks[0]])
+
+
+def training(pk):
+    tasks, base, model = _training_lab(pk)
     wide32 = pk.ToyModel(pk.Checkpoint({n: a.astype("float32") for n, a in model.ckpt.items()},
                                        model.ckpt.meta))
     runs = {
@@ -202,8 +213,18 @@ def training(pk):
     return out
 
 
+def baselines(pk):
+    # Larger, noisier tasks put the val accuracies mid-range, so that a change
+    # to a ladder's minibatches shows in the frontiers; on the 20-sample lab
+    # it did not.
+    tasks, base, model = _training_lab(pk, samples_per_class=100, noise_scale=1.5)
+    frontiers = pk.baseline_frontiers(model, tasks[1], tasks[0],
+                                      replace(base, snapshot_every=20))
+    return {name: _frontier(f) for name, f in frontiers.items()}
+
+
 SECTIONS = {"cli_single": cli_single, "sequential_dense": sequential_dense,
-            "pipeline": pipeline, "training": training}
+            "pipeline": pipeline, "training": training, "baselines": baselines}
 
 
 def main(argv=None):
