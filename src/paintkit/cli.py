@@ -8,7 +8,6 @@ error, 2 runtime/data error.
 
 from __future__ import annotations
 
-import argparse
 import csv
 import json
 import os
@@ -196,9 +195,18 @@ def pretrain_config(cfg):
     )
 
 
-def load_tasks(paths_text):
-    return [TaskDataset.from_csv(p, name=os.path.splitext(os.path.basename(p))[0])
-            for p in paths_text.split(",")]
+def load_tasks(paths_text, width=None):
+    """The tasks of comma-separated CSV paths. A task without `width` features
+    per example (default: the first task's count) is a ValueError naming its file."""
+    tasks = []
+    for path in paths_text.split(","):
+        task = TaskDataset.from_csv(path, name=os.path.splitext(os.path.basename(path))[0])
+        width = task.dim if width is None else width
+        if task.dim != width:
+            raise ValueError(f"{path}: {task.dim} features per example, but the model "
+                             f"takes {width} inputs")
+        tasks.append(task)
+    return tasks
 
 
 def cmd_gen_tasks(cfg):
@@ -206,11 +214,8 @@ def cmd_gen_tasks(cfg):
     # Every usage error is reported before the output directory is created.
     if "split_source" in cfg:
         split_seed = parse_value(cfg, "split_seed", int, parse_value(cfg, "seed", int, 0))
+        (task,) = load_tasks(cfg["split_source"])
         os.makedirs(out_dir, exist_ok=True)
-        task = TaskDataset.from_csv(
-            cfg["split_source"],
-            name=os.path.splitext(os.path.basename(cfg["split_source"]))[0],
-        )
         proto = split_task(task, split_seed)
         for sub in (proto.task_a, proto.task_b):
             sub.to_csv(os.path.join(out_dir, f"{sub.name}.csv"))
@@ -233,8 +238,9 @@ def cmd_gen_tasks(cfg):
 def cmd_pretrain(cfg):
     tasks_text, out_dir = require(cfg, "pretrain_tasks", "out_dir")
     tc = pretrain_config(cfg)
+    tasks = load_tasks(tasks_text)
     os.makedirs(out_dir, exist_ok=True)
-    model = pretrain(tc, load_tasks(tasks_text))
+    model = pretrain(tc, tasks)
     path = os.path.join(out_dir, "zero_shot.ckpt")
     save_checkpoint(model.ckpt, path)
     print(f"wrote {path}")
@@ -244,9 +250,9 @@ def cmd_pretrain(cfg):
 def cmd_finetune(cfg):
     ckpt_path, task_text, out_dir = require(cfg, "zs_checkpoint", "task", "out_dir")
     tc = train_config(cfg)
-    os.makedirs(out_dir, exist_ok=True)
     model = ToyModel(load_checkpoint(ckpt_path))
-    (task,) = load_tasks(task_text)
+    (task,) = load_tasks(task_text, model.in_dim)
+    os.makedirs(out_dir, exist_ok=True)
     record = finetune(model, task, tc)
     path = os.path.join(out_dir, f"finetuned_{task.name}.ckpt")
     save_checkpoint(record.final, path)
@@ -284,19 +290,22 @@ def cmd_patch(cfg):
     order_seeds = parse_value(cfg, "order_seeds", int_list, (0,))
     budget = parse_value(cfg, "budget", int, 50)
     tc = train_config(cfg)
-    if "zs_checkpoint" not in cfg:
+    # Every data error is reported before the output directory is created.
+    if "zs_checkpoint" in cfg:
+        model = ToyModel(load_checkpoint(cfg["zs_checkpoint"]))
+        width = model.in_dim
+    else:
         if not parse_value(cfg, "pretrain", truthy, False):
             raise ConfigError("missing required key: zs_checkpoint (or set pretrain=true)")
         ptc = pretrain_config(cfg)
         (pretrain_text,) = require(cfg, "pretrain_tasks")
-
+        pretrain_tasks = load_tasks(pretrain_text)
+        width = pretrain_tasks[0].dim
+    patching = load_tasks(patching_text, width)
+    supported = load_tasks(supported_text, width)
     os.makedirs(out_dir, exist_ok=True)
-    patching = load_tasks(patching_text)
-    supported = load_tasks(supported_text)
-    if "zs_checkpoint" in cfg:
-        model = ToyModel(load_checkpoint(cfg["zs_checkpoint"]))
-    else:
-        model = pretrain(ptc, load_tasks(pretrain_text))
+    if "zs_checkpoint" not in cfg:
+        model = pretrain(ptc, pretrain_tasks)
 
     spec = PatchSpec(
         model=model,
@@ -431,17 +440,17 @@ COMMANDS = {
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(prog="paintkit", description=__doc__)
-    parser.add_argument("command", choices=sorted(COMMANDS))
-    parser.add_argument("--config", help="flat key=value config file")
-    args, rest = parser.parse_known_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    commands = ", ".join(sorted(COMMANDS))
+    if "-h" in argv or "--help" in argv:
+        print(f"usage: paintkit {{{commands}}} [--config FILE] [--key value ...]\n\n{__doc__}")
+        return 0
     try:
-        cfg = parse_config(args.config, parse_overrides(rest))
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    try:
-        return COMMANDS[args.command](cfg)
+        if not argv or argv[0] not in COMMANDS:
+            got = f"; got {argv[0]!r}" if argv else ""
+            raise ConfigError(f"expected a command, one of {commands}{got}")
+        overrides = parse_overrides(argv[1:])
+        return COMMANDS[argv[0]](parse_config(overrides.pop("config", None), overrides))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

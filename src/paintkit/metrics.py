@@ -4,7 +4,6 @@ representation similarity (linear CKA)."""
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,18 +76,6 @@ class Frontier:
             {"alpha": p.alpha, "supported_acc": p.supported_acc, "patching_acc": p.patching_acc}
             for p in self.points
         ]
-
-    def to_json(self, path):
-        with atomic_open(path) as f:
-            json.dump({"unit": self.unit, "points": self.to_records()}, f, indent=2)
-
-    @classmethod
-    def from_json(cls, path):
-        with open(path) as f:
-            obj = json.load(f)
-        pts = [FrontierPoint(r["alpha"], r["supported_acc"], r["patching_acc"])
-               for r in obj["points"]]
-        return cls(pts, obj.get("unit", "percent"))
 
 
 def mean_accuracy(accs) -> float:

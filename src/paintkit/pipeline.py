@@ -66,6 +66,10 @@ class PatchSpec:
             raise ValueError("need at least one supported task")
         if self.strategy == "sequential" and not self.order_seeds:
             raise ValueError("sequential strategy needs at least one order seed")
+        for task in [*self.patching_tasks, *self.supported_tasks]:
+            if task.dim != self.model.in_dim:
+                raise ValueError(f"task {task.name!r} has {task.dim} features, but the "
+                                 f"model takes {self.model.in_dim} inputs")
         check_selection(self.alpha_grid, self.search)
 
 

@@ -4,12 +4,10 @@ simplex, and exhaustive 2-D search for task pairs."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._atomic import atomic_open
 from .tensors import combine_rows, multi_combine
 
 
@@ -35,19 +33,6 @@ class SearchResult:
     @property
     def evaluations(self):
         return len(self.trace)
-
-    def to_json(self, path):
-        with atomic_open(path) as f:
-            json.dump(
-                {
-                    "best": list(self.best),
-                    "best_value": self.best_value,
-                    "evaluations": self.evaluations,
-                    "trace": [{"coeffs": list(c), "value": v} for c, v in self.trace],
-                },
-                f,
-                indent=2,
-            )
 
 
 def _argmax_smallest(trace):
@@ -78,9 +63,9 @@ def grid_search_1d(obj, grid) -> SearchResult:
     return SearchResult(best, best_value, trace)
 
 
-def default_grid(step=0.05):
-    n = round(1.0 / step)
-    return [round(i * step, 10) for i in range(n + 1)]
+def default_grid():
+    """The 21-point alpha grid 0, 0.05, ..., 1."""
+    return [round(i * 0.05, 10) for i in range(21)]
 
 
 def uniform_ray(zs, fts, beta):

@@ -116,13 +116,10 @@ class Checkpoint:
     def num_params(self):
         return self._buf.size
 
-    def flat(self, exclude=()):
-        """Concatenate all tensors (minus `exclude`) in name order as float64.
-        Without `exclude`, a float64 checkpoint returns its own read-only buffer."""
-        if not exclude:
-            return self._buf.astype(np.float64, copy=False)
-        parts = [a.ravel() for n, a in self.items() if n not in exclude]
-        return np.concatenate(parts, dtype=np.float64) if parts else np.zeros(0)
+    def flat(self):
+        """All tensors, in order, as one float64 vector. A float64 checkpoint
+        returns its own read-only buffer."""
+        return self._buf.astype(np.float64, copy=False)
 
     def equal(self, other):
         """Bit-exact equality of names, shapes, dtype, and values."""
@@ -319,20 +316,20 @@ def average(fts) -> Checkpoint:
     return first._like(mean, {"average_of": ";".join(_ident(ft) for ft in fts)})
 
 
-def cosine_similarity(a: Checkpoint, b: Checkpoint, exclude=()) -> float:
+def cosine_similarity(a: Checkpoint, b: Checkpoint) -> float:
     """cos(a, b) over flattened weights, accumulated in float64."""
     validate_compatible(a, b)
-    va, vb = a.flat(exclude), b.flat(exclude)
+    va, vb = a.flat(), b.flat()
     na, nb = np.linalg.norm(va), np.linalg.norm(vb)
     if na == 0.0 or nb == 0.0:
         raise ValueError("zero-norm operand")
     return float(np.clip(np.dot(va, vb) / (na * nb), -1.0, 1.0))
 
 
-def l1_mean_distance(a: Checkpoint, b: Checkpoint, exclude=()) -> float:
+def l1_mean_distance(a: Checkpoint, b: Checkpoint) -> float:
     """Mean elementwise absolute difference over all parameters."""
     validate_compatible(a, b)
-    va, vb = a.flat(exclude), b.flat(exclude)
+    va, vb = a.flat(), b.flat()
     if va.size == 0:
-        raise ValueError("no tensors selected")
+        raise ValueError("empty checkpoint")
     return float(np.mean(np.abs(va - vb)))

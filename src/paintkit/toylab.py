@@ -19,6 +19,8 @@ from .tensors import Checkpoint, CheckpointError
 
 _EMBED_STREAM = 0x0E03BEDD  # fixed stream id so embeddings depend only on the class id
 _HEAD_CACHE_SIZE = 256  # distinct (class ids, dim) heads kept per process
+_ADAM_BETAS = (0.9, 0.999)
+_ADAM_EPS = 1e-8
 
 
 def class_embedding(class_id: int, dim: int) -> np.ndarray:
@@ -62,6 +64,9 @@ class TaskDataset:
         self.class_ids = tuple(int(c) for c in self.class_ids)
         if not set(self.labels.tolist()) <= set(self.class_ids):
             raise ValueError(f"task {self.name!r}: label outside class_ids")
+        if not np.isfinite(self.inputs).all():
+            row, col = np.argwhere(~np.isfinite(self.inputs))[0]
+            raise ValueError(f"task {self.name!r}: row {row}: feature {col} is not finite")
         n = len(self.labels)
         seen = set()
         for split, idx in self.splits.items():
@@ -116,9 +121,12 @@ class TaskDataset:
                     )
                 try:
                     i, split, label = int(row[0]), row[1], int(row[2])
-                    inputs.append([float(v) for v in row[3:]])
+                    features = [float(v) for v in row[3:]]
+                    if not all(map(math.isfinite, features)):
+                        raise ValueError
                 except ValueError:
                     raise ValueError(_bad_cell(path, reader.line_num, header, row)) from None
+                inputs.append(features)
                 labels.append(label)
                 if split:
                     splits.setdefault(split, []).append(i)
@@ -126,7 +134,7 @@ class TaskDataset:
         class_ids = tuple(sorted(set(labels.tolist())))
         return cls(
             name or str(path),
-            np.asarray(inputs, dtype=np.float64),
+            np.asarray(inputs, dtype=np.float64).reshape(len(labels), len(header) - 3),
             labels,
             class_ids,
             {k: v for k, v in splits.items() if v},
@@ -134,15 +142,18 @@ class TaskDataset:
 
 
 def _bad_cell(path, line, header, row):
-    """Name the first cell of a task-CSV row that does not parse."""
+    """Name the first cell of a task-CSV row that does not parse, or the
+    first feature that is not finite."""
     for col, (name, cell) in enumerate(zip(header, row)):
         if col == 1:  # the split name is free text
             continue
         cast = int if col in (0, 2) else float
         try:
-            cast(cell)
+            value = cast(cell)
         except ValueError:
             return f"{path}:{line}: column {name!r}: not a valid {cast.__name__}: {cell!r}"
+        if not math.isfinite(value):
+            return f"{path}:{line}: column {name!r}: not a valid finite float: {cell!r}"
 
 
 def generate_tasks(seed, num_classes, dim, samples_per_class, noise_scale, partition):
@@ -197,17 +208,18 @@ def generate_tasks(seed, num_classes, dim, samples_per_class, noise_scale, parti
 def merge_tasks(tasks, name="merged"):
     """Concatenate tasks into one (labels keep their global ids).
 
-    Exact duplicate examples (same features and label) are rejected.
+    An example (features and label) held by two of the tasks is rejected;
+    repeats within one task are kept.
     """
     inputs = np.concatenate([t.inputs for t in tasks])
     labels = np.concatenate([t.labels for t in tasks])
-    rows = {tuple(x) + (int(y),) for x, y in zip(tasks[0].inputs, tasks[0].labels)}
-    for t in tasks[1:]:
-        for x, y in zip(t.inputs, t.labels):
-            row = tuple(x) + (int(y),)
-            if row in rows:
-                raise ValueError(f"duplicate example across tasks (label {y})")
-            rows.add(row)
+    rows = set()
+    for t in tasks:
+        own = {tuple(x) + (int(y),) for x, y in zip(t.inputs, t.labels)}
+        shared = rows & own
+        if shared:
+            raise ValueError(f"duplicate example across tasks (label {min(shared)[-1]})")
+        rows |= own
     class_ids = tuple(sorted({c for t in tasks for c in t.class_ids}))
     splits = {"train": [], "val": [], "test": []}
     offset = 0
@@ -230,8 +242,6 @@ class TrainConfig:
     ema_decay: float | None = None
     snapshot_every: int = 0
     constant_lr: bool = False
-    betas: tuple = (0.9, 0.999)
-    eps: float = 1e-8
     hidden: tuple = (64, 64)
     embed_dim: int = 16
     logit_scale: float = 20.0
@@ -311,6 +321,11 @@ class ToyModel:
             "n_layers": str(len(dims) - 1),
         }
         return cls(Checkpoint(tensors, meta))
+
+    @property
+    def in_dim(self):
+        """The number of input features the encoder takes."""
+        return self.ckpt[self._names[0][0]].shape[1]
 
     def with_weights(self, ckpt: Checkpoint):
         """Same architecture and head, different trainable weights."""
@@ -458,7 +473,7 @@ def finetune(model: ToyModel, task: TaskDataset, config: TrainConfig) -> TrainRe
     upd = np.empty_like(params)
     tmp = np.empty_like(params)
     ema = params.copy() if config.ema_decay is not None else None
-    b1, b2 = config.betas
+    b1, b2 = _ADAM_BETAS
 
     record = TrainRecord(final=init)
     every = config.snapshot_every
@@ -488,7 +503,7 @@ def finetune(model: ToyModel, task: TaskDataset, config: TrainConfig) -> TrainRe
         # params -= lr * (mhat / (sqrt(vhat) + eps) + weight_decay * params)
         np.divide(v, 1 - b2**t, out=tmp)
         np.sqrt(tmp, out=tmp)
-        tmp += config.eps
+        tmp += _ADAM_EPS
         np.divide(m, 1 - b1**t, out=upd)
         upd /= tmp
         upd += np.multiply(params, config.weight_decay, out=tmp)

@@ -89,6 +89,24 @@ class TestExitCodes:
         code = main(["metrics", "--frontier", str(tmp_path / "missing.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [["bogus"], [], ["patch", "--config"]],
+                             ids=["unknown_command", "no_command", "config_without_path"])
+    def test_bad_command_line_is_usage_error(self, capsys, argv):
+        assert main(argv) == 1
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_prints_usage(self, capsys, flag):
+        assert main(["patch", flag]) == 0
+        assert capsys.readouterr().out.startswith("usage: paintkit ")
+
+    def test_config_file_with_overrides(self, tmp_path):
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text(f"out_dir = {tmp_path / 'tasks'}\nseed = 0\nnum_classes = 4\n"
+                       "dim = 4\nsamples_per_class = 20\nnoise_scale = 0.3\n")
+        assert main(["gen-tasks", "--config", str(cfg), "--tasks", "0,1|2,3"]) == 0
+        assert TaskDataset.from_csv(tmp_path / "tasks" / "task1.csv").class_ids == (2, 3)
+
     def test_success_is_zero(self, tmp_path):
         assert main(["gen-tasks", "--out_dir", str(tmp_path), "--seed", "0",
                      "--num_classes", "4", "--dim", "4",
@@ -306,7 +324,9 @@ class TestPretrainFinetunePatch:
          "task 'task1': split 'train': index 0 repeated"),
         (lambda i, row: [*row[:2], "x", *row[3:]] if i == 0 else row,
          "task1.csv:2: column 'label': not a valid int: 'x'"),
-    ], ids=["shifted_ids", "negative_id", "repeated_id", "non_numeric_label"])
+        (lambda i, row: [*row[:4], "nan", *row[5:]] if i == 2 else row,
+         "task1.csv:4: column 'f1': not a valid finite float: 'nan'"),
+    ], ids=["shifted_ids", "negative_id", "repeated_id", "non_numeric_label", "nan_feature"])
     def test_malformed_task_csv_is_runtime_error(self, workspace, tmp_path, capsys, edit,
                                                  message):
         header, *lines = (workspace / "task1.csv").read_text().splitlines()
@@ -318,6 +338,32 @@ class TestPretrainFinetunePatch:
         assert main(args) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out" / "patch_result.json").exists()
+
+    @pytest.mark.parametrize("command", ["patch", "patch_pretrain", "finetune", "pretrain"])
+    def test_task_of_another_input_width_is_runtime_error(self, workspace, tmp_path,
+                                                          capsys, command):
+        # The workspace tasks have 6 features; drop the last feature column.
+        lines = (workspace / "task1.csv").read_text().splitlines()
+        path = tmp_path / "narrow.csv"
+        path.write_text("".join(line.rsplit(",", 1)[0] + "\n" for line in lines))
+        out = tmp_path / "out"
+        if command.startswith("patch"):
+            args = patch_args(workspace, out)
+            args[args.index("--patching_tasks") + 1] = str(path)
+            if command == "patch_pretrain":
+                i = args.index("--zs_checkpoint")
+                args[i:i + 2] = ["--pretrain", "true",
+                                 "--pretrain_tasks", str(workspace / "task0.csv")]
+        elif command == "finetune":
+            args = ["finetune", "--zs_checkpoint", str(workspace / "zero_shot.ckpt"),
+                    "--task", str(path), "--out_dir", str(out)]
+        else:
+            args = ["pretrain", "--pretrain_tasks", f"{workspace / 'task0.csv'},{path}",
+                    "--out_dir", str(out), "--iterations", "20", "--warmup", "5"]
+        assert main(args) == 2
+        assert f"{path}: 5 features per example, but the model takes 6 inputs" in (
+            capsys.readouterr().err)
+        assert not out.exists()
 
     def test_missing_zs_checkpoint_is_usage_error(self, workspace, tmp_path, capsys):
         args = patch_args(workspace, tmp_path)

@@ -88,14 +88,6 @@ class TestFrontier:
         assert g.alphas == f.alphas
         assert [p.supported_acc for p in g.points] == [p.supported_acc for p in f.points]
 
-    def test_json_roundtrip(self, tmp_path, rng):
-        f = random_frontier(rng)
-        path = tmp_path / "f.json"
-        f.to_json(path)
-        g = Frontier.from_json(path)
-        assert g.unit == f.unit
-        assert g.to_records() == f.to_records()
-
 
 class TestCombinedAccuracy:
     def test_table_row(self):

@@ -228,6 +228,15 @@ class TestPatchSpecValidation:
                       supported_tasks=[tasks[0]], strategy="parallel", **kw)
 
 
+    def test_rejects_task_of_another_input_width(self, env):
+        model, tasks, _ = env
+        (narrow, _) = generate_tasks(0, num_classes=4, dim=5, samples_per_class=20,
+                                     noise_scale=0.3, partition=((0, 1), (2, 3)))
+        with pytest.raises(ValueError, match="task 'task0' has 5 features, but the "
+                                             "model takes 8 inputs"):
+            PatchSpec(model=model, patching_tasks=[narrow], supported_tasks=[tasks[0]])
+
+
 class TestRunPatch:
     def test_dispatch(self, env):
         for strategy in ("single", "joint", "sequential"):

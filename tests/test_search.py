@@ -95,7 +95,7 @@ class TestUniformSearchParallel:
         # returned per-model coefficients build.
         for k in (2, 3):
             zs, fts = self.make(rng, k=k)
-            grid = default_grid(0.1)
+            grid = [i / 10 for i in range(11)]
             seen = []
             result = uniform_search_parallel(
                 zs, fts, lambda c: seen.append(c) or float(c.flat()[0]), grid)

@@ -234,6 +234,7 @@ class TestGenerateTasks:
 
     @pytest.mark.parametrize("column, cell, kind", [
         (0, "7.5", "int"), (2, "x", "int"), (4, "abc", "float"),
+        (4, "nan", "finite float"), (4, "inf", "finite float"), (4, "-inf", "finite float"),
     ])
     def test_csv_non_numeric_cell_names_line_and_column(self, tmp_path, column, cell, kind):
         (t, _) = small_tasks()
@@ -248,6 +249,22 @@ class TestGenerateTasks:
         expected = f"task.csv:4: column '{header[column]}': not a valid {kind}: '{cell}'"
         with pytest.raises(ValueError, match=re.escape(expected)):
             TaskDataset.from_csv(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_names_task_and_row(self, value):
+        (t, _) = small_tasks()
+        inputs = t.inputs.copy()
+        inputs[7, 2] = value
+        with pytest.raises(ValueError, match=re.escape(
+                "task 'task0': row 7: feature 2 is not finite")):
+            TaskDataset(t.name, inputs, t.labels, t.class_ids, t.splits)
+
+    def test_header_only_csv_keeps_its_feature_count(self, tmp_path):
+        (t, _) = small_tasks()
+        path = tmp_path / "task.csv"
+        t.to_csv(path)
+        path.write_text(path.read_text().splitlines()[0] + "\n")
+        assert TaskDataset.from_csv(path).inputs.shape == (0, t.dim)
 
     def test_csv_roundtrip(self, tmp_path):
         (t, _) = small_tasks()
@@ -278,6 +295,34 @@ class TestMergeTasks:
         (a, _) = small_tasks()
         with pytest.raises(ValueError):
             merge_tasks([a, a])
+
+    @staticmethod
+    def noise_free_tasks():
+        # Without noise every example of a class is the same row.
+        return generate_tasks(0, 4, 3, 10, 0.0, [[0, 1], [2, 3]])
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["ab", "ba"])
+    def test_repeats_within_a_task_are_kept(self, order):
+        tasks = self.noise_free_tasks()
+        m = merge_tasks([tasks[i] for i in order])
+        assert len(m.labels) == 40
+        assert m.class_ids == (0, 1, 2, 3)
+
+    def test_pretrain_on_noise_free_tasks(self):
+        a, b = self.noise_free_tasks()
+        assert pretrain(quick_cfg(iterations=10), [a, b]).in_dim == 3
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["ac", "ca"])
+    def test_example_shared_by_two_tasks_rejected(self, order):
+        a, b = self.noise_free_tasks()
+        # c is b plus one example of a, in its train split.
+        n = len(b.labels)
+        c = TaskDataset("c", np.vstack([b.inputs, a.inputs[:1]]),
+                        np.append(b.labels, a.labels[0]), (0, *b.class_ids),
+                        {**b.splits, "train": np.append(b.splits["train"], n)})
+        with pytest.raises(ValueError, match=re.escape("duplicate example across tasks "
+                                                       "(label 0)")):
+            merge_tasks([(a, c)[i] for i in order])
 
 
 class TestLrSchedule:
@@ -382,7 +427,7 @@ class TestTraining:
         m = {n: np.zeros_like(a) for n, a in params.items()}
         v = {n: np.zeros_like(a) for n, a in params.items()}
         ema = {n: a.copy() for n, a in params.items()}
-        b1, b2 = cfg.betas
+        b1, b2, eps = 0.9, 0.999, 1e-8
         losses, snapshots, ema_snapshots = [], {}, {}
         for step in range(cfg.iterations):
             idx = rng.choice(len(y_local), size=cfg.batch_size, replace=False)
@@ -395,7 +440,7 @@ class TestTraining:
                 v[n] = b2 * v[n] + (1 - b2) * g * g
                 mhat, vhat = m[n] / (1 - b1**t_), v[n] / (1 - b2**t_)
                 params[n] = params[n] - lr * (
-                    mhat / (np.sqrt(vhat) + cfg.eps) + cfg.weight_decay * params[n])
+                    mhat / (np.sqrt(vhat) + eps) + cfg.weight_decay * params[n])
                 if ema_decay is not None:
                     ema[n] = ema_decay * ema[n] + (1 - ema_decay) * params[n]
             if t_ % cfg.snapshot_every == 0 or t_ == cfg.iterations:
