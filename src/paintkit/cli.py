@@ -13,15 +13,14 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
 from . import metrics as metrics_mod
 from .metrics import Frontier, rep_matrix_from_csv
 from ._atomic import atomic_open
-from .pipeline import STRATEGIES, PatchSpec, check_selection, run_patch, split_task
-from .search import default_grid
+from .pipeline import PatchSpec, check_selection, run_patch, split_task
 from .tensors import (
     CheckpointError,
     cosine_similarity,
@@ -36,27 +35,6 @@ RUNTIME_ERROR = 2
 
 # A start:stop:step alpha_grid may expand to at most this many points.
 MAX_GRID_POINTS = 10_001
-
-KNOWN_KEYS = {
-    # general
-    "seed", "out_dir",
-    # task generation
-    "num_classes", "dim", "samples_per_class", "noise_scale", "tasks",
-    "split_source", "split_seed",
-    # training
-    "iterations", "batch_size", "lr", "warmup", "weight_decay", "l2_init",
-    "ema_decay", "snapshot_every", "constant_lr", "hidden", "embed_dim",
-    "logit_scale",
-    # patching
-    "strategy", "alpha_grid", "search", "order_seeds", "budget",
-    "group_weighting", "zs_checkpoint", "patching_tasks", "supported_tasks",
-    "pretrain", "pretrain_tasks", "pretrain_iterations", "task",
-    # metrics
-    "frontier", "ckpt_a", "ckpt_b", "rep_a", "rep_b",
-    # report
-    "results_dir",
-}
-
 
 class ConfigError(Exception):
     pass
@@ -78,7 +56,7 @@ def parse_config(path=None, overrides=()):
                 cfg[key.strip()] = value.strip()
     cfg.update(overrides)
     for key in cfg:
-        if key not in KNOWN_KEYS:
+        if key not in KEYS:
             raise ConfigError(f"unknown config key: {key}")
     return cfg
 
@@ -150,22 +128,56 @@ def atomic_write_json(path, obj):
         f.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def parse_value(cfg, key, cast, default=None):
-    """cfg[key] converted by `cast`, or `default` when the key is absent."""
-    if key not in cfg:
-        return default
-    try:
-        return cast(cfg[key])
-    except ValueError:
-        raise ConfigError(f"invalid {key}: {cfg[key]!r}") from None
-
-
 def truthy(text):
-    return text.lower() in ("1", "true", "yes")
+    """A strict boolean: 1/0, true/false or yes/no, in any case."""
+    value = {"1": True, "true": True, "yes": True,
+             "0": False, "false": False, "no": False}.get(text.lower())
+    if value is None:
+        raise ValueError(f"not a boolean: {text!r}")
+    return value
 
 
 def int_list(text):
     return tuple(int(v) for v in text.split(","))
+
+
+# Every config key, with the cast from its text to the value commands read.
+KEYS = {
+    # general
+    "seed": int, "out_dir": str,
+    # task generation
+    "num_classes": int, "dim": int, "samples_per_class": int, "noise_scale": float,
+    "tasks": parse_partition, "split_source": str, "split_seed": int,
+    # training: the TrainConfig fields
+    "iterations": int, "batch_size": int, "lr": float, "warmup": int,
+    "weight_decay": float, "l2_init": float, "ema_decay": float, "snapshot_every": int,
+    "constant_lr": truthy, "hidden": int_list, "embed_dim": int, "logit_scale": float,
+    # patching
+    "strategy": str, "alpha_grid": parse_grid, "search": str, "order_seeds": int_list,
+    "budget": int, "group_weighting": truthy, "zs_checkpoint": str,
+    "patching_tasks": str, "supported_tasks": str, "pretrain": truthy,
+    "pretrain_tasks": str, "pretrain_iterations": int, "task": str,
+    # metrics
+    "frontier": str, "ckpt_a": str, "ckpt_b": str, "rep_a": str, "rep_b": str,
+    # report
+    "results_dir": str,
+}
+TRAIN_KEYS = {f.name for f in fields(TrainConfig)}
+# The PatchSpec settings a config may set; PatchSpec's defaults fill the rest.
+SELECTION_KEYS = ("strategy", "alpha_grid", "search", "order_seeds", "budget",
+                  "group_weighting")
+
+
+def cast_config(cfg):
+    """Every value of `cfg` cast by its key's KEYS entry. Commands read only
+    the cast values, so a malformed one is a usage error before any work."""
+    typed = {}
+    for key, text in cfg.items():
+        try:
+            typed[key] = KEYS[key](text)
+        except ValueError:
+            raise ConfigError(f"invalid {key}: {text!r}") from None
+    return typed
 
 
 def _as_usage_error(fn, *args, **kwargs):
@@ -177,22 +189,14 @@ def _as_usage_error(fn, *args, **kwargs):
 
 
 def train_config(cfg):
-    casts = [
-        ("iterations", int), ("batch_size", int), ("lr", float), ("warmup", int),
-        ("weight_decay", float), ("seed", int), ("l2_init", float),
-        ("snapshot_every", int), ("embed_dim", int), ("logit_scale", float),
-        ("ema_decay", float), ("hidden", int_list), ("constant_lr", truthy),
-    ]
-    kwargs = {key: parse_value(cfg, key, cast) for key, cast in casts if key in cfg}
-    return _as_usage_error(TrainConfig, **kwargs)
+    return _as_usage_error(TrainConfig, **{k: v for k, v in cfg.items() if k in TRAIN_KEYS})
 
 
 def pretrain_config(cfg):
     """train_config, with pretrain_iterations (when set) in place of iterations."""
     tc = train_config(cfg)
-    return _as_usage_error(
-        replace, tc, iterations=parse_value(cfg, "pretrain_iterations", int, tc.iterations)
-    )
+    return _as_usage_error(replace, tc,
+                           iterations=cfg.get("pretrain_iterations", tc.iterations))
 
 
 def load_tasks(paths_text, width=None):
@@ -213,20 +217,16 @@ def cmd_gen_tasks(cfg):
     (out_dir,) = require(cfg, "out_dir")
     # Every usage error is reported before the output directory is created.
     if "split_source" in cfg:
-        split_seed = parse_value(cfg, "split_seed", int, parse_value(cfg, "seed", int, 0))
         (task,) = load_tasks(cfg["split_source"])
         os.makedirs(out_dir, exist_ok=True)
-        proto = split_task(task, split_seed)
+        proto = split_task(task, cfg.get("split_seed", cfg.get("seed", 0)))
         for sub in (proto.task_a, proto.task_b):
             sub.to_csv(os.path.join(out_dir, f"{sub.name}.csv"))
             print(f"wrote {os.path.join(out_dir, sub.name + '.csv')}")
         return 0
-    casts = [
-        ("seed", int), ("num_classes", int), ("dim", int), ("samples_per_class", int),
-        ("noise_scale", float), ("tasks", parse_partition),
-    ]
-    require(cfg, *(key for key, _ in casts))
-    tasks = _as_usage_error(generate_tasks, *(parse_value(cfg, k, cast) for k, cast in casts))
+    args = require(cfg, "seed", "num_classes", "dim", "samples_per_class", "noise_scale",
+                   "tasks")
+    tasks = _as_usage_error(generate_tasks, *args)
     os.makedirs(out_dir, exist_ok=True)
     for task in tasks:
         path = os.path.join(out_dir, f"{task.name}.csv")
@@ -278,24 +278,16 @@ def cmd_patch(cfg):
     patching_text, supported_text, out_dir = require(
         cfg, "patching_tasks", "supported_tasks", "out_dir"
     )
+    selection = {k: cfg[k] for k in SELECTION_KEYS if k in cfg}
     # Every usage error is reported before anything is written, loaded or trained.
-    alpha_grid = parse_grid(cfg["alpha_grid"]) if "alpha_grid" in cfg else default_grid()
-    search = cfg.get("search", "grid")
-    _as_usage_error(check_selection, alpha_grid, search)
-    strategy = cfg.get("strategy", "single")
-    if strategy not in STRATEGIES:
-        raise ConfigError(
-            f"unknown strategy {strategy!r}; expected one of {', '.join(STRATEGIES)}"
-        )
-    order_seeds = parse_value(cfg, "order_seeds", int_list, (0,))
-    budget = parse_value(cfg, "budget", int, 50)
+    _as_usage_error(check_selection, selection)
     tc = train_config(cfg)
     # Every data error is reported before the output directory is created.
     if "zs_checkpoint" in cfg:
         model = ToyModel(load_checkpoint(cfg["zs_checkpoint"]))
         width = model.in_dim
     else:
-        if not parse_value(cfg, "pretrain", truthy, False):
+        if not cfg.get("pretrain", False):
             raise ConfigError("missing required key: zs_checkpoint (or set pretrain=true)")
         ptc = pretrain_config(cfg)
         (pretrain_text,) = require(cfg, "pretrain_tasks")
@@ -307,18 +299,8 @@ def cmd_patch(cfg):
     if "zs_checkpoint" not in cfg:
         model = pretrain(ptc, pretrain_tasks)
 
-    spec = PatchSpec(
-        model=model,
-        patching_tasks=patching,
-        supported_tasks=supported,
-        strategy=strategy,
-        alpha_grid=alpha_grid,
-        search=search,
-        order_seeds=order_seeds,
-        budget=budget,
-        group_weighting=parse_value(cfg, "group_weighting", truthy, False),
-        train=tc,
-    )
+    spec = PatchSpec(model=model, patching_tasks=patching, supported_tasks=supported,
+                     train=tc, **selection)
     result = run_patch(spec)
 
     save_checkpoint(result.patched, os.path.join(out_dir, "patched.ckpt"))
@@ -450,7 +432,8 @@ def main(argv=None):
             got = f"; got {argv[0]!r}" if argv else ""
             raise ConfigError(f"expected a command, one of {commands}{got}")
         overrides = parse_overrides(argv[1:])
-        return COMMANDS[argv[0]](parse_config(overrides.pop("config", None), overrides))
+        cfg = cast_config(parse_config(overrides.pop("config", None), overrides))
+        return COMMANDS[argv[0]](cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

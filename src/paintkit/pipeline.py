@@ -35,15 +35,22 @@ SEARCHES = ("grid", "uniform", "blackbox")
 _ALPHA_BLOCK = 8
 
 
-def check_selection(alpha_grid, search):
-    """Reject an alpha grid or search method that selection cannot use.
-    Needs no model, so callers can run it before any training."""
-    grid = check_grid(alpha_grid)
-    # The frontier is anchored at the zero-shot and fine-tuned endpoints.
-    if 0.0 not in grid or 1.0 not in grid:
-        raise ValueError("alpha grid must contain 0 and 1")
-    if search not in SEARCHES:
-        raise ValueError(f"unknown search {search!r}; expected one of {', '.join(SEARCHES)}")
+def check_selection(settings):
+    """Reject an alpha grid, search, strategy or budget in `settings` (a
+    mapping of PatchSpec field names to values) that patching cannot use.
+    Absent names go unchecked. Needs no model, so callers can run it before
+    any training."""
+    if "alpha_grid" in settings:
+        grid = check_grid(settings["alpha_grid"])
+        # The frontier is anchored at the zero-shot and fine-tuned endpoints.
+        if 0.0 not in grid or 1.0 not in grid:
+            raise ValueError("alpha grid must contain 0 and 1")
+    for name, allowed in (("search", SEARCHES), ("strategy", STRATEGIES)):
+        if name in settings and settings[name] not in allowed:
+            raise ValueError(f"unknown {name} {settings[name]!r}; "
+                             f"expected one of {', '.join(allowed)}")
+    if "budget" in settings and settings["budget"] < 1:
+        raise ValueError(f"budget must be >= 1, got {settings['budget']}")
 
 
 @dataclass
@@ -70,7 +77,7 @@ class PatchSpec:
             if task.dim != self.model.in_dim:
                 raise ValueError(f"task {task.name!r} has {task.dim} features, but the "
                                  f"model takes {self.model.in_dim} inputs")
-        check_selection(self.alpha_grid, self.search)
+        check_selection(vars(self))
 
 
 @dataclass
@@ -282,8 +289,7 @@ def run_patch(spec: PatchSpec) -> PatchResult:
         "sequential": patch_sequential,
         "parallel": patch_parallel,
     }
-    if spec.strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {spec.strategy!r}")
+    check_selection(vars(spec))
     return strategies[spec.strategy](spec)
 
 
