@@ -200,11 +200,15 @@ def pretrain_config(cfg):
 
 
 def load_tasks(paths_text, width=None):
-    """The tasks of comma-separated CSV paths. A task without `width` features
-    per example (default: the first task's count) is a ValueError naming its file."""
+    """The tasks of comma-separated CSV paths. A task without a train, val or
+    test split, or without `width` features per example (default: the first
+    task's count), is a ValueError naming its file."""
     tasks = []
     for path in paths_text.split(","):
         task = TaskDataset.from_csv(path, name=os.path.splitext(os.path.basename(path))[0])
+        for split in ("train", "val", "test"):
+            if split not in task.splits:
+                raise ValueError(f"{path}: no {split!r} split")
         width = task.dim if width is None else width
         if task.dim != width:
             raise ValueError(f"{path}: {task.dim} features per example, but the model "
@@ -352,36 +356,46 @@ def cmd_metrics(cfg):
     return 0
 
 
+def _frontier_points(path):
+    """(alpha, supported_acc, patching_acc) for each frontier point of the
+    patch_result.json at `path`. A malformed file is a ValueError naming it."""
+    with open(path) as f:
+        try:
+            obj = json.load(f)
+        except ValueError as exc:
+            raise ValueError(f"{path}: not valid JSON: {exc}") from None
+    try:
+        return [(p["alpha"], p["supported_acc"], p["patching_acc"])
+                for p in obj["frontier"]["points"]]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: no frontier points ({type(exc).__name__}: {exc})") from None
+
+
 def cmd_report(cfg):
     (results_dir,) = require(cfg, "results_dir")
     out_dir = cfg.get("out_dir", results_dir)
-    os.makedirs(out_dir, exist_ok=True)
-    results = []
+    series = []
     for root, _, files in os.walk(results_dir):
         for name in sorted(files):
             if name.startswith("patch_result") and name.endswith(".json"):
-                with open(os.path.join(root, name)) as f:
-                    results.append((os.path.join(root, name), json.load(f)))
-    if not results:
+                path = os.path.join(root, name)
+                label = os.path.splitext(os.path.relpath(path, results_dir))[0]
+                series.append((label.replace(os.sep, "/"), _frontier_points(path)))
+    if not series:
         print("no patch results found", file=sys.stderr)
         return RUNTIME_ERROR
+    os.makedirs(out_dir, exist_ok=True)
 
-    series = []
-    for path, obj in results:
-        rel = os.path.relpath(path, results_dir)
-        label = os.path.splitext(rel)[0].replace(os.sep, "/")
-        points = obj["frontier"]["points"]
-        series.append((label, points))
     rows = [["series", "alpha", "supported_acc", "patching_acc"]]
     for label, points in series:
         for p in points:
-            rows.append([label, p["alpha"], p["supported_acc"], p["patching_acc"]])
+            rows.append([label, *p])
 
     # Average across experiments at shared alpha values.
     by_alpha = {}
     for _, points in series:
-        for p in points:
-            by_alpha.setdefault(p["alpha"], []).append((p["supported_acc"], p["patching_acc"]))
+        for alpha, supported, patching in points:
+            by_alpha.setdefault(alpha, []).append((supported, patching))
     for alpha in sorted(by_alpha):
         vals = by_alpha[alpha]
         if len(vals) == len(series):

@@ -64,12 +64,24 @@ class Frontier:
 
     @classmethod
     def from_csv(cls, path, unit="percent"):
+        """The frontier in a CSV file; a malformed file is a ValueError that
+        names it, and the line of a row that is not three numbers."""
+        pts = []
         with open(path, newline="") as f:
-            rows = list(csv.reader(f))
-        if not rows or rows[0] != ["alpha", "supported_acc", "patching_acc"]:
-            raise ValueError(f"bad frontier CSV header in {path}")
-        pts = [FrontierPoint(float(a), float(s), float(p)) for a, s, p in rows[1:]]
-        return cls(pts, unit)
+            reader = csv.reader(f)
+            if next(reader, None) != ["alpha", "supported_acc", "patching_acc"]:
+                raise ValueError(f"bad frontier CSV header in {path}")
+            for row in reader:
+                try:
+                    alpha, supported, patching = map(float, row)
+                except ValueError:
+                    raise ValueError(f"{path}:{reader.line_num}: expected 3 numbers, "
+                                     f"got {','.join(row)!r}") from None
+                pts.append(FrontierPoint(alpha, supported, patching))
+        try:
+            return cls(pts, unit)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
     def to_records(self):
         return [
@@ -158,9 +170,12 @@ def cka(a, b) -> float:
 
 
 def rep_matrix_from_csv(path):
-    """Load a representation matrix from CSV, one sample per row."""
-    mat = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
-    return mat
+    """Load a representation matrix from CSV, one sample per row. A ragged or
+    non-numeric file is a ValueError naming it."""
+    try:
+        return np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def sweep_to_frontier(records, supported_ids, patching_ids, unit="percent") -> Frontier:

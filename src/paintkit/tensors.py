@@ -252,15 +252,11 @@ def lerp_rows(zs: Checkpoint, ft: Checkpoint, alphas) -> np.ndarray:
     """A (len(alphas), num_params) stack in zs's dtype whose row i holds the
     weights of lerp(zs, ft, alphas[i]), laid out like zs (see `views`).
     Rows at alpha 0 and 1 are exact copies of zs and ft."""
-    validate_compatible(zs, ft)
     alphas = [float(a) for a in alphas]
     for a in alphas:
         if not 0.0 <= a <= 1.0:
             raise ValueError(f"alpha out of range: {a}")
-    a = np.array(alphas).reshape(-1, 1)
-    acc = (1.0 - a) * zs.flat()
-    acc += a * ft.flat()
-    rows = acc.astype(zs.dtype, copy=False)
+    rows = combine_rows(zs, [ft], [[a] for a in alphas])
     for i, alpha in enumerate(alphas):
         if alpha == 0.0:
             rows[i] = zs._buf
@@ -289,6 +285,8 @@ def combine_rows(zs: Checkpoint, fts, alpha_rows) -> np.ndarray:
     for alphas in alpha_rows:
         if len(alphas) != len(fts):
             raise ValueError("alphas and fts length mismatch")
+        if not all(map(math.isfinite, alphas)):
+            raise ValueError(f"non-finite coefficient in {alphas}")
         if any(a < 0 for a in alphas):
             raise ValueError("negative coefficient")
         total = sum(alphas)

@@ -521,15 +521,14 @@ def finetune(model: ToyModel, task: TaskDataset, config: TrainConfig) -> TrainRe
     return record
 
 
-def pretrain(config: TrainConfig, base_tasks, in_dim=None) -> ToyModel:
+def pretrain(config: TrainConfig, base_tasks) -> ToyModel:
     """Train a freshly initialized encoder on the union of base tasks;
     returns the zero-shot analog model."""
     if not base_tasks:
         raise ValueError("base_tasks must be nonempty")
     merged = merge_tasks(list(base_tasks), name="pretrain")
-    in_dim = in_dim or merged.dim
     model = ToyModel.init(
-        config.seed, in_dim, config.hidden, config.embed_dim, config.logit_scale
+        config.seed, merged.dim, config.hidden, config.embed_dim, config.logit_scale
     )
     if config.iterations == 0:
         return model

@@ -6,12 +6,14 @@ import pytest
 
 from paintkit import TaskDataset, load_checkpoint, save_checkpoint
 from paintkit.cli import (
+    KEYS,
     ConfigError,
     main,
     parse_config,
     parse_grid,
     parse_overrides,
     parse_partition,
+    truthy,
 )
 
 from conftest import DATA_DIR
@@ -74,6 +76,15 @@ class TestConfigParsing:
     def test_parse_partition(self):
         assert parse_partition("0-2|3,4") == [[0, 1, 2], [3, 4]]
         assert parse_partition("0-9|10-14") == [list(range(10)), [10, 11, 12, 13, 14]]
+
+    def test_truthy_is_strict(self):
+        for text in ("1", "true", "TRUE", "Yes"):
+            assert truthy(text) is True
+        for text in ("0", "false", "False", "NO"):
+            assert truthy(text) is False
+        for text in ("ture", "maybe", "", "2", "on"):
+            with pytest.raises(ValueError):
+                truthy(text)
 
 
 class TestExitCodes:
@@ -254,6 +265,7 @@ class TestPretrainFinetunePatch:
         ["finetune", "--iterations", "50", "--warmup", "100"],
         ["gen-tasks", "--seed", "x"],
         ["gen-tasks", "--tasks", "0,a|2,3"],
+        ["--strategy", "parallel", "--search", "blackbox", "--budget", "0"],
     ])
     def test_bad_selection_is_usage_error_before_training(self, workspace, tmp_path,
                                                           capsys, extra):
@@ -278,6 +290,38 @@ class TestPretrainFinetunePatch:
         assert main(args) == 1
         assert "error:" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("key", sorted(k for k, cast in KEYS.items() if cast is not str))
+    def test_malformed_value_of_any_key_is_usage_error(self, workspace, tmp_path, capsys,
+                                                       key):
+        # Every key is cast before the command runs, even one `patch` does
+        # not read, so a key added later cannot be cast after work starts.
+        out = tmp_path / "out"
+        assert main(patch_args(workspace, out, [f"--{key}", "x"])) == 1
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("role", ["patching", "supported", "pretrain", "patching_no_val"])
+    def test_task_csv_without_a_split_is_runtime_error(self, workspace, tmp_path, capsys,
+                                                       role):
+        header, *lines = (workspace / "task1.csv").read_text().splitlines()
+        path = tmp_path / "nosplit.csv"
+        if role == "patching_no_val":
+            path.write_text("".join(f"{line.replace(',val,', ',train,')}\n"
+                                    for line in [header, *lines]))
+        else:
+            path.write_text(header + "\n")  # no example rows at all
+        out = tmp_path / "out"
+        if role == "pretrain":
+            args = ["pretrain", "--pretrain_tasks", str(path), "--out_dir", str(out),
+                    "--iterations", "20", "--warmup", "5"]
+        else:
+            args = patch_args(workspace, out)
+            args[args.index(f"--{role.split('_')[0]}_tasks") + 1] = str(path)
+        assert main(args) == 2
+        split = "val" if role == "patching_no_val" else "train"
+        assert f"{path}: no '{split}' split" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_short_task_csv_row_is_runtime_error(self, workspace, tmp_path, capsys):
         text = (workspace / "task0.csv").read_text()
@@ -429,3 +473,36 @@ class TestReportCommand:
 
     def test_empty_dir_is_runtime_error(self, tmp_path, capsys):
         assert main(["report", "--results_dir", str(tmp_path)]) == 2
+
+
+FRONTIER_HEADER = "alpha,supported_acc,patching_acc\n0.0,0.9,0.1\n"
+
+
+@pytest.mark.parametrize("key, name, text, message", [
+    ("frontier", "f.csv", FRONTIER_HEADER + "0.5,0.7\n1.0,0.5,0.8\n",
+     ":3: expected 3 numbers, got '0.5,0.7'"),
+    ("frontier", "f.csv", FRONTIER_HEADER + "0.5,x,0.3\n1.0,0.5,0.8\n",
+     ":3: expected 3 numbers, got '0.5,x,0.3'"),
+    ("rep_a", "a.csv", "1,2,3\n4,5\n", ": the number of columns changed from 3 to 2"),
+    ("rep_b", "b.csv", "1,2,3\n4,x,6\n", ": could not convert string 'x' to float64"),
+    ("results_dir", "patch_result.json", "{bad", ": not valid JSON"),
+    ("results_dir", "patch_result.json", '{"strategy": "single"}',
+     ": no frontier points (KeyError: 'frontier')"),
+], ids=["frontier_short_row", "frontier_non_numeric", "rep_a_ragged", "rep_b_non_numeric",
+        "result_not_json", "result_without_frontier"])
+def test_malformed_metrics_or_report_input_names_the_file(tmp_path, capsys, key, name,
+                                                          text, message):
+    path = tmp_path / name
+    path.write_text(text)
+    out = tmp_path / "out"
+    if key == "results_dir":
+        args = ["report", "--results_dir", str(tmp_path), "--out_dir", str(out)]
+    else:
+        good = tmp_path / "good.csv"
+        good.write_text("1,2,3\n4,5,6\n")
+        # The malformed file overrides one of two good representation files.
+        args = ["metrics", "--rep_a", str(good), "--rep_b", str(good), f"--{key}", str(path),
+                "--out_dir", str(out)]
+    assert main(args) == 2
+    assert f"{path}{message}" in capsys.readouterr().err
+    assert not out.exists()

@@ -227,6 +227,12 @@ class TestPatchSpecValidation:
             PatchSpec(model=model, patching_tasks=[tasks[1], tasks[2]],
                       supported_tasks=[tasks[0]], strategy="parallel", **kw)
 
+    @pytest.mark.parametrize("kw", [{"strategy": "bogus"}, {"budget": 0}])
+    def test_rejects_bad_strategy_or_budget(self, env, kw):
+        model, tasks, _ = env
+        with pytest.raises(ValueError, match="strategy 'bogus'|budget must be >= 1"):
+            PatchSpec(model=model, patching_tasks=[tasks[1]], supported_tasks=[tasks[0]],
+                      **kw)
 
     def test_rejects_task_of_another_input_width(self, env):
         model, tasks, _ = env

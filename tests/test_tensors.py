@@ -20,7 +20,7 @@ from paintkit import (
     save_checkpoint,
     validate_compatible,
 )
-from paintkit.tensors import MAGIC
+from paintkit.tensors import MAGIC, combine_rows
 
 from conftest import random_checkpoint
 
@@ -285,6 +285,10 @@ class TestMultiCombine:
             multi_combine(a, [a], [-0.1])
         with pytest.raises(ValueError):
             multi_combine(a, [a, a], [0.6, 0.6])
+        with pytest.raises(ValueError, match="non-finite coefficient"):
+            multi_combine(a, [a], [float("nan")])
+        with pytest.raises(ValueError, match="non-finite coefficient"):
+            combine_rows(a, [a, a], [[float("nan"), 0.0]])
 
     def test_uniform_equals_lerp_of_average(self, rng):
         # beta/k coefficients on k models == lerp toward their average
