@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import sys
 import time
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 
@@ -141,22 +142,28 @@ def int_list(text):
     return tuple(int(v) for v in text.split(","))
 
 
+def finite_float(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not finite: {text!r}")
+    return value
+
+
 # Every config key, with the cast from its text to the value commands read.
 KEYS = {
     # general
     "seed": int, "out_dir": str,
     # task generation
-    "num_classes": int, "dim": int, "samples_per_class": int, "noise_scale": float,
-    "tasks": parse_partition, "split_source": str, "split_seed": int,
-    # training: the TrainConfig fields
-    "iterations": int, "batch_size": int, "lr": float, "warmup": int,
-    "weight_decay": float, "l2_init": float, "ema_decay": float, "snapshot_every": int,
-    "constant_lr": truthy, "hidden": int_list, "embed_dim": int, "logit_scale": float,
+    "num_classes": int, "dim": int, "samples_per_class": int, "noise_scale": finite_float,
+    "tasks": parse_partition, "split_source": str,
+    # training: the TrainConfig fields a command's output depends on
+    "iterations": int, "batch_size": int, "lr": finite_float, "warmup": int,
+    "weight_decay": finite_float, "l2_init": finite_float, "constant_lr": truthy,
+    "hidden": int_list, "embed_dim": int, "logit_scale": finite_float,
     # patching
     "strategy": str, "alpha_grid": parse_grid, "search": str, "order_seeds": int_list,
     "budget": int, "group_weighting": truthy, "zs_checkpoint": str,
-    "patching_tasks": str, "supported_tasks": str, "pretrain": truthy,
-    "pretrain_tasks": str, "pretrain_iterations": int, "task": str,
+    "patching_tasks": str, "supported_tasks": str, "pretrain_tasks": str, "task": str,
     # metrics
     "frontier": str, "ckpt_a": str, "ckpt_b": str, "rep_a": str, "rep_b": str,
     # report
@@ -192,13 +199,6 @@ def train_config(cfg):
     return _as_usage_error(TrainConfig, **{k: v for k, v in cfg.items() if k in TRAIN_KEYS})
 
 
-def pretrain_config(cfg):
-    """train_config, with pretrain_iterations (when set) in place of iterations."""
-    tc = train_config(cfg)
-    return _as_usage_error(replace, tc,
-                           iterations=cfg.get("pretrain_iterations", tc.iterations))
-
-
 def load_tasks(paths_text, width=None):
     """The tasks of comma-separated CSV paths. A task without a train, val or
     test split, or without `width` features per example (default: the first
@@ -223,7 +223,7 @@ def cmd_gen_tasks(cfg):
     if "split_source" in cfg:
         (task,) = load_tasks(cfg["split_source"])
         os.makedirs(out_dir, exist_ok=True)
-        proto = split_task(task, cfg.get("split_seed", cfg.get("seed", 0)))
+        proto = split_task(task, cfg.get("seed", 0))
         for sub in (proto.task_a, proto.task_b):
             sub.to_csv(os.path.join(out_dir, f"{sub.name}.csv"))
             print(f"wrote {os.path.join(out_dir, sub.name + '.csv')}")
@@ -241,7 +241,7 @@ def cmd_gen_tasks(cfg):
 
 def cmd_pretrain(cfg):
     tasks_text, out_dir = require(cfg, "pretrain_tasks", "out_dir")
-    tc = pretrain_config(cfg)
+    tc = train_config(cfg)
     tasks = load_tasks(tasks_text)
     os.makedirs(out_dir, exist_ok=True)
     model = pretrain(tc, tasks)
@@ -279,29 +279,18 @@ def _result_json(result, strategy):
 
 
 def cmd_patch(cfg):
-    patching_text, supported_text, out_dir = require(
-        cfg, "patching_tasks", "supported_tasks", "out_dir"
+    ckpt_path, patching_text, supported_text, out_dir = require(
+        cfg, "zs_checkpoint", "patching_tasks", "supported_tasks", "out_dir"
     )
     selection = {k: cfg[k] for k in SELECTION_KEYS if k in cfg}
     # Every usage error is reported before anything is written, loaded or trained.
     _as_usage_error(check_selection, selection)
     tc = train_config(cfg)
     # Every data error is reported before the output directory is created.
-    if "zs_checkpoint" in cfg:
-        model = ToyModel(load_checkpoint(cfg["zs_checkpoint"]))
-        width = model.in_dim
-    else:
-        if not cfg.get("pretrain", False):
-            raise ConfigError("missing required key: zs_checkpoint (or set pretrain=true)")
-        ptc = pretrain_config(cfg)
-        (pretrain_text,) = require(cfg, "pretrain_tasks")
-        pretrain_tasks = load_tasks(pretrain_text)
-        width = pretrain_tasks[0].dim
-    patching = load_tasks(patching_text, width)
-    supported = load_tasks(supported_text, width)
+    model = ToyModel(load_checkpoint(ckpt_path))
+    patching = load_tasks(patching_text, model.in_dim)
+    supported = load_tasks(supported_text, model.in_dim)
     os.makedirs(out_dir, exist_ok=True)
-    if "zs_checkpoint" not in cfg:
-        model = pretrain(ptc, pretrain_tasks)
 
     spec = PatchSpec(model=model, patching_tasks=patching, supported_tasks=supported,
                      train=tc, **selection)
@@ -365,10 +354,14 @@ def _frontier_points(path):
         except ValueError as exc:
             raise ValueError(f"{path}: not valid JSON: {exc}") from None
     try:
-        return [(p["alpha"], p["supported_acc"], p["patching_acc"])
-                for p in obj["frontier"]["points"]]
+        points = [(p["alpha"], p["supported_acc"], p["patching_acc"])
+                  for p in obj["frontier"]["points"]]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: no frontier points ({type(exc).__name__}: {exc})") from None
+    for point in points:
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in point):
+            raise ValueError(f"{path}: frontier point is not three numbers: {point!r}")
+    return points
 
 
 def cmd_report(cfg):

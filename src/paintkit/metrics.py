@@ -4,6 +4,7 @@ representation similarity (linear CKA)."""
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -170,12 +171,18 @@ def cka(a, b) -> float:
 
 
 def rep_matrix_from_csv(path):
-    """Load a representation matrix from CSV, one sample per row. A ragged or
-    non-numeric file is a ValueError naming it."""
+    """Load a representation matrix from CSV, one sample per row. A ragged,
+    non-numeric or empty file is a ValueError naming it."""
     try:
-        return np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+        with warnings.catch_warnings():
+            # An empty file is reported below, by name.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            rows = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    if rows.size == 0:
+        raise ValueError(f"{path}: no rows")
+    return rows
 
 
 def sweep_to_frontier(records, supported_ids, patching_ids, unit="percent") -> Frontier:

@@ -249,6 +249,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.warmup > self.iterations:
             raise ValueError("warmup must be <= iterations")
+        for name in ("lr", "weight_decay", "l2_init"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.lr < 0:
             raise ValueError("lr must be >= 0")
         if self.batch_size < 1:

@@ -8,6 +8,7 @@ from paintkit import TaskDataset, load_checkpoint, save_checkpoint
 from paintkit.cli import (
     KEYS,
     ConfigError,
+    finite_float,
     main,
     parse_config,
     parse_grid,
@@ -88,9 +89,16 @@ class TestConfigParsing:
 
 
 class TestExitCodes:
-    def test_unknown_key_is_usage_error(self, capsys):
-        assert main(["metrics", "--mystery", "1"]) == 1
-        assert "mystery" in capsys.readouterr().err
+    # Besides a made-up key, the keys no command reads: a config that still
+    # sets one fails rather than having it silently ignored.
+    @pytest.mark.parametrize("key", ["mystery", "pretrain", "pretrain_iterations",
+                                     "ema_decay", "snapshot_every", "split_seed"])
+    def test_unknown_key_is_usage_error(self, tmp_path, capsys, key):
+        out = tmp_path / "out"
+        assert main(["metrics", "--frontier", MNIST_FIXTURE, "--out_dir", str(out),
+                     f"--{key}", "1"]) == 1
+        assert f"unknown config key: {key}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_required_key_is_usage_error(self, capsys):
         assert main(["gen-tasks"]) == 1
@@ -151,7 +159,7 @@ class TestGenTasks:
         out = tmp_path / "splits"
         code = main(["gen-tasks", "--out_dir", str(out),
                      "--split_source", str(tmp_path / "task0.csv"),
-                     "--split_seed", "7"])
+                     "--seed", "7"])
         assert code == 0
         a = TaskDataset.from_csv(out / "task0_A.csv", name="a")
         b = TaskDataset.from_csv(out / "task0_B.csv", name="b")
@@ -291,14 +299,19 @@ class TestPretrainFinetunePatch:
         assert "error:" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("key", sorted(k for k, cast in KEYS.items() if cast is not str))
+    @pytest.mark.parametrize("key, value", [
+        *(pytest.param(k, "x", id=k) for k, cast in sorted(KEYS.items()) if cast is not str),
+        *(pytest.param(k, v, id=f"{k}_{v}") for k, cast in sorted(KEYS.items())
+          if cast is finite_float for v in ("nan", "inf")),
+    ])
     def test_malformed_value_of_any_key_is_usage_error(self, workspace, tmp_path, capsys,
-                                                       key):
+                                                       key, value):
         # Every key is cast before the command runs, even one `patch` does
         # not read, so a key added later cannot be cast after work starts.
         out = tmp_path / "out"
-        assert main(patch_args(workspace, out, [f"--{key}", "x"])) == 1
-        assert key in capsys.readouterr().err
+        assert main(patch_args(workspace, out, [f"--{key}", value])) == 1
+        err = capsys.readouterr().err
+        assert key in err and repr(value) in err
         assert not out.exists()
 
     @pytest.mark.parametrize("role", ["patching", "supported", "pretrain", "patching_no_val"])
@@ -383,7 +396,7 @@ class TestPretrainFinetunePatch:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out" / "patch_result.json").exists()
 
-    @pytest.mark.parametrize("command", ["patch", "patch_pretrain", "finetune", "pretrain"])
+    @pytest.mark.parametrize("command", ["patch", "finetune", "pretrain"])
     def test_task_of_another_input_width_is_runtime_error(self, workspace, tmp_path,
                                                           capsys, command):
         # The workspace tasks have 6 features; drop the last feature column.
@@ -391,13 +404,9 @@ class TestPretrainFinetunePatch:
         path = tmp_path / "narrow.csv"
         path.write_text("".join(line.rsplit(",", 1)[0] + "\n" for line in lines))
         out = tmp_path / "out"
-        if command.startswith("patch"):
+        if command == "patch":
             args = patch_args(workspace, out)
             args[args.index("--patching_tasks") + 1] = str(path)
-            if command == "patch_pretrain":
-                i = args.index("--zs_checkpoint")
-                args[i:i + 2] = ["--pretrain", "true",
-                                 "--pretrain_tasks", str(workspace / "task0.csv")]
         elif command == "finetune":
             args = ["finetune", "--zs_checkpoint", str(workspace / "zero_shot.ckpt"),
                     "--task", str(path), "--out_dir", str(out)]
@@ -414,6 +423,7 @@ class TestPretrainFinetunePatch:
         i = args.index("--zs_checkpoint")
         del args[i:i + 2]
         assert main(args) == 1
+        assert "missing required key: zs_checkpoint" in capsys.readouterr().err
 
 
 class TestMetricsCommand:
@@ -485,11 +495,18 @@ FRONTIER_HEADER = "alpha,supported_acc,patching_acc\n0.0,0.9,0.1\n"
      ":3: expected 3 numbers, got '0.5,x,0.3'"),
     ("rep_a", "a.csv", "1,2,3\n4,5\n", ": the number of columns changed from 3 to 2"),
     ("rep_b", "b.csv", "1,2,3\n4,x,6\n", ": could not convert string 'x' to float64"),
+    ("rep_a", "a.csv", "", ": no rows"),
     ("results_dir", "patch_result.json", "{bad", ": not valid JSON"),
     ("results_dir", "patch_result.json", '{"strategy": "single"}',
      ": no frontier points (KeyError: 'frontier')"),
+    ("results_dir", "patch_result.json", json.dumps({"frontier": {"points": [
+        {"alpha": "x", "supported_acc": 0.9, "patching_acc": 0.1},
+        {"alpha": 1.0, "supported_acc": 0.5, "patching_acc": 0.8}]}}),
+     ": frontier point is not three numbers: ('x', 0.9, 0.1)"),
 ], ids=["frontier_short_row", "frontier_non_numeric", "rep_a_ragged", "rep_b_non_numeric",
-        "result_not_json", "result_without_frontier"])
+        "rep_a_empty", "result_not_json", "result_without_frontier",
+        "result_non_numeric_alpha"])
+@pytest.mark.filterwarnings("error")  # a message names the file; no library warning
 def test_malformed_metrics_or_report_input_names_the_file(tmp_path, capsys, key, name,
                                                           text, message):
     path = tmp_path / name

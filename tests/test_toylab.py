@@ -354,6 +354,12 @@ class TestLrSchedule:
         with pytest.raises(ValueError):
             TrainConfig(iterations=10, warmup=11)
 
+    @pytest.mark.parametrize("name", ["lr", "weight_decay", "l2_init"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rate_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            TrainConfig(**{name: value})
+
 
 class TestTraining:
     def test_deterministic(self):

@@ -9,8 +9,9 @@ change, for the paintkit sources beside this script.
 
 Sections (ROADMAP's outputs that must not change):
 
-- ``cli_single``: ``paintkit gen-tasks``, ``pretrain`` and ``patch --strategy
-  single`` on the criterion-7 toy, seed 0: the bytes of every checkpoint,
+- ``cli_single``: ``paintkit gen-tasks``, ``pretrain``, ``finetune``, ``patch
+  --strategy single`` and ``gen-tasks --split_source`` on the criterion-7 toy,
+  seed 0 (split seed 7): the bytes of every task CSV and checkpoint,
   ``frontier.csv``, and ``patch_result.json`` without its timestamp.
 - ``sequential_dense``: ``patch_sequential`` on the 60-class supported task,
   two patching tasks and a 51-point grid, seeds 0-2.
@@ -114,6 +115,8 @@ def cli_single(pk):
     with tempfile.TemporaryDirectory() as root:
         tasks = os.path.join(root, "tasks")
         patch = os.path.join(root, "patch")
+        tuned = os.path.join(root, "finetune")
+        splits = os.path.join(root, "splits")
         common = ["--lr", "0.01", "--hidden", "32,32", "--seed", "0"]
         commands = [
             ["gen-tasks", "--out_dir", tasks, "--seed", "0", "--num_classes", "25",
@@ -126,13 +129,20 @@ def cli_single(pk):
              "--supported_tasks", os.path.join(tasks, "task0.csv"), "--out_dir", patch,
              "--strategy", "single", "--alpha_grid", "0:1:0.05", "--iterations", "200",
              "--warmup", "10", *common],
+            ["finetune", "--zs_checkpoint", os.path.join(root, "zero_shot.ckpt"),
+             "--task", os.path.join(tasks, "task1.csv"), "--out_dir", tuned,
+             "--iterations", "200", "--warmup", "10", *common],
+            ["gen-tasks", "--split_source", os.path.join(tasks, "task0.csv"),
+             "--out_dir", splits, "--seed", "7"],
         ]
         with redirect_stdout(io.StringIO()):
             codes = [pk.cli.main(argv) for argv in commands]
         out = {"exit_codes": codes}
         for path in (os.path.join(tasks, "task0.csv"), os.path.join(tasks, "task1.csv"),
                      os.path.join(root, "zero_shot.ckpt"),
-                     os.path.join(patch, "patched.ckpt"), os.path.join(patch, "frontier.csv")):
+                     os.path.join(patch, "patched.ckpt"), os.path.join(patch, "frontier.csv"),
+                     os.path.join(tuned, "finetuned_task1.ckpt"),
+                     os.path.join(splits, "task0_A.csv"), os.path.join(splits, "task0_B.csv")):
             with open(path, "rb") as f:
                 out[os.path.relpath(path, root)] = _sha(f.read())
         with open(os.path.join(patch, "patch_result.json")) as f:
