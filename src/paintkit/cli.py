@@ -19,7 +19,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import metrics as metrics_mod
-from .metrics import Frontier, rep_matrix_from_csv
+from .metrics import Frontier, FrontierPoint, rep_matrix_from_csv
 from ._atomic import atomic_open
 from .pipeline import PatchSpec, check_selection, run_patch, split_task
 from .tensors import (
@@ -149,10 +149,21 @@ def finite_float(text):
     return value
 
 
+def non_negative_int(text):
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"negative: {text!r}")
+    return value
+
+
+def non_negative_ints(text):
+    return tuple(non_negative_int(v) for v in text.split(","))
+
+
 # Every config key, with the cast from its text to the value commands read.
 KEYS = {
     # general
-    "seed": int, "out_dir": str,
+    "seed": non_negative_int, "out_dir": str,
     # task generation
     "num_classes": int, "dim": int, "samples_per_class": int, "noise_scale": finite_float,
     "tasks": parse_partition, "split_source": str,
@@ -161,7 +172,7 @@ KEYS = {
     "weight_decay": finite_float, "l2_init": finite_float, "constant_lr": truthy,
     "hidden": int_list, "embed_dim": int, "logit_scale": finite_float,
     # patching
-    "strategy": str, "alpha_grid": parse_grid, "search": str, "order_seeds": int_list,
+    "strategy": str, "alpha_grid": parse_grid, "search": str, "order_seeds": non_negative_ints,
     "budget": int, "group_weighting": truthy, "zs_checkpoint": str,
     "patching_tasks": str, "supported_tasks": str, "pretrain_tasks": str, "task": str,
     # metrics
@@ -345,68 +356,55 @@ def cmd_metrics(cfg):
     return 0
 
 
-def _frontier_points(path):
-    """(alpha, supported_acc, patching_acc) for each frontier point of the
-    patch_result.json at `path`. A malformed file is a ValueError naming it."""
+def _result_frontier(path):
+    """The frontier of the patch_result.json at `path`, in the fraction unit
+    `patch` writes. A malformed file is a ValueError naming it."""
     with open(path) as f:
         try:
             obj = json.load(f)
         except ValueError as exc:
             raise ValueError(f"{path}: not valid JSON: {exc}") from None
     try:
-        points = [(p["alpha"], p["supported_acc"], p["patching_acc"])
-                  for p in obj["frontier"]["points"]]
+        return Frontier.from_records(obj["frontier"]["points"], unit="fraction")
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: no frontier points ({type(exc).__name__}: {exc})") from None
-    for point in points:
-        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in point):
-            raise ValueError(f"{path}: frontier point is not three numbers: {point!r}")
-    return points
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def cmd_report(cfg):
     (results_dir,) = require(cfg, "results_dir")
     out_dir = cfg.get("out_dir", results_dir)
-    series = []
+    # (label, Frontier) pairs: patch results, then named baselines passed through.
+    series, baselines = [], []
     for root, _, files in os.walk(results_dir):
         for name in sorted(files):
+            path = os.path.join(root, name)
             if name.startswith("patch_result") and name.endswith(".json"):
-                path = os.path.join(root, name)
                 label = os.path.splitext(os.path.relpath(path, results_dir))[0]
-                series.append((label.replace(os.sep, "/"), _frontier_points(path)))
+                series.append((label.replace(os.sep, "/"), _result_frontier(path)))
+            elif name.startswith("baseline_") and name.endswith(".csv"):
+                baselines.append((os.path.splitext(name)[0],
+                                  Frontier.from_csv(path, unit="fraction")))
     if not series:
         print("no patch results found", file=sys.stderr)
         return RUNTIME_ERROR
     os.makedirs(out_dir, exist_ok=True)
 
-    rows = [["series", "alpha", "supported_acc", "patching_acc"]]
-    for label, points in series:
-        for p in points:
-            rows.append([label, *p])
-
     # Average across experiments at shared alpha values.
     by_alpha = {}
-    for _, points in series:
-        for alpha, supported, patching in points:
-            by_alpha.setdefault(alpha, []).append((supported, patching))
-    for alpha in sorted(by_alpha):
-        vals = by_alpha[alpha]
-        if len(vals) == len(series):
-            rows.append([
-                "average", alpha,
-                float(np.mean([v[0] for v in vals])),
-                float(np.mean([v[1] for v in vals])),
-            ])
+    for _, f in series:
+        for p in f.points:
+            by_alpha.setdefault(p.alpha, []).append(p)
+    average = Frontier([
+        FrontierPoint(alpha, float(np.mean([p.supported_acc for p in pts])),
+                      float(np.mean([p.patching_acc for p in pts])))
+        for alpha, pts in by_alpha.items() if len(pts) == len(series)
+    ], unit="fraction")
 
-    # Pass named baseline frontiers through when present.
-    for root, _, files in os.walk(results_dir):
-        for name in sorted(files):
-            if name.startswith("baseline_") and name.endswith(".csv"):
-                label = os.path.splitext(name)[0]
-                f = Frontier.from_csv(os.path.join(root, name), unit="fraction")
-                for p in f.points:
-                    rows.append([label, p.alpha, p.supported_acc, p.patching_acc])
-
+    rows = [["series", "alpha", "supported_acc", "patching_acc"]]
+    for label, f in [*series, ("average", average), *baselines]:
+        rows.extend([label, p.alpha, p.supported_acc, p.patching_acc] for p in f.points)
     scatter_path = os.path.join(out_dir, "scatter.csv")
     with atomic_open(scatter_path) as f:
         f.write("".join(",".join(str(v) for v in row) + "\n" for row in rows))

@@ -90,6 +90,18 @@ class Frontier:
             for p in self.points
         ]
 
+    @classmethod
+    def from_records(cls, records, unit):
+        """The inverse of `to_records`. A point that is not three numbers, or
+        points that do not form a frontier, are a ValueError."""
+        pts = []
+        for r in records:
+            point = (r["alpha"], r["supported_acc"], r["patching_acc"])
+            if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in point):
+                raise ValueError(f"frontier point is not three numbers: {point!r}")
+            pts.append(FrontierPoint(*point))
+        return cls(pts, unit)
+
 
 def mean_accuracy(accs) -> float:
     """float(np.mean(accs)) for a short list of accuracies: the same sum and
@@ -189,8 +201,8 @@ def sweep_to_frontier(records, supported_ids, patching_ids, unit="percent") -> F
     """Assemble a Frontier from (alpha, per-task accuracy map) records.
 
     x is the mean over supported_ids, y the mean over patching_ids. Records
-    must cover alpha 0 and 1; duplicate alphas with identical values are
-    deduplicated, conflicting duplicates rejected.
+    must cover alpha 0 and 1 (the Frontier checks it); duplicate alphas with
+    identical values are deduplicated, conflicting duplicates rejected.
     """
     supported_ids = list(supported_ids)
     patching_ids = list(patching_ids)
@@ -207,7 +219,5 @@ def sweep_to_frontier(records, supported_ids, patching_ids, unit="percent") -> F
                 raise ValueError(f"conflicting duplicate records at alpha={alpha}")
             continue
         seen[alpha] = (x, y)
-    if 0.0 not in seen or 1.0 not in seen:
-        raise ValueError("records must cover alpha=0 and alpha=1")
     pts = [FrontierPoint(a, x, y) for a, (x, y) in seen.items()]
     return Frontier(pts, unit)

@@ -21,6 +21,7 @@ _EMBED_STREAM = 0x0E03BEDD  # fixed stream id so embeddings depend only on the c
 _HEAD_CACHE_SIZE = 256  # distinct (class ids, dim) heads kept per process
 _ADAM_BETAS = (0.9, 0.999)
 _ADAM_EPS = 1e-8
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1  # the range of a task CSV's ids and labels
 
 
 def class_embedding(class_id: int, dim: int) -> np.ndarray:
@@ -64,6 +65,8 @@ class TaskDataset:
         self.class_ids = tuple(int(c) for c in self.class_ids)
         if not set(self.labels.tolist()) <= set(self.class_ids):
             raise ValueError(f"task {self.name!r}: label outside class_ids")
+        if min(self.class_ids, default=0) < 0:
+            raise ValueError(f"task {self.name!r}: class id {min(self.class_ids)} is negative")
         if not np.isfinite(self.inputs).all():
             row, col = np.argwhere(~np.isfinite(self.inputs))[0]
             raise ValueError(f"task {self.name!r}: row {row}: feature {col} is not finite")
@@ -122,7 +125,8 @@ class TaskDataset:
                 try:
                     i, split, label = int(row[0]), row[1], int(row[2])
                     features = [float(v) for v in row[3:]]
-                    if not all(map(math.isfinite, features)):
+                    if not (_INT64_MIN <= i <= _INT64_MAX and 0 <= label <= _INT64_MAX
+                            and all(map(math.isfinite, features))):
                         raise ValueError
                 except ValueError:
                     raise ValueError(_bad_cell(path, reader.line_num, header, row)) from None
@@ -142,8 +146,9 @@ class TaskDataset:
 
 
 def _bad_cell(path, line, header, row):
-    """Name the first cell of a task-CSV row that does not parse, or the
-    first feature that is not finite."""
+    """Name the first cell of a task-CSV row that does not parse, or that
+    holds an id outside int64, a label that is not a class id (an int64
+    >= 0), or a feature that is not finite."""
     for col, (name, cell) in enumerate(zip(header, row)):
         if col == 1:  # the split name is free text
             continue
@@ -152,8 +157,15 @@ def _bad_cell(path, line, header, row):
             value = cast(cell)
         except ValueError:
             return f"{path}:{line}: column {name!r}: not a valid {cast.__name__}: {cell!r}"
-        if not math.isfinite(value):
-            return f"{path}:{line}: column {name!r}: not a valid finite float: {cell!r}"
+        if col == 0 and not _INT64_MIN <= value <= _INT64_MAX:
+            kind = "int64"
+        elif col == 2 and not 0 <= value <= _INT64_MAX:
+            kind = "class id"
+        elif col > 2 and not math.isfinite(value):
+            kind = "finite float"
+        else:
+            continue
+        return f"{path}:{line}: column {name!r}: not a valid {kind}: {cell!r}"
 
 
 def generate_tasks(seed, num_classes, dim, samples_per_class, noise_scale, partition):
@@ -247,6 +259,9 @@ class TrainConfig:
     logit_scale: float = 20.0
 
     def __post_init__(self):
+        for name in ("iterations", "warmup", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.warmup > self.iterations:
             raise ValueError("warmup must be <= iterations")
         for name in ("lr", "weight_decay", "l2_init"):
@@ -256,6 +271,12 @@ class TrainConfig:
             raise ValueError("lr must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if min(self.hidden, default=1) < 1:
+            raise ValueError(f"hidden widths must be >= 1, got {self.hidden}")
+        if self.embed_dim < 1:
+            raise ValueError(f"embed_dim must be >= 1, got {self.embed_dim}")
+        if not 0 < self.logit_scale < math.inf:
+            raise ValueError(f"logit_scale must be positive and finite, got {self.logit_scale}")
 
 
 def lr_schedule(step, config: TrainConfig) -> float:

@@ -10,6 +10,8 @@ from paintkit.cli import (
     ConfigError,
     finite_float,
     main,
+    non_negative_int,
+    non_negative_ints,
     parse_config,
     parse_grid,
     parse_overrides,
@@ -193,6 +195,28 @@ def patch_args(root, out, extra=()):
             *extra]
 
 
+def command_args(workspace, tmp_path, extra):
+    """Arguments that run `extra` under the command it starts with, else
+    under `patch`, writing into `tmp_path` (gen-tasks: a new directory in it).
+    A missing checkpoint would exit 2 once loaded, so exit 1 and an empty
+    `tmp_path` show that a usage error is found before anything is loaded,
+    trained or written."""
+    missing = str(tmp_path / "missing.ckpt")
+    if extra[0] == "pretrain":
+        return ["pretrain", "--pretrain_tasks", str(workspace / "task0.csv"),
+                "--out_dir", str(tmp_path), *extra[1:]]
+    if extra[0] == "gen-tasks":
+        return ["gen-tasks", "--out_dir", str(tmp_path / "new"), "--seed", "0",
+                "--num_classes", "4", "--dim", "3", "--samples_per_class", "20",
+                "--noise_scale", "0.1", "--tasks", "0,1|2,3", *extra[1:]]
+    if extra[0] == "finetune":
+        return ["finetune", "--zs_checkpoint", missing, "--task",
+                str(workspace / "task1.csv"), "--out_dir", str(tmp_path), *extra[1:]]
+    args = patch_args(workspace, tmp_path, extra)
+    args[args.index("--zs_checkpoint") + 1] = missing
+    return args
+
+
 class TestPretrainFinetunePatch:
     def test_pretrain_writes_checkpoint(self, workspace):
         ckpt = load_checkpoint(workspace / "zero_shot.ckpt")
@@ -277,32 +301,38 @@ class TestPretrainFinetunePatch:
     ])
     def test_bad_selection_is_usage_error_before_training(self, workspace, tmp_path,
                                                           capsys, extra):
-        # A missing checkpoint would exit 2 once loaded; exit 1 and an empty
-        # output directory show that every usage error is found before
-        # anything is loaded, trained or written. A leading command name
-        # runs that command instead of `patch`.
-        missing = str(tmp_path / "missing.ckpt")
-        if extra[0] == "pretrain":
-            args = ["pretrain", "--pretrain_tasks", str(workspace / "task0.csv"),
-                    "--out_dir", str(tmp_path), *extra[1:]]
-        elif extra[0] == "gen-tasks":
-            args = ["gen-tasks", "--out_dir", str(tmp_path / "new"), "--seed", "0",
-                    "--num_classes", "4", "--dim", "3", "--samples_per_class", "20",
-                    "--noise_scale", "0.1", "--tasks", "0,1|2,3", *extra[1:]]
-        elif extra[0] == "finetune":
-            args = ["finetune", "--zs_checkpoint", missing, "--task",
-                    str(workspace / "task1.csv"), "--out_dir", str(tmp_path), *extra[1:]]
-        else:
-            args = patch_args(workspace, tmp_path, extra)
-            args[args.index("--zs_checkpoint") + 1] = missing
-        assert main(args) == 1
+        assert main(command_args(workspace, tmp_path, extra)) == 1
         assert "error:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("extra, key", [
+        (["--seed", "-1"], "seed"),
+        (["pretrain", "--seed", "-1"], "seed"),
+        (["finetune", "--seed", "-1"], "seed"),
+        (["gen-tasks", "--split_source", "missing.csv", "--seed", "-1"], "seed"),
+        (["--strategy", "sequential", "--order_seeds", "0,-1"], "order_seeds"),
+        (["--hidden", "0"], "hidden"),
+        (["pretrain", "--hidden", "16,0"], "hidden"),
+        (["pretrain", "--embed_dim", "0"], "embed_dim"),
+        (["finetune", "--iterations", "-3", "--warmup", "-4"], "iterations"),
+        (["pretrain", "--warmup", "-2"], "warmup"),
+        (["pretrain", "--logit_scale", "0"], "logit_scale"),
+        (["--logit_scale", "-3"], "logit_scale"),
+    ], ids=["patch_seed", "pretrain_seed", "finetune_seed", "split_seed", "order_seeds",
+            "patch_hidden", "pretrain_hidden", "embed_dim", "iterations", "warmup",
+            "logit_scale_0", "logit_scale_negative"])
+    def test_out_of_range_setting_is_usage_error_naming_it(self, workspace, tmp_path,
+                                                           capsys, extra, key):
+        assert main(command_args(workspace, tmp_path, extra)) == 1
+        assert key in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("key, value", [
         *(pytest.param(k, "x", id=k) for k, cast in sorted(KEYS.items()) if cast is not str),
         *(pytest.param(k, v, id=f"{k}_{v}") for k, cast in sorted(KEYS.items())
           if cast is finite_float for v in ("nan", "inf")),
+        *(pytest.param(k, "-1", id=f"{k}_-1") for k, cast in sorted(KEYS.items())
+          if cast in (non_negative_int, non_negative_ints)),
     ])
     def test_malformed_value_of_any_key_is_usage_error(self, workspace, tmp_path, capsys,
                                                        key, value):
@@ -383,7 +413,14 @@ class TestPretrainFinetunePatch:
          "task1.csv:2: column 'label': not a valid int: 'x'"),
         (lambda i, row: [*row[:4], "nan", *row[5:]] if i == 2 else row,
          "task1.csv:4: column 'f1': not a valid finite float: 'nan'"),
-    ], ids=["shifted_ids", "negative_id", "repeated_id", "non_numeric_label", "nan_feature"])
+        (lambda i, row: [str(2**66), *row[1:]] if i == 1 else row,
+         f"task1.csv:3: column 'id': not a valid int64: '{2**66}'"),
+        (lambda i, row: [*row[:2], str(2**66), *row[3:]] if i == 0 else row,
+         f"task1.csv:2: column 'label': not a valid class id: '{2**66}'"),
+        (lambda i, row: [*row[:2], "-5", *row[3:]] if i == 0 else row,
+         "task1.csv:2: column 'label': not a valid class id: '-5'"),
+    ], ids=["shifted_ids", "negative_id", "repeated_id", "non_numeric_label", "nan_feature",
+            "int64_overflow_id", "int64_overflow_label", "negative_label"])
     def test_malformed_task_csv_is_runtime_error(self, workspace, tmp_path, capsys, edit,
                                                  message):
         header, *lines = (workspace / "task1.csv").read_text().splitlines()
@@ -394,7 +431,7 @@ class TestPretrainFinetunePatch:
         args[args.index("--patching_tasks") + 1] = str(path)
         assert main(args) == 2
         assert message in capsys.readouterr().err
-        assert not (tmp_path / "out" / "patch_result.json").exists()
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["patch", "finetune", "pretrain"])
     def test_task_of_another_input_width_is_runtime_error(self, workspace, tmp_path,
@@ -488,6 +525,14 @@ class TestReportCommand:
 FRONTIER_HEADER = "alpha,supported_acc,patching_acc\n0.0,0.9,0.1\n"
 
 
+def result_json(points):
+    """A patch_result.json body whose frontier holds `points` and then the
+    alpha=1 endpoint."""
+    points = [*points, (1.0, 0.5, 0.8)]
+    return json.dumps({"frontier": {"unit": "fraction", "points": [
+        {"alpha": a, "supported_acc": s, "patching_acc": p} for a, s, p in points]}})
+
+
 @pytest.mark.parametrize("key, name, text, message", [
     ("frontier", "f.csv", FRONTIER_HEADER + "0.5,0.7\n1.0,0.5,0.8\n",
      ":3: expected 3 numbers, got '0.5,0.7'"),
@@ -503,9 +548,21 @@ FRONTIER_HEADER = "alpha,supported_acc,patching_acc\n0.0,0.9,0.1\n"
         {"alpha": "x", "supported_acc": 0.9, "patching_acc": 0.1},
         {"alpha": 1.0, "supported_acc": 0.5, "patching_acc": 0.8}]}}),
      ": frontier point is not three numbers: ('x', 0.9, 0.1)"),
+    ("results_dir", "patch_result.json", result_json([(0.0, float("nan"), 0.1)]),
+     ": accuracy nan outside [0, 1.0]"),
+    ("results_dir", "patch_result.json", result_json([(0.0, 0.9, 1.5)]),
+     ": accuracy 1.5 outside [0, 1.0]"),
+    ("results_dir", "patch_result.json", result_json([(0.0, 0.9, 0.1), (0.0, 0.8, 0.2)]),
+     ": duplicate alpha in frontier"),
+    ("results_dir", "patch_result.json", json.dumps({"frontier": {"points": [
+        {"alpha": 0.0, "supported_acc": 0.9, "patching_acc": 0.1}]}}),
+     ": frontier must contain alpha=0 and alpha=1"),
+    ("results_dir", "baseline_x.csv", FRONTIER_HEADER,
+     ": frontier must contain alpha=0 and alpha=1"),
 ], ids=["frontier_short_row", "frontier_non_numeric", "rep_a_ragged", "rep_b_non_numeric",
         "rep_a_empty", "result_not_json", "result_without_frontier",
-        "result_non_numeric_alpha"])
+        "result_non_numeric_alpha", "result_nan_accuracy", "result_out_of_range",
+        "result_duplicate_alpha", "result_without_endpoint", "baseline_without_endpoint"])
 @pytest.mark.filterwarnings("error")  # a message names the file; no library warning
 def test_malformed_metrics_or_report_input_names_the_file(tmp_path, capsys, key, name,
                                                           text, message):

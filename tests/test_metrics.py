@@ -88,6 +88,23 @@ class TestFrontier:
         assert g.alphas == f.alphas
         assert [p.supported_acc for p in g.points] == [p.supported_acc for p in f.points]
 
+    @pytest.mark.parametrize("unit, scale", [("fraction", 1.0), ("percent", 100.0)])
+    def test_records_roundtrip(self, rng, unit, scale):
+        f = random_frontier(rng)
+        f = Frontier([FrontierPoint(p.alpha, p.supported_acc * scale, p.patching_acc * scale)
+                      for p in f.points], unit)
+        g = Frontier.from_records(f.to_records(), f.unit)
+        assert g.unit == unit
+        assert g.points == f.points
+
+    @pytest.mark.parametrize("field", ["alpha", "supported_acc", "patching_acc"])
+    @pytest.mark.parametrize("value", [True, "0.5"])
+    def test_records_reject_non_numbers(self, field, value):
+        records = frontier([(0.0, 0.9, 0.1), (1.0, 0.5, 0.8)]).to_records()
+        records[1][field] = value
+        with pytest.raises(ValueError, match="frontier point is not three numbers"):
+            Frontier.from_records(records, "fraction")
+
 
 class TestCombinedAccuracy:
     def test_table_row(self):

@@ -235,6 +235,8 @@ class TestGenerateTasks:
     @pytest.mark.parametrize("column, cell, kind", [
         (0, "7.5", "int"), (2, "x", "int"), (4, "abc", "float"),
         (4, "nan", "finite float"), (4, "inf", "finite float"), (4, "-inf", "finite float"),
+        (0, str(2**63), "int64"), (0, str(-2**63 - 1), "int64"),
+        (2, "99999999999999999999", "class id"), (2, "-5", "class id"),
     ])
     def test_csv_non_numeric_cell_names_line_and_column(self, tmp_path, column, cell, kind):
         (t, _) = small_tasks()
@@ -249,6 +251,14 @@ class TestGenerateTasks:
         expected = f"task.csv:4: column '{header[column]}': not a valid {kind}: '{cell}'"
         with pytest.raises(ValueError, match=re.escape(expected)):
             TaskDataset.from_csv(path)
+
+    def test_negative_label_rejected(self):
+        (t, _) = small_tasks()
+        labels = np.where(t.labels == 0, -5, t.labels)
+        class_ids = (-5, *t.class_ids[1:])
+        with pytest.raises(ValueError, match=re.escape(
+                "task 'task0': class id -5 is negative")):
+            TaskDataset(t.name, t.inputs, labels, class_ids, t.splits)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_feature_names_task_and_row(self, value):
@@ -359,6 +369,21 @@ class TestLrSchedule:
     def test_non_finite_rate_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             TrainConfig(**{name: value})
+
+    @pytest.mark.parametrize("settings, message", [
+        ({"iterations": -3, "warmup": -4}, "iterations must be >= 0, got -3"),
+        ({"warmup": -2}, "warmup must be >= 0, got -2"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"hidden": (16, 0)}, "hidden widths must be >= 1, got (16, 0)"),
+        ({"embed_dim": 0}, "embed_dim must be >= 1, got 0"),
+        ({"logit_scale": 0.0}, "logit_scale must be positive and finite, got 0.0"),
+        ({"logit_scale": -3.0}, "logit_scale must be positive and finite, got -3.0"),
+        ({"logit_scale": math.nan}, "logit_scale must be positive and finite, got nan"),
+        ({"logit_scale": math.inf}, "logit_scale must be positive and finite, got inf"),
+    ])
+    def test_out_of_range_setting_rejected(self, settings, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TrainConfig(**settings)
 
 
 class TestTraining:

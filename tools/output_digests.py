@@ -10,9 +10,11 @@ change, for the paintkit sources beside this script.
 Sections (ROADMAP's outputs that must not change):
 
 - ``cli_single``: ``paintkit gen-tasks``, ``pretrain``, ``finetune``, ``patch
-  --strategy single`` and ``gen-tasks --split_source`` on the criterion-7 toy,
-  seed 0 (split seed 7): the bytes of every task CSV and checkpoint,
-  ``frontier.csv``, and ``patch_result.json`` without its timestamp.
+  --strategy single``, ``gen-tasks --split_source`` and ``report`` on the
+  patch output, on the criterion-7 toy, seed 0 (split seed 7): the bytes of
+  every task CSV and checkpoint, ``frontier.csv`` and ``scatter.csv``,
+  ``patch_result.json`` without its timestamp, and the ``experiments`` of
+  ``report.json`` (its ``scatter_csv`` is a temporary path).
 - ``sequential_dense``: ``patch_sequential`` on the 60-class supported task,
   two patching tasks and a 51-point grid, seeds 0-2.
 - ``pipeline``: every strategy on a small lab: single, joint, sequential over
@@ -117,6 +119,7 @@ def cli_single(pk):
         patch = os.path.join(root, "patch")
         tuned = os.path.join(root, "finetune")
         splits = os.path.join(root, "splits")
+        report = os.path.join(root, "report")
         common = ["--lr", "0.01", "--hidden", "32,32", "--seed", "0"]
         commands = [
             ["gen-tasks", "--out_dir", tasks, "--seed", "0", "--num_classes", "25",
@@ -134,6 +137,7 @@ def cli_single(pk):
              "--iterations", "200", "--warmup", "10", *common],
             ["gen-tasks", "--split_source", os.path.join(tasks, "task0.csv"),
              "--out_dir", splits, "--seed", "7"],
+            ["report", "--results_dir", patch, "--out_dir", report],
         ]
         with redirect_stdout(io.StringIO()):
             codes = [pk.cli.main(argv) for argv in commands]
@@ -142,13 +146,16 @@ def cli_single(pk):
                      os.path.join(root, "zero_shot.ckpt"),
                      os.path.join(patch, "patched.ckpt"), os.path.join(patch, "frontier.csv"),
                      os.path.join(tuned, "finetuned_task1.ckpt"),
-                     os.path.join(splits, "task0_A.csv"), os.path.join(splits, "task0_B.csv")):
+                     os.path.join(splits, "task0_A.csv"), os.path.join(splits, "task0_B.csv"),
+                     os.path.join(report, "scatter.csv")):
             with open(path, "rb") as f:
                 out[os.path.relpath(path, root)] = _sha(f.read())
         with open(os.path.join(patch, "patch_result.json")) as f:
             result = json.load(f)
         result.pop("timestamp")
         out["patch/patch_result.json"] = _json_sha(result)
+        with open(os.path.join(report, "report.json")) as f:
+            out["report/report.json:experiments"] = json.load(f)["experiments"]
     return out
 
 
