@@ -301,10 +301,9 @@ def cmd_patch(cfg):
     model = ToyModel(load_checkpoint(ckpt_path))
     patching = load_tasks(patching_text, model.in_dim)
     supported = load_tasks(supported_text, model.in_dim)
-    os.makedirs(out_dir, exist_ok=True)
-
     spec = PatchSpec(model=model, patching_tasks=patching, supported_tasks=supported,
                      train=tc, **selection)
+    os.makedirs(out_dir, exist_ok=True)
     result = run_patch(spec)
 
     save_checkpoint(result.patched, os.path.join(out_dir, "patched.ckpt"))
@@ -378,8 +377,13 @@ def cmd_report(cfg):
     # (label, Frontier) pairs: patch results, then named baselines passed through.
     series, baselines = [], []
     for root, _, files in os.walk(results_dir):
+        # A sequential run's patch_result.json repeats its first order seed's
+        # frontier, so the per-seed files beside it stand in for it.
+        per_seed = any(name.startswith("patch_result_seed") for name in files)
         for name in sorted(files):
             path = os.path.join(root, name)
+            if per_seed and name == "patch_result.json":
+                continue
             if name.startswith("patch_result") and name.endswith(".json"):
                 label = os.path.splitext(os.path.relpath(path, results_dir))[0]
                 series.append((label.replace(os.sep, "/"), _result_frontier(path)))

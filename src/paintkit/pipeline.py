@@ -73,7 +73,11 @@ class PatchSpec:
             raise ValueError("need at least one supported task")
         if self.strategy == "sequential" and not self.order_seeds:
             raise ValueError("sequential strategy needs at least one order seed")
+        names = set()
         for task in [*self.patching_tasks, *self.supported_tasks]:
+            if task.name in names:
+                raise ValueError(f"two tasks are named {task.name!r}")
+            names.add(task.name)
             if task.dim != self.model.in_dim:
                 raise ValueError(f"task {task.name!r} has {task.dim} features, but the "
                                  f"model takes {self.model.in_dim} inputs")
@@ -102,11 +106,6 @@ def _objective_value(accs, supported, patching, group_weighting):
         pat = mean_accuracy([accs[t.name] for t in patching])
         return (sup + pat) / 2.0
     return mean_accuracy([accs[t.name] for t in supported + patching])
-
-
-def _eval_all(model, ckpt, tasks, split, log):
-    m = model.with_weights(ckpt)
-    return {t.name: evaluate(m, t, split, log) for t in tasks}
 
 
 def _score(spec, model, patching, rows, log):
@@ -141,17 +140,28 @@ def _sweep(spec, model, patching, stack, log):
     return result, frontier, records
 
 
+def _lerp_step(spec, model, patching, ft, log):
+    """Sweep lerp(zs, ft, alpha) with zs = model.ckpt; return the search result,
+    the frontier, and the val accuracies and weights at the selected alpha."""
+    zs = model.ckpt
+    search, frontier, records = _sweep(spec, model, patching,
+                                       lambda alphas: lerp_rows(zs, ft, alphas), log)
+    (alpha,) = search.best
+    return search, frontier, records[search.best], lerp(zs, ft, alpha)
+
+
 def _result(spec, patched, coefficients, frontier, val_accs, selection_log,
             provenance, fine_tuned):
     """Package a selection already scored on val; only the test report is new."""
     report_log = []
-    tasks = spec.supported_tasks + spec.patching_tasks
+    m = spec.model.with_weights(patched)
     return PatchResult(
         patched=patched,
         coefficients=tuple(coefficients),
         frontier=frontier,
         val_accuracies=val_accs,
-        test_accuracies=_eval_all(spec.model, patched, tasks, "test", report_log),
+        test_accuracies={t.name: evaluate(m, t, "test", report_log)
+                         for t in spec.supported_tasks + spec.patching_tasks},
         provenance=provenance,
         fine_tuned=fine_tuned,
         zero_shot=spec.model.ckpt,
@@ -161,19 +171,16 @@ def _result(spec, patched, coefficients, frontier, val_accs, selection_log,
 
 def _patch_one(spec, ft, ft_task_name):
     """Sweep lerp(zs, ft, alpha) and return the selected interpolation."""
-    zs = spec.model.ckpt
     log = []
-    search, frontier, records = _sweep(spec, spec.model, spec.patching_tasks,
-                                       lambda alphas: lerp_rows(zs, ft, alphas), log)
-    (alpha,) = search.best
+    search, frontier, val_accs, patched = _lerp_step(spec, spec.model, spec.patching_tasks,
+                                                     ft, log)
     provenance = {
         "strategy": spec.strategy,
         "fine_tuned_on": ft_task_name,
-        "alphas": [alpha],
+        "alphas": list(search.best),
         "search_evaluations": search.evaluations,
     }
-    return _result(spec, lerp(zs, ft, alpha), search.best, frontier,
-                   records[search.best], log, provenance, [ft])
+    return _result(spec, patched, search.best, frontier, val_accs, log, provenance, [ft])
 
 
 def patch_single(spec: PatchSpec) -> PatchResult:
@@ -208,15 +215,12 @@ def patch_sequential(spec: PatchSpec) -> PatchResult:
         selection_log = []
         for task_idx in order:
             seen.append(spec.patching_tasks[task_idx])
-            zs = current.ckpt
             ft = finetune(current, seen[-1], spec.train).final
-            search, frontier, records = _sweep(spec, current, seen,
-                                               lambda alphas: lerp_rows(zs, ft, alphas),
-                                               selection_log)
-            (alpha,) = search.best
-            alphas.append(alpha)
+            search, frontier, val_accs, patched = _lerp_step(spec, current, seen, ft,
+                                                             selection_log)
+            alphas.extend(search.best)
             fts.append(ft)
-            current = current.with_weights(lerp(zs, ft, alpha))
+            current = current.with_weights(patched)
         provenance = {
             "strategy": "sequential",
             "order_seed": seed,
@@ -225,7 +229,7 @@ def patch_sequential(spec: PatchSpec) -> PatchResult:
         }
         # The last step scored every task on val, so its record at the
         # selected alpha is the final model's val report.
-        per_seed.append(_result(spec, current.ckpt, alphas, frontier, records[search.best],
+        per_seed.append(_result(spec, current.ckpt, alphas, frontier, val_accs,
                                 selection_log, provenance, fts))
     names = list(per_seed[0].test_accuracies)
     avg_val = {n: float(np.mean([r.val_accuracies[n] for r in per_seed])) for n in names}

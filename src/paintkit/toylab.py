@@ -21,7 +21,7 @@ _EMBED_STREAM = 0x0E03BEDD  # fixed stream id so embeddings depend only on the c
 _HEAD_CACHE_SIZE = 256  # distinct (class ids, dim) heads kept per process
 _ADAM_BETAS = (0.9, 0.999)
 _ADAM_EPS = 1e-8
-_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1  # the range of a task CSV's ids and labels
+_INT64_MAX = 2**63 - 1  # the largest class id a task CSV's label may hold
 
 
 def class_embedding(class_id: int, dim: int) -> np.ndarray:
@@ -115,7 +115,9 @@ class TaskDataset:
             reader = csv.reader(f)
             header = next(reader, [])
             if header[:3] != ["id", "split", "label"]:
-                raise ValueError(f"bad task CSV header in {path}")
+                raise ValueError(f"{path}: task CSV header must start with id,split,label")
+            if len(header) == 3:
+                raise ValueError(f"{path}: no feature columns")
             for row in reader:
                 if len(row) != len(header):
                     raise ValueError(
@@ -125,11 +127,12 @@ class TaskDataset:
                 try:
                     i, split, label = int(row[0]), row[1], int(row[2])
                     features = [float(v) for v in row[3:]]
-                    if not (_INT64_MIN <= i <= _INT64_MAX and 0 <= label <= _INT64_MAX
+                    if not (i == len(labels) and 0 <= label <= _INT64_MAX
                             and all(map(math.isfinite, features))):
                         raise ValueError
                 except ValueError:
-                    raise ValueError(_bad_cell(path, reader.line_num, header, row)) from None
+                    raise ValueError(
+                        _bad_cell(path, reader.line_num, header, row, len(labels))) from None
                 inputs.append(features)
                 labels.append(label)
                 if split:
@@ -145,10 +148,10 @@ class TaskDataset:
         )
 
 
-def _bad_cell(path, line, header, row):
+def _bad_cell(path, line, header, row, position):
     """Name the first cell of a task-CSV row that does not parse, or that
-    holds an id outside int64, a label that is not a class id (an int64
-    >= 0), or a feature that is not finite."""
+    holds an id other than the row's 0-based `position`, a label that is not
+    a class id (an int64 >= 0), or a feature that is not finite."""
     for col, (name, cell) in enumerate(zip(header, row)):
         if col == 1:  # the split name is free text
             continue
@@ -157,8 +160,8 @@ def _bad_cell(path, line, header, row):
             value = cast(cell)
         except ValueError:
             return f"{path}:{line}: column {name!r}: not a valid {cast.__name__}: {cell!r}"
-        if col == 0 and not _INT64_MIN <= value <= _INT64_MAX:
-            kind = "int64"
+        if col == 0 and value != position:
+            kind = f"id (row position {position})"
         elif col == 2 and not 0 <= value <= _INT64_MAX:
             kind = "class id"
         elif col > 2 and not math.isfinite(value):
@@ -320,7 +323,7 @@ class ToyModel:
     features, and a frozen procedural class-embedding head.
 
     logits(x) = logit_scale * normalize(encoder(x)) @ head(class_ids).T
-    Trainable weights live in a float64 Checkpoint; the head never does.
+    Trainable weights live in a Checkpoint; the head never does.
     """
 
     def __init__(self, ckpt: Checkpoint):
@@ -477,13 +480,14 @@ def _local_labels(labels, class_ids):
 
 def finetune(model: ToyModel, task: TaskDataset, config: TrainConfig) -> TrainRecord:
     """AdamW with decoupled weight decay on cross-entropy; linear warmup then
-    cosine annealing; optional L2-to-init penalty and EMA shadow weights."""
+    cosine annealing; optional L2-to-init penalty and EMA shadow weights.
+    Trains in float64 and returns checkpoints in the dtype of `model.ckpt`."""
     rng = np.random.default_rng(config.seed)
     x_all, y_all = task.split_arrays("train")
     y_local = _local_labels(y_all, task.class_ids)
     batch = min(config.batch_size, len(y_local))
 
-    start = model.ckpt
+    start = model.ckpt  # also the L2-to-init reference
     # Flat float64 vectors, all updated in place: the weights, the gradient
     # (written through its views by loss_and_grad), the AdamW moments, the
     # EMA shadow, and two scratch vectors for the update.
@@ -491,7 +495,6 @@ def finetune(model: ToyModel, task: TaskDataset, config: TrainConfig) -> TrainRe
     live = start.views(params)  # name -> view of params, for loss_and_grad
     grad = np.empty_like(params)
     grad_out = start.views(grad)
-    init = Checkpoint(live, start.meta)
     m = np.zeros_like(params)
     v = np.zeros_like(params)
     upd = np.empty_like(params)
@@ -499,23 +502,23 @@ def finetune(model: ToyModel, task: TaskDataset, config: TrainConfig) -> TrainRe
     ema = params.copy() if config.ema_decay is not None else None
     b1, b2 = _ADAM_BETAS
 
-    record = TrainRecord(final=init)
+    snapshots, ema_snapshots, losses = {}, {}, []
     every = config.snapshot_every
 
     def snapshot(done):
         if every > 0 and (done % every == 0 or done == config.iterations):
-            record.snapshots[done] = Checkpoint(live, start.meta)
+            snapshots[done] = start._like(params, start.meta)
             if ema is not None:
-                record.ema_snapshots[done] = Checkpoint(start.views(ema), start.meta)
+                ema_snapshots[done] = start._like(ema, start.meta)
 
     snapshot(0)
     for step in range(config.iterations):
         idx = rng.choice(len(y_local), size=batch, replace=False)
         loss, _ = model.loss_and_grad(live, x_all[idx], y_local[idx], task.class_ids,
-                                      init, config.l2_init, out=grad_out)
+                                      start, config.l2_init, out=grad_out)
         if not math.isfinite(loss):
             raise RuntimeError(f"non-finite loss at step {step}: {loss}")
-        record.losses.append(loss)
+        losses.append(loss)
         lr = lr_schedule(step, config)
         t = step + 1
         # m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g * g
@@ -539,10 +542,8 @@ def finetune(model: ToyModel, task: TaskDataset, config: TrainConfig) -> TrainRe
             ema += np.multiply(params, 1 - config.ema_decay, out=tmp)
         snapshot(t)
 
-    record.final = Checkpoint(live, start.meta)
-    if every > 0:
-        record.snapshots[config.iterations] = record.final
-    return record
+    final = snapshots[config.iterations] if every > 0 else start._like(params, start.meta)
+    return TrainRecord(final, snapshots, ema_snapshots, losses)
 
 
 def pretrain(config: TrainConfig, base_tasks) -> ToyModel:

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from paintkit import TaskDataset, load_checkpoint, save_checkpoint
+from paintkit import Checkpoint, TaskDataset, lerp, load_checkpoint, save_checkpoint
 from paintkit.cli import (
     KEYS,
     ConfigError,
@@ -268,6 +268,36 @@ class TestPretrainFinetunePatch:
         assert len(result["coefficients"]) == 2
         assert result["averaged_test_accuracies"]
 
+    def test_float32_zero_shot_patches_in_float32(self, workspace, tmp_path):
+        zs = load_checkpoint(workspace / "zero_shot.ckpt")
+        zs32 = Checkpoint({n: a.astype(np.float32) for n, a in zs.items()}, zs.meta)
+        path = tmp_path / "zs32.ckpt"
+        save_checkpoint(zs32, path)
+        args = patch_args(workspace, tmp_path / "patch")
+        args[args.index("--zs_checkpoint") + 1] = str(path)
+        assert main(args) == 0
+        training = args[args.index("--iterations"):]
+        assert main(["finetune", "--zs_checkpoint", str(path), "--task",
+                     str(workspace / "task1.csv"), "--out_dir", str(tmp_path / "ft"),
+                     *training]) == 0
+        patched = load_checkpoint(tmp_path / "patch" / "patched.ckpt")
+        ft = load_checkpoint(tmp_path / "ft" / "finetuned_task1.ckpt")
+        assert patched.dtype == ft.dtype == np.float32
+        result = json.loads((tmp_path / "patch" / "patch_result.json").read_text())
+        (alpha,) = result["coefficients"]
+        assert lerp(zs32, ft, alpha).equal(patched)
+
+    def test_two_tasks_with_one_name_is_runtime_error(self, workspace, tmp_path, capsys):
+        other = tmp_path / "other"
+        other.mkdir()
+        (other / "task0.csv").write_text((workspace / "task2.csv").read_text())
+        args = patch_args(workspace, tmp_path / "out")
+        args[args.index("--supported_tasks") + 1] = ",".join(
+            [str(workspace / "task0.csv"), str(other / "task0.csv")])
+        assert main(args) == 2
+        assert "two tasks are named 'task0'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_parallel_strategy(self, workspace, tmp_path):
         args = patch_args(workspace, tmp_path,
                           ["--strategy", "parallel", "--search", "uniform"])
@@ -404,22 +434,26 @@ class TestPretrainFinetunePatch:
 
     @pytest.mark.parametrize("edit, message", [
         (lambda i, row: [str(int(row[0]) + 1), *row[1:]],
-         "task 'task1': split 'test': index 40 outside [0, 40)"),
+         "task1.csv:2: column 'id': not a valid id (row position 0): '1'"),
         (lambda i, row: ["-1", *row[1:]] if i == 0 else row,
-         "task 'task1': split 'train': index -1 outside [0, 40)"),
+         "task1.csv:2: column 'id': not a valid id (row position 0): '-1'"),
         (lambda i, row: ["0", *row[1:]] if i == 1 else row,
-         "task 'task1': split 'train': index 0 repeated"),
+         "task1.csv:3: column 'id': not a valid id (row position 1): '0'"),
+        # Row 0 is the first train row and row 18 the first test row.
+        (lambda i, row: [{0: "18", 18: "0"}.get(i, row[0]), *row[1:]],
+         "task1.csv:2: column 'id': not a valid id (row position 0): '18'"),
         (lambda i, row: [*row[:2], "x", *row[3:]] if i == 0 else row,
          "task1.csv:2: column 'label': not a valid int: 'x'"),
         (lambda i, row: [*row[:4], "nan", *row[5:]] if i == 2 else row,
          "task1.csv:4: column 'f1': not a valid finite float: 'nan'"),
         (lambda i, row: [str(2**66), *row[1:]] if i == 1 else row,
-         f"task1.csv:3: column 'id': not a valid int64: '{2**66}'"),
+         f"task1.csv:3: column 'id': not a valid id (row position 1): '{2**66}'"),
         (lambda i, row: [*row[:2], str(2**66), *row[3:]] if i == 0 else row,
          f"task1.csv:2: column 'label': not a valid class id: '{2**66}'"),
         (lambda i, row: [*row[:2], "-5", *row[3:]] if i == 0 else row,
          "task1.csv:2: column 'label': not a valid class id: '-5'"),
-    ], ids=["shifted_ids", "negative_id", "repeated_id", "non_numeric_label", "nan_feature",
+    ], ids=["shifted_ids", "negative_id", "repeated_id", "swapped_ids", "non_numeric_label",
+            "nan_feature",
             "int64_overflow_id", "int64_overflow_label", "negative_label"])
     def test_malformed_task_csv_is_runtime_error(self, workspace, tmp_path, capsys, edit,
                                                  message):
@@ -432,6 +466,16 @@ class TestPretrainFinetunePatch:
         assert main(args) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("iterations", ["20", "0"])
+    def test_task_csv_without_features_is_runtime_error(self, tmp_path, capsys, iterations):
+        path = tmp_path / "bare.csv"
+        path.write_text("id,split,label\n0,train,0\n1,val,1\n2,test,0\n")
+        out = tmp_path / "out"
+        assert main(["pretrain", "--pretrain_tasks", str(path), "--out_dir", str(out),
+                     "--iterations", iterations, "--warmup", "0"]) == 2
+        assert f"{path}: no feature columns" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["patch", "finetune", "pretrain"])
     def test_task_of_another_input_width_is_runtime_error(self, workspace, tmp_path,
@@ -509,6 +553,17 @@ class TestReportCommand:
         assert len(series) == 3  # two runs + average
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert len(report["experiments"]) == 2
+
+    def test_sequential_run_counts_each_order_seed_once(self, workspace, tmp_path):
+        args = patch_args(workspace, tmp_path / "seq",
+                          ["--strategy", "sequential", "--order_seeds", "0,1,2"])
+        args[args.index("--patching_tasks") + 1] = ",".join(
+            [str(workspace / "task1.csv"), str(workspace / "task2.csv")])
+        assert main(args) == 0
+        assert main(["report", "--results_dir", str(tmp_path),
+                     "--out_dir", str(tmp_path / "out")]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["experiments"] == [f"seq/patch_result_seed{i}" for i in range(3)]
 
     def test_baseline_csv_passthrough(self, workspace, tmp_path):
         main(patch_args(workspace, tmp_path))

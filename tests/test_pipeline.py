@@ -242,6 +242,12 @@ class TestPatchSpecValidation:
                                              "model takes 8 inputs"):
             PatchSpec(model=model, patching_tasks=[narrow], supported_tasks=[tasks[0]])
 
+    def test_rejects_two_tasks_with_one_name(self, env):
+        model, tasks, _ = env
+        with pytest.raises(ValueError, match="two tasks are named 'task1'"):
+            PatchSpec(model=model, patching_tasks=[tasks[1]],
+                      supported_tasks=[tasks[0], tasks[1]])
+
 
 class TestRunPatch:
     def test_dispatch(self, env):

@@ -1,9 +1,11 @@
 """Property-based tests for the checkpoint container, weight arithmetic,
-stacked scoring and the capped-simplex projection.
+stacked scoring, task-CSV parsing and the capped-simplex projection.
 
 Examples are derandomized and nothing is stored between runs, so every run
 checks the same cases.
 """
+
+import csv
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -243,6 +245,50 @@ def test_sweep_scores_each_alpha_like_evaluate(models, grid):
     assert result.val_accuracies == dict(zip((sup.name, pat.name), val[result.coefficients[0]]))
     assert result.provenance["search_evaluations"] == len(grid)
     assert len(result.access_log["selection"]) == 2 * len(grid)
+
+
+CSV_TASK = generate_tasks(3, num_classes=4, dim=2, samples_per_class=10, noise_scale=0.5,
+                          partition=[(1, 3)])[0]
+# Replacement cells: numbers at and beyond every column's range, split and
+# header names, and short strings of the characters CSV and numbers use.
+cells = st.one_of(
+    st.sampled_from(["", "0", "1", "-1", "16", "18", str(2**63), str(-2**63 - 1), "nan",
+                     "-inf", "1e400", "-0.0", "train", "val", "test", "id", "split",
+                     "label", "f0"]),
+    st.integers().map(str),
+    st.floats().map(repr),
+    st.text(alphabet="01-.e,x \"\n", max_size=4),
+)
+
+
+def same_task(a, b):
+    return (a.inputs.tobytes() == b.inputs.tobytes() and a.inputs.shape == b.inputs.shape
+            and np.array_equal(a.labels, b.labels) and a.class_ids == b.class_ids
+            and {k: v.tolist() for k, v in a.splits.items()}
+            == {k: v.tolist() for k, v in b.splits.items()})
+
+
+@settings(PROPERTY, max_examples=30)  # each example loads every mutated cell
+@given(cells)
+def test_each_task_csv_cell_mutation_roundtrips_or_names_the_file(path, cell):
+    # Every cell in turn, header cells included, is replaced by `cell`. A
+    # file that loads must hold a task that to_csv writes and reads back.
+    source, copy = path.with_suffix(".csv"), path.with_suffix(".copy.csv")
+    CSV_TASK.to_csv(source)
+    with open(source, newline="") as f:
+        rows = list(csv.reader(f))
+    for r, c in [(r, c) for r, row in enumerate(rows) for c in range(len(row))]:
+        mutated = [list(row) for row in rows]
+        mutated[r][c] = cell
+        with open(source, "w", newline="") as f:
+            csv.writer(f).writerows(mutated)
+        try:
+            task = TaskDataset.from_csv(source)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{source}:"), (r, c, str(exc))
+            continue
+        task.to_csv(copy)
+        assert same_task(TaskDataset.from_csv(copy), task), (r, c)
 
 
 vectors = st.lists(st.floats(-2.0, 3.0), min_size=1, max_size=8).map(np.array)

@@ -235,7 +235,7 @@ class TestGenerateTasks:
     @pytest.mark.parametrize("column, cell, kind", [
         (0, "7.5", "int"), (2, "x", "int"), (4, "abc", "float"),
         (4, "nan", "finite float"), (4, "inf", "finite float"), (4, "-inf", "finite float"),
-        (0, str(2**63), "int64"), (0, str(-2**63 - 1), "int64"),
+        (0, str(2**63), "id (row position 2)"), (0, str(-2**63 - 1), "id (row position 2)"),
         (2, "99999999999999999999", "class id"), (2, "-5", "class id"),
     ])
     def test_csv_non_numeric_cell_names_line_and_column(self, tmp_path, column, cell, kind):
@@ -268,6 +268,17 @@ class TestGenerateTasks:
         with pytest.raises(ValueError, match=re.escape(
                 "task 'task0': row 7: feature 2 is not finite")):
             TaskDataset(t.name, inputs, t.labels, t.class_ids, t.splits)
+
+    @pytest.mark.parametrize("header, message", [
+        ("id,label,split,f0", "task CSV header must start with id,split,label"),
+        ("", "task CSV header must start with id,split,label"),
+        ("id,split,label", "no feature columns"),
+    ], ids=["misordered", "empty", "no_features"])
+    def test_csv_bad_header_names_the_file(self, tmp_path, header, message):
+        path = tmp_path / "task.csv"
+        path.write_text(f"{header}\n0,train,0\n" if header else "")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            TaskDataset.from_csv(path)
 
     def test_header_only_csv_keeps_its_feature_count(self, tmp_path):
         (t, _) = small_tasks()
@@ -421,6 +432,24 @@ class TestTraining:
         assert sorted(record.snapshots) == [0, 10, 20, 30, 40]
         assert record.snapshots[0].equal(model.ckpt)
         assert record.snapshots[40].equal(record.final)
+
+    def test_float32_model_trains_in_float64_and_returns_float32(self):
+        # The float32 run is the float64 run from the same start, rounded.
+        (t, _) = small_tasks()
+        model = ToyModel.init(0, t.dim, (16,), 8)
+        narrow = ToyModel(Checkpoint({n: a.astype(np.float32) for n, a in model.ckpt.items()},
+                                     model.ckpt.meta))
+        wide = ToyModel(Checkpoint({n: a.astype(np.float64) for n, a in narrow.ckpt.items()},
+                                   model.ckpt.meta))
+        cfg = quick_cfg(l2_init=0.05, ema_decay=0.9, snapshot_every=20)
+        r32, r64 = finetune(narrow, t, cfg), finetune(wide, t, cfg)
+        assert r32.losses == r64.losses
+        assert r32.snapshots[cfg.iterations] is r32.final
+        for a, b in [(r32.final, r64.final), *zip(r32.snapshots.values(),
+                                                  r64.snapshots.values()),
+                     *zip(r32.ema_snapshots.values(), r64.ema_snapshots.values())]:
+            assert a.dtype == np.float32 and a.meta == b.meta
+            assert a.flat().astype(np.float32).tobytes() == b.flat().astype(np.float32).tobytes()
 
     def test_ema_shadow_tracks(self):
         (t, _) = small_tasks()
