@@ -9,6 +9,7 @@ error, 2 runtime/data error.
 from __future__ import annotations
 
 import csv
+import glob
 import json
 import math
 import os
@@ -295,6 +296,10 @@ def cmd_patch(cfg):
     )
     selection = {k: cfg[k] for k in SELECTION_KEYS if k in cfg}
     # Every usage error is reported before anything is written, loaded or trained.
+    # `report` reads every patch result in a directory, so one run owns it.
+    earlier = sorted(glob.glob(os.path.join(glob.escape(out_dir), "patch_result*.json")))
+    if earlier:
+        raise ConfigError(f"{earlier[0]} exists: out_dir holds an earlier patch run")
     _as_usage_error(check_selection, selection)
     tc = train_config(cfg)
     # Every data error is reported before the output directory is created.

@@ -299,16 +299,13 @@ def run_patch(spec: PatchSpec) -> PatchResult:
 
 def reconstruct(result: PatchResult) -> Checkpoint:
     """Rebuild the patched checkpoint from its provenance; bit-exact."""
-    strategy = result.provenance["strategy"]
-    if strategy == "sequential":
-        current = result.zero_shot
-        for ft, alpha in zip(result.fine_tuned, result.provenance["alphas"]):
-            current = lerp(current, ft, alpha)
-        return current
-    if strategy == "parallel":
+    if result.provenance["strategy"] == "parallel":
         return multi_combine(result.zero_shot, result.fine_tuned,
                              result.provenance["alphas"])
-    return lerp(result.zero_shot, result.fine_tuned[0], result.provenance["alphas"][0])
+    current = result.zero_shot
+    for ft, alpha in zip(result.fine_tuned, result.provenance["alphas"]):
+        current = lerp(current, ft, alpha)
+    return current
 
 
 @dataclass

@@ -9,7 +9,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -254,8 +254,6 @@ class TrainConfig:
     weight_decay: float = 0.1
     seed: int = 0
     l2_init: float = 0.0
-    ema_decay: float | None = None
-    snapshot_every: int = 0
     constant_lr: bool = False
     hidden: tuple = (64, 64)
     embed_dim: int = 16
@@ -300,9 +298,7 @@ def lr_schedule(step, config: TrainConfig) -> float:
 @dataclass
 class TrainRecord:
     final: Checkpoint
-    snapshots: dict = field(default_factory=dict)
-    ema_snapshots: dict = field(default_factory=dict)
-    losses: list = field(default_factory=list)
+    losses: list
 
 
 def _meta_value(ckpt, key, cast):
@@ -386,10 +382,8 @@ class ToyModel:
         u *= self.logit_scale
         return u @ head.T
 
-    def loss_and_grad(self, ckpt, x, y_local, class_ids, init_ckpt=None, l2_init=0.0,
-                      out=None):
-        """Mean cross-entropy over scaled-similarity logits, plus an optional
-        l2_init * ||theta - theta_init||^2 penalty; returns (loss, grads).
+    def loss_and_grad(self, ckpt, x, y_local, class_ids, out=None):
+        """Mean cross-entropy over scaled-similarity logits; returns (loss, grads).
         `ckpt` is a Checkpoint or any mapping from tensor name to weights.
         `out`, a mapping from every tensor name to a writable float64 array of
         that tensor's shape, receives the gradients and is returned as grads."""
@@ -422,12 +416,6 @@ class ToyModel:
                 np.subtract(1.0, dtanh, out=dtanh)
                 dzi = dzi @ layers[i][0]
                 dzi *= dtanh
-
-        if l2_init > 0.0 and init_ckpt is not None:
-            for name, w in ckpt.items():
-                delta = w - init_ckpt[name]
-                loss += float(l2_init * np.sum(delta * delta))
-                grads[name] += 2.0 * l2_init * delta
         return loss, grads
 
 
@@ -478,47 +466,42 @@ def _local_labels(labels, class_ids):
     return np.asarray([index[int(y)] for y in labels], dtype=np.int64)
 
 
-def finetune(model: ToyModel, task: TaskDataset, config: TrainConfig) -> TrainRecord:
-    """AdamW with decoupled weight decay on cross-entropy; linear warmup then
-    cosine annealing; optional L2-to-init penalty and EMA shadow weights.
-    Trains in float64 and returns checkpoints in the dtype of `model.ckpt`."""
+def _adamw_steps(model: ToyModel, task: TaskDataset, config: TrainConfig, params):
+    """Train `params`, flat float64 weights laid out like `model.ckpt`, in
+    place: AdamW with decoupled weight decay on cross-entropy plus an optional
+    L2-to-init penalty toward `model.ckpt`; linear warmup then cosine
+    annealing. Yields each step's loss once the step has updated `params`."""
     rng = np.random.default_rng(config.seed)
     x_all, y_all = task.split_arrays("train")
     y_local = _local_labels(y_all, task.class_ids)
     batch = min(config.batch_size, len(y_local))
 
-    start = model.ckpt  # also the L2-to-init reference
-    # Flat float64 vectors, all updated in place: the weights, the gradient
-    # (written through its views by loss_and_grad), the AdamW moments, the
-    # EMA shadow, and two scratch vectors for the update.
-    params = start.flat().copy()
+    start = model.ckpt
     live = start.views(params)  # name -> view of params, for loss_and_grad
+    # Flat float64 vectors, all updated in place: the gradient (written
+    # through its views by loss_and_grad), the AdamW moments, and two
+    # scratch vectors for the update.
     grad = np.empty_like(params)
     grad_out = start.views(grad)
     m = np.zeros_like(params)
     v = np.zeros_like(params)
     upd = np.empty_like(params)
     tmp = np.empty_like(params)
-    ema = params.copy() if config.ema_decay is not None else None
     b1, b2 = _ADAM_BETAS
 
-    snapshots, ema_snapshots, losses = {}, {}, []
-    every = config.snapshot_every
-
-    def snapshot(done):
-        if every > 0 and (done % every == 0 or done == config.iterations):
-            snapshots[done] = start._like(params, start.meta)
-            if ema is not None:
-                ema_snapshots[done] = start._like(ema, start.meta)
-
-    snapshot(0)
     for step in range(config.iterations):
         idx = rng.choice(len(y_local), size=batch, replace=False)
         loss, _ = model.loss_and_grad(live, x_all[idx], y_local[idx], task.class_ids,
-                                      start, config.l2_init, out=grad_out)
+                                      out=grad_out)
+        if config.l2_init > 0.0:
+            # loss += l2_init * ||params - start||^2, summed per tensor in name
+            # order (one flat sum would round differently); grad += its gradient
+            delta = np.subtract(params, start.flat(), out=tmp)
+            for d in start.views(delta).values():
+                loss += float(config.l2_init * np.sum(d * d))
+            grad += np.multiply(delta, 2.0 * config.l2_init, out=delta)
         if not math.isfinite(loss):
             raise RuntimeError(f"non-finite loss at step {step}: {loss}")
-        losses.append(loss)
         lr = lr_schedule(step, config)
         t = step + 1
         # m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g * g
@@ -536,14 +519,19 @@ def finetune(model: ToyModel, task: TaskDataset, config: TrainConfig) -> TrainRe
         upd += np.multiply(params, config.weight_decay, out=tmp)
         upd *= lr
         params -= upd
-        if ema is not None:
-            # ema = decay * ema + (1 - decay) * params
-            ema *= config.ema_decay
-            ema += np.multiply(params, 1 - config.ema_decay, out=tmp)
-        snapshot(t)
+        yield loss
 
-    final = snapshots[config.iterations] if every > 0 else start._like(params, start.meta)
-    return TrainRecord(final, snapshots, ema_snapshots, losses)
+
+def finetune(model: ToyModel, task: TaskDataset, config: TrainConfig) -> TrainRecord:
+    """AdamW with decoupled weight decay on cross-entropy; linear warmup then
+    cosine annealing; optional L2-to-init penalty. Trains in float64 and
+    returns the final checkpoint, in the dtype of `model.ckpt`, and the loss
+    of every step."""
+    params = model.ckpt.flat().copy()
+    # A diverging run is reported once, by the non-finite-loss error.
+    with np.errstate(over="ignore", invalid="ignore"):
+        losses = list(_adamw_steps(model, task, config, params))
+    return TrainRecord(model.ckpt._like(params, model.ckpt.meta), losses)
 
 
 def pretrain(config: TrainConfig, base_tasks) -> ToyModel:
@@ -592,6 +580,7 @@ def _accuracies(model, task, split, weights, access_log, n_models):
 
 _L2_LADDER = (10.0, 1.0, 0.1, 0.01, 0.001)
 _LR_LADDER = (0.0, 0.01, 0.1, 0.3, 1.0)  # factors applied to the configured peak rate
+_EMA_DECAY = 0.99
 
 
 def _ladder_frontier(points):
@@ -600,46 +589,54 @@ def _ladder_frontier(points):
     return Frontier(pts, "fraction")
 
 
-def baseline_frontiers(model, task, supported_task, config: TrainConfig):
-    """Accuracy trade-off frontiers for the non-interpolation baselines.
+def _trajectory(model, task, config, every, ema_decay=None):
+    """Checkpoints of one `finetune` run, keyed by step, at step 0, every
+    `every` steps and the last step: of the weights or, given `ema_decay`, of
+    their EMA shadow (ema = decay * ema + (1 - decay) * weights after each
+    step). In the dtype of `model.ckpt`."""
+    start = model.ckpt
+    params = start.flat().copy()
+    tracked = params if ema_decay is None else params.copy()
+    snapshots = {0: start._like(tracked, start.meta)}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step, _ in enumerate(_adamw_steps(model, task, config, params), 1):
+            if ema_decay is not None:
+                tracked *= ema_decay
+                tracked += params * (1 - ema_decay)
+            if step % every == 0 or step == config.iterations:
+                snapshots[step] = start._like(tracked, start.meta)
+    return snapshots
+
+
+def baseline_frontiers(model, task, supported_task, config: TrainConfig, snapshot_every):
+    """Accuracy trade-off frontiers for the non-interpolation baselines. Early
+    stopping and the EMA shadow (decay 0.99, constant learning rate) are
+    scored every `snapshot_every` steps.
 
     Each frontier's alpha slot carries the baseline's own sweep parameter
     rescaled to [0, 1]; the dict key labels the method.
     """
-    if config.snapshot_every <= 0:
-        raise ValueError("config must request snapshots (snapshot_every > 0)")
+    if snapshot_every <= 0:
+        raise ValueError(f"snapshot_every must be > 0, got {snapshot_every}")
 
     def accs(ckpt):
         m = model.with_weights(ckpt)
         return evaluate(m, supported_task, "val"), evaluate(m, task, "val")
 
+    def trajectory_frontier(snapshots):
+        return Frontier([FrontierPoint(step / config.iterations, *accs(ckpt))
+                         for step, ckpt in sorted(snapshots.items())], "fraction")
+
     out = {}
-
-    record = finetune(model, task, config)
-    pts = [
-        FrontierPoint(step / config.iterations, *accs(ckpt))
-        for step, ckpt in sorted(record.snapshots.items())
-    ]
-    out["early_stopping"] = Frontier(pts, "fraction")
-
+    snapshots = _trajectory(model, task, config, snapshot_every)
+    out["early_stopping"] = trajectory_frontier(snapshots)
     out["l2_init"] = _ladder_frontier(
-        [accs(finetune(model, task, replace(config, l2_init=lam)).final) for lam in _L2_LADDER]
-    )
-
+        [accs(finetune(model, task, replace(config, l2_init=lam)).final) for lam in _L2_LADDER])
+    # The x1.0 rung trains the early-stopping run's config: reuse its weights.
     out["learning_rate"] = _ladder_frontier(
-        [
-            accs(finetune(model, task, replace(config, lr=config.lr * f)).final)
-            for f in _LR_LADDER
-        ]
-    )
-
-    ema_cfg = replace(
-        config, constant_lr=True, ema_decay=config.ema_decay if config.ema_decay is not None else 0.99
-    )
-    ema_record = finetune(model, task, ema_cfg)
-    pts = [
-        FrontierPoint(step / config.iterations, *accs(ckpt))
-        for step, ckpt in sorted(ema_record.ema_snapshots.items())
-    ]
-    out["ema"] = Frontier(pts, "fraction")
+        [accs(snapshots[config.iterations] if f == 1.0
+              else finetune(model, task, replace(config, lr=config.lr * f)).final)
+         for f in _LR_LADDER])
+    out["ema"] = trajectory_frontier(
+        _trajectory(model, task, replace(config, constant_lr=True), snapshot_every, _EMA_DECAY))
     return out

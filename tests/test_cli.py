@@ -298,6 +298,30 @@ class TestPretrainFinetunePatch:
         assert "two tasks are named 'task0'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning would fail the run
+    def test_diverging_run_reports_one_error_line(self, workspace, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(patch_args(workspace, out, ["--weight_decay", "1e300"])) == 2
+        assert capsys.readouterr().err == "error: non-finite loss at step 3: nan\n"
+
+    def test_out_dir_of_an_earlier_run_is_usage_error(self, workspace, tmp_path, capsys):
+        # A single run beside a sequential run's per-seed results would be
+        # dropped by `report`, so the second run is refused before it loads
+        # anything: its checkpoint is missing, which would exit 2.
+        out = tmp_path / "out"
+        args = patch_args(workspace, out, ["--strategy", "sequential", "--order_seeds", "0,1,2"])
+        args[args.index("--patching_tasks") + 1] = ",".join(
+            [str(workspace / "task1.csv"), str(workspace / "task2.csv")])
+        assert main(args) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        args = patch_args(workspace, out)
+        args[args.index("--zs_checkpoint") + 1] = str(tmp_path / "missing.ckpt")
+        assert main(args) == 1
+        assert capsys.readouterr().err == (
+            f"error: {out / 'patch_result.json'} exists: out_dir holds an earlier patch run\n")
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     def test_parallel_strategy(self, workspace, tmp_path):
         args = patch_args(workspace, tmp_path,
                           ["--strategy", "parallel", "--search", "uniform"])

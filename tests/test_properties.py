@@ -1,5 +1,6 @@
 """Property-based tests for the checkpoint container, weight arithmetic,
-stacked scoring, task-CSV parsing and the capped-simplex projection.
+stacked scoring, the patching strategies, task-CSV parsing and the
+capped-simplex projection.
 
 Examples are derandomized and nothing is stored between runs, so every run
 checks the same cases.
@@ -27,8 +28,11 @@ from paintkit import (
     load_checkpoint,
     multi_combine,
     patch_single,
+    reconstruct,
+    run_patch,
     save_checkpoint,
 )
+from paintkit.pipeline import SEARCHES, STRATEGIES
 from paintkit.search import project_capped_simplex, uniform_ray, uniform_ray_rows
 from paintkit.tensors import combine_rows, lerp_rows
 from paintkit.toylab import evaluate_stack
@@ -245,6 +249,47 @@ def test_sweep_scores_each_alpha_like_evaluate(models, grid):
     assert result.val_accuracies == dict(zip((sup.name, pat.name), val[result.coefficients[0]]))
     assert result.provenance["search_evaluations"] == len(grid)
     assert len(result.access_log["selection"]) == 2 * len(grid)
+
+
+PATCH_TASKS = generate_tasks(5, num_classes=7, dim=3, samples_per_class=10, noise_scale=0.8,
+                             partition=[(0, 1, 2), (3, 4), (5, 6)])
+PATCH_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
+
+
+# The search matters to the parallel strategy only.
+@pytest.mark.parametrize("strategy, search", [
+    *((strategy, "grid") for strategy in STRATEGIES if strategy != "parallel"),
+    *(("parallel", search) for search in SEARCHES)])
+@settings(PROPERTY, max_examples=8)
+@given(k=st.integers(1, 2), order_seeds=st.lists(st.integers(0, 9), min_size=1, max_size=3,
+                                                 unique=True), group_weighting=st.booleans())
+def test_every_strategy_selects_on_val_and_reconstructs(strategy, search, k, order_seeds,
+                                                        group_weighting):
+    # A pretrained model is not needed for these invariants: a fresh one and
+    # five training steps per fine-tune keep each example fast, and the high
+    # learning rate moves the selected coefficients off zero.
+    k = 1 if strategy == "single" else k
+    model = ToyModel.init(0, 3, (4,), embed_dim=4)
+    spec = PatchSpec(model=model, patching_tasks=PATCH_TASKS[1 : 1 + k],
+                     supported_tasks=PATCH_TASKS[:1], strategy=strategy,
+                     alpha_grid=list(PATCH_GRID), search=search, order_seeds=tuple(order_seeds),
+                     budget=4, group_weighting=group_weighting,
+                     train=TrainConfig(iterations=5, warmup=0, batch_size=4, lr=0.1,
+                                       hidden=(4,), embed_dim=4))
+    result = run_patch(spec)
+    assert len(result.per_seed) == (len(order_seeds) if strategy == "sequential" else 0)
+    for r in [result, *result.per_seed]:
+        assert same_bits(reconstruct(r), r.patched)
+        assert {split for _, split in r.access_log["selection"]} == {"val"}
+        assert {split for _, split in r.access_log["report"]} == {"test"}
+        coeffs = r.coefficients
+        if r.provenance["strategy"] != "parallel":
+            assert len(coeffs) == len(r.fine_tuned) and set(coeffs) <= set(PATCH_GRID)
+        elif search == "blackbox":
+            assert len(coeffs) == k and all(0.0 <= c <= 1.0 for c in coeffs)
+            assert sum(coeffs) <= 1.0 + 1e-12
+        else:
+            assert coeffs in {(beta / k,) * k for beta in PATCH_GRID}
 
 
 CSV_TASK = generate_tasks(3, num_classes=4, dim=2, samples_per_class=10, noise_scale=0.5,

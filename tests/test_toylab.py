@@ -21,7 +21,8 @@ from paintkit import (
     merge_tasks,
     pretrain,
 )
-from paintkit.toylab import _frozen_head
+from paintkit import toylab
+from paintkit.toylab import _frozen_head, _trajectory
 
 
 def small_tasks(seed=0, partition=((0, 1, 2), (3, 4)), noise=0.3, spc=20):
@@ -79,6 +80,45 @@ def reference_loss_and_grad(model, ckpt, x, y_local, class_ids, init_ckpt=None, 
             loss += float(l2_init * np.sum(delta * delta))
             grads[name] = grads[name] + 2.0 * l2_init * delta
     return loss, grads
+
+
+def reference_adamw(model, t, cfg, ema_decay, every):
+    """finetune and the baselines' trajectories as first written: AdamW
+    tensor by tensor on new arrays, with reference_loss_and_grad, an EMA
+    shadow and snapshots every `every` steps. The library must give the same
+    bits. Returns the losses, the final weights, and the snapshots and EMA
+    snapshots by step."""
+    rng = np.random.default_rng(cfg.seed)
+    x_all, y_all = t.split_arrays("train")
+    y_local = np.searchsorted(t.class_ids, y_all)
+    params = {n: a.copy() for n, a in model.ckpt.items()}
+    init = Checkpoint(params)
+    m = {n: np.zeros_like(a) for n, a in params.items()}
+    v = {n: np.zeros_like(a) for n, a in params.items()}
+    ema = {n: a.copy() for n, a in params.items()}
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    losses, snapshots, ema_snapshots = [], {}, {}
+    for step in range(cfg.iterations):
+        idx = rng.choice(len(y_local), size=cfg.batch_size, replace=False)
+        loss, grads = reference_loss_and_grad(
+            model, params, x_all[idx], y_local[idx], t.class_ids, init, cfg.l2_init)
+        losses.append(loss)
+        lr, t_ = lr_schedule(step, cfg), step + 1
+        for n, g in grads.items():
+            m[n] = b1 * m[n] + (1 - b1) * g
+            v[n] = b2 * v[n] + (1 - b2) * g * g
+            mhat, vhat = m[n] / (1 - b1**t_), v[n] / (1 - b2**t_)
+            params[n] = params[n] - lr * (
+                mhat / (np.sqrt(vhat) + eps) + cfg.weight_decay * params[n])
+            if ema_decay is not None:
+                ema[n] = ema_decay * ema[n] + (1 - ema_decay) * params[n]
+        if t_ % every == 0 or t_ == cfg.iterations:
+            snapshots[t_], ema_snapshots[t_] = Checkpoint(params), Checkpoint(ema)
+    return losses, Checkpoint(params), snapshots, ema_snapshots
+
+
+def bits(ckpt):
+    return [(n, a.tobytes()) for n, a in ckpt.items()]
 
 
 class TestFrozenHead:
@@ -425,13 +465,13 @@ class TestTraining:
         record = finetune(model, t, quick_cfg(iterations=150))
         assert np.mean(record.losses[-10:]) < np.mean(record.losses[:10])
 
-    def test_snapshots(self):
+    def test_trajectory_snapshots(self):
         (t, _) = small_tasks()
         model = ToyModel.init(0, t.dim, (16,), 8)
-        record = finetune(model, t, quick_cfg(iterations=40, snapshot_every=10))
-        assert sorted(record.snapshots) == [0, 10, 20, 30, 40]
-        assert record.snapshots[0].equal(model.ckpt)
-        assert record.snapshots[40].equal(record.final)
+        snapshots = _trajectory(model, t, quick_cfg(iterations=40), 10)
+        assert sorted(snapshots) == [0, 10, 20, 30, 40]
+        assert snapshots[0].equal(model.ckpt)
+        assert snapshots[40].equal(finetune(model, t, quick_cfg(iterations=40)).final)
 
     def test_float32_model_trains_in_float64_and_returns_float32(self):
         # The float32 run is the float64 run from the same start, rounded.
@@ -441,85 +481,63 @@ class TestTraining:
                                      model.ckpt.meta))
         wide = ToyModel(Checkpoint({n: a.astype(np.float64) for n, a in narrow.ckpt.items()},
                                    model.ckpt.meta))
-        cfg = quick_cfg(l2_init=0.05, ema_decay=0.9, snapshot_every=20)
+        cfg = quick_cfg(l2_init=0.05)
         r32, r64 = finetune(narrow, t, cfg), finetune(wide, t, cfg)
         assert r32.losses == r64.losses
-        assert r32.snapshots[cfg.iterations] is r32.final
-        for a, b in [(r32.final, r64.final), *zip(r32.snapshots.values(),
-                                                  r64.snapshots.values()),
-                     *zip(r32.ema_snapshots.values(), r64.ema_snapshots.values())]:
+        pairs = [(r32.final, r64.final)]
+        for decay in (None, 0.9):
+            s32, s64 = (_trajectory(m, t, cfg, 20, decay) for m in (narrow, wide))
+            assert sorted(s32) == sorted(s64) == [0, 20, 40]
+            pairs += [(s32[step], s64[step]) for step in s32]
+            if decay is None:
+                assert s32[cfg.iterations].equal(r32.final)
+        for a, b in pairs:
             assert a.dtype == np.float32 and a.meta == b.meta
             assert a.flat().astype(np.float32).tobytes() == b.flat().astype(np.float32).tobytes()
 
     def test_ema_shadow_tracks(self):
         (t, _) = small_tasks()
         model = ToyModel.init(0, t.dim, (16,), 8)
-        record = finetune(model, t, quick_cfg(ema_decay=0.9, snapshot_every=40))
-        assert 40 in record.ema_snapshots
+        ema_snapshots = _trajectory(model, t, quick_cfg(), 40, ema_decay=0.9)
+        assert 40 in ema_snapshots
         # shadow lags the raw weights toward the initialization
-        raw = record.final.flat() - model.ckpt.flat()
-        ema = record.ema_snapshots[40].flat() - model.ckpt.flat()
+        raw = finetune(model, t, quick_cfg()).final.flat() - model.ckpt.flat()
+        ema = ema_snapshots[40].flat() - model.ckpt.flat()
         assert np.linalg.norm(ema) < np.linalg.norm(raw)
 
     def test_ema_decay_zero_equals_raw(self):
         (t, _) = small_tasks()
         model = ToyModel.init(0, t.dim, (16,), 8)
-        record = finetune(model, t, quick_cfg(ema_decay=0.0, snapshot_every=40))
-        assert np.allclose(record.ema_snapshots[40].flat(), record.final.flat())
+        ema_snapshots = _trajectory(model, t, quick_cfg(), 40, ema_decay=0.0)
+        assert np.allclose(ema_snapshots[40].flat(), finetune(model, t, quick_cfg()).final.flat())
 
-    @pytest.mark.parametrize("l2_init, ema_decay", [(0.0, None), (0.0, 0.9), (0.05, None),
-                                                    (0.05, 0.9)],
-                             ids=["plain", "ema", "l2", "l2-ema"])
-    def test_matches_per_tensor_adamw_reference(self, l2_init, ema_decay):
+    @pytest.mark.parametrize("l2_init", [0.0, 0.05], ids=["plain", "l2"])
+    def test_finetune_matches_per_tensor_adamw_reference(self, l2_init):
         # finetune updates flat vectors in place; the same arithmetic done
         # tensor by tensor on new arrays, with the reference loss_and_grad,
         # must give the same bits.
         (t, _) = small_tasks()
         model = ToyModel.init(0, t.dim, (16, 8), 8)
-        cfg = quick_cfg(l2_init=l2_init, ema_decay=ema_decay, snapshot_every=15)
+        cfg = quick_cfg(l2_init=l2_init)
         record = finetune(model, t, cfg)
-
-        rng = np.random.default_rng(cfg.seed)
-        x_all, y_all = t.split_arrays("train")
-        y_local = np.searchsorted(t.class_ids, y_all)
-        params = {n: a.copy() for n, a in model.ckpt.items()}
-        init = Checkpoint(params)
-        m = {n: np.zeros_like(a) for n, a in params.items()}
-        v = {n: np.zeros_like(a) for n, a in params.items()}
-        ema = {n: a.copy() for n, a in params.items()}
-        b1, b2, eps = 0.9, 0.999, 1e-8
-        losses, snapshots, ema_snapshots = [], {}, {}
-        for step in range(cfg.iterations):
-            idx = rng.choice(len(y_local), size=cfg.batch_size, replace=False)
-            loss, grads = reference_loss_and_grad(
-                model, params, x_all[idx], y_local[idx], t.class_ids, init, cfg.l2_init)
-            losses.append(loss)
-            lr, t_ = lr_schedule(step, cfg), step + 1
-            for n, g in grads.items():
-                m[n] = b1 * m[n] + (1 - b1) * g
-                v[n] = b2 * v[n] + (1 - b2) * g * g
-                mhat, vhat = m[n] / (1 - b1**t_), v[n] / (1 - b2**t_)
-                params[n] = params[n] - lr * (
-                    mhat / (np.sqrt(vhat) + eps) + cfg.weight_decay * params[n])
-                if ema_decay is not None:
-                    ema[n] = ema_decay * ema[n] + (1 - ema_decay) * params[n]
-            if t_ % cfg.snapshot_every == 0 or t_ == cfg.iterations:
-                snapshots[t_], ema_snapshots[t_] = Checkpoint(params), Checkpoint(ema)
-
-        def bits(ckpt):
-            return [(n, a.tobytes()) for n, a in ckpt.items()]
-
+        losses, final, _, _ = reference_adamw(model, t, cfg, None, 15)
         assert record.losses == losses
-        assert bits(record.final) == bits(Checkpoint(params))
-        assert sorted(record.snapshots) == [0, *sorted(snapshots)]
-        for step, ckpt in snapshots.items():
-            assert bits(record.snapshots[step]) == bits(ckpt)
-            if ema_decay is not None:
-                assert bits(record.ema_snapshots[step]) == bits(ema_snapshots[step])
-        assert bool(record.ema_snapshots) == (ema_decay is not None)
+        assert bits(record.final) == bits(final)
 
-    @pytest.mark.parametrize("l2_init", [0.0, 0.3])
-    def test_loss_and_grad_matches_reference(self, l2_init):
+    @pytest.mark.parametrize("ema_decay", [None, 0.9], ids=["raw", "ema"])
+    def test_trajectory_matches_per_tensor_adamw_reference(self, ema_decay):
+        (t, _) = small_tasks()
+        model = ToyModel.init(0, t.dim, (16, 8), 8)
+        cfg = quick_cfg(l2_init=0.05)
+        tracked = _trajectory(model, t, cfg, 15, ema_decay)
+        _, _, snapshots, ema_snapshots = reference_adamw(model, t, cfg, ema_decay, 15)
+        expected = snapshots if ema_decay is None else ema_snapshots
+        assert sorted(tracked) == [0, *sorted(expected)]
+        assert bits(tracked[0]) == bits(model.ckpt)
+        for step, ckpt in expected.items():
+            assert bits(tracked[step]) == bits(ckpt)
+
+    def test_loss_and_grad_matches_reference(self):
         # Fewer temporaries, and gradients written into caller-owned views
         # through `out`, must not change a bit of the loss or the gradients.
         (t, _) = small_tasks()
@@ -529,12 +547,12 @@ class TestTraining:
         init = model.ckpt
         ckpt = Checkpoint({n: a + 0.01 * (i + 1) for i, (n, a) in enumerate(init.items())})
         expected_loss, expected = reference_loss_and_grad(
-            model, ckpt, x[:13], y_local[:13], t.class_ids, init, l2_init)
+            model, ckpt, x[:13], y_local[:13], t.class_ids)
         flat = np.full(init.num_params, np.nan)
         out = init.views(flat)
         for kwargs in ({}, {"out": out}):
             loss, grads = model.loss_and_grad(ckpt, x[:13], y_local[:13], t.class_ids,
-                                              init, l2_init, **kwargs)
+                                              **kwargs)
             assert loss == expected_loss
             assert sorted(grads) == sorted(expected)
             for name, g in expected.items():
@@ -616,8 +634,7 @@ class TestPretrain:
 def setup():
     sup, pat = small_tasks(noise=0.2)
     model = pretrain(quick_cfg(iterations=150), [sup])
-    cfg = quick_cfg(iterations=60, snapshot_every=15)
-    return model, pat, sup, baseline_frontiers(model, pat, sup, cfg)
+    return model, pat, sup, baseline_frontiers(model, pat, sup, quick_cfg(iterations=60), 15)
 
 
 class TestBaselineFrontiers:
@@ -644,7 +661,31 @@ class TestBaselineFrontiers:
         assert p0.supported_acc == pytest.approx(evaluate(model, sup, "val"))
         assert p0.patching_acc == pytest.approx(evaluate(model, pat, "val"))
 
+    def test_lr_factor_one_is_the_early_stopping_run(self, setup):
+        _, _, _, frontiers = setup
+        last = frontiers["early_stopping"].points[-1]
+        rung = frontiers["learning_rate"].points[-1]
+        assert (rung.supported_acc, rung.patching_acc) == (last.supported_acc,
+                                                           last.patching_acc)
+
+    def test_runs_eleven_fine_tunes(self, setup, monkeypatch):
+        # Early stopping and EMA are trajectories of one run each; the
+        # learning-rate ladder's x1.0 rung reuses the early-stopping run.
+        model, pat, sup, frontiers = setup
+        runs = []
+        steps = toylab._adamw_steps
+
+        def counted(*args):
+            runs.append(args[2])
+            return steps(*args)
+
+        monkeypatch.setattr(toylab, "_adamw_steps", counted)
+        again = baseline_frontiers(model, pat, sup, quick_cfg(iterations=60), 15)
+        assert len({repr(config) for config in runs}) == len(runs) == 11
+        assert {name: f.points for name, f in again.items()} == {
+            name: f.points for name, f in frontiers.items()}
+
     def test_requires_snapshots(self, setup):
         model, pat, sup, _ = setup
-        with pytest.raises(ValueError):
-            baseline_frontiers(model, pat, sup, quick_cfg(snapshot_every=0))
+        with pytest.raises(ValueError, match="snapshot_every must be > 0, got 0"):
+            baseline_frontiers(model, pat, sup, quick_cfg(), 0)

@@ -20,18 +20,22 @@ Sections (ROADMAP's outputs that must not change):
 - ``pipeline``: every strategy on a small lab: single, joint, sequential over
   order seeds 0-2 and group-weighted, parallel uniform and black-box at k=2
   and k=3.
-- ``training``: ``pretrain`` and ``finetune`` (plain, L2-to-init with EMA,
-  constant-lr EMA, float32 weights): final weights, every snapshot and EMA
-  snapshot, and the losses.
+- ``training``: ``pretrain`` and ``finetune`` (plain, L2-to-init, constant
+  lr, float32 weights): final weights and the losses. The L2-to-init and
+  constant-lr runs keep the names ``l2_init_ema`` and ``constant_lr_ema``
+  from when ``finetune`` also kept an EMA shadow, so that their digests
+  compare across revisions.
 - ``baselines``: every point of the four ``baseline_frontiers`` frontiers
-  (early stopping, L2-to-init, learning-rate ladder, EMA) on the training
-  lab's classes, with 100 noisier examples per class.
+  (early stopping, L2-to-init, learning-rate ladder, EMA), snapshots every
+  20 steps, on the training lab's classes, with 100 noisier examples per
+  class.
 
 A patch result's digest covers the patched weights, coefficients, frontier,
 provenance, val and test accuracies, per-seed results, ``reconstruct``, and
 the number of val and test evaluations per task (not their order). BLAS is
 pinned to one thread before numpy is imported. Only public paintkit names are
-used, so the script runs unchanged on older revisions.
+used. A revision whose ``baseline_frontiers`` reads its snapshot interval
+from ``TrainConfig`` needs the script of its own revision.
 """
 
 from __future__ import annotations
@@ -107,8 +111,6 @@ def _result(pk, result):
 def _record(record):
     return {
         "final": _ckpt(record.final),
-        "snapshots": {str(k): _ckpt(c) for k, c in sorted(record.snapshots.items())},
-        "ema_snapshots": {str(k): _ckpt(c) for k, c in sorted(record.ema_snapshots.items())},
         "losses": _json_sha(record.losses),
     }
 
@@ -219,11 +221,10 @@ def training(pk):
     wide32 = pk.ToyModel(pk.Checkpoint({n: a.astype("float32") for n, a in model.ckpt.items()},
                                        model.ckpt.meta))
     runs = {
-        "plain": (model, replace(base, snapshot_every=20)),
-        "l2_init_ema": (model, replace(base, l2_init=0.05, ema_decay=0.9, snapshot_every=15)),
-        "constant_lr_ema": (model, replace(base, constant_lr=True, ema_decay=0.99,
-                                           snapshot_every=30)),
-        "float32": (wide32, replace(base, snapshot_every=30)),
+        "plain": (model, base),
+        "l2_init_ema": (model, replace(base, l2_init=0.05)),
+        "constant_lr_ema": (model, replace(base, constant_lr=True)),
+        "float32": (wide32, base),
     }
     out = {"pretrain": _ckpt(model.ckpt)}
     out.update({name: _record(pk.finetune(m, tasks[1], cfg)) for name, (m, cfg) in runs.items()})
@@ -235,8 +236,7 @@ def baselines(pk):
     # to a ladder's minibatches shows in the frontiers; on the 20-sample lab
     # it did not.
     tasks, base, model = _training_lab(pk, samples_per_class=100, noise_scale=1.5)
-    frontiers = pk.baseline_frontiers(model, tasks[1], tasks[0],
-                                      replace(base, snapshot_every=20))
+    frontiers = pk.baseline_frontiers(model, tasks[1], tasks[0], base, snapshot_every=20)
     return {name: _frontier(f) for name, f in frontiers.items()}
 
 
