@@ -231,11 +231,12 @@ def load_tasks(paths_text, width=None):
 
 def cmd_gen_tasks(cfg):
     (out_dir,) = require(cfg, "out_dir")
-    # Every usage error is reported before the output directory is created.
+    # Each command creates its output directory only once it has something to
+    # write, so a run that fails leaves none behind.
     if "split_source" in cfg:
         (task,) = load_tasks(cfg["split_source"])
-        os.makedirs(out_dir, exist_ok=True)
         proto = split_task(task, cfg.get("seed", 0))
+        os.makedirs(out_dir, exist_ok=True)
         for sub in (proto.task_a, proto.task_b):
             sub.to_csv(os.path.join(out_dir, f"{sub.name}.csv"))
             print(f"wrote {os.path.join(out_dir, sub.name + '.csv')}")
@@ -255,8 +256,8 @@ def cmd_pretrain(cfg):
     tasks_text, out_dir = require(cfg, "pretrain_tasks", "out_dir")
     tc = train_config(cfg)
     tasks = load_tasks(tasks_text)
-    os.makedirs(out_dir, exist_ok=True)
     model = pretrain(tc, tasks)
+    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "zero_shot.ckpt")
     save_checkpoint(model.ckpt, path)
     print(f"wrote {path}")
@@ -268,8 +269,8 @@ def cmd_finetune(cfg):
     tc = train_config(cfg)
     model = ToyModel(load_checkpoint(ckpt_path))
     (task,) = load_tasks(task_text, model.in_dim)
-    os.makedirs(out_dir, exist_ok=True)
     record = finetune(model, task, tc)
+    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"finetuned_{task.name}.ckpt")
     save_checkpoint(record.final, path)
     print(f"wrote {path}")
@@ -302,15 +303,13 @@ def cmd_patch(cfg):
         raise ConfigError(f"{earlier[0]} exists: out_dir holds an earlier patch run")
     _as_usage_error(check_selection, selection)
     tc = train_config(cfg)
-    # Every data error is reported before the output directory is created.
     model = ToyModel(load_checkpoint(ckpt_path))
     patching = load_tasks(patching_text, model.in_dim)
     supported = load_tasks(supported_text, model.in_dim)
     spec = PatchSpec(model=model, patching_tasks=patching, supported_tasks=supported,
                      train=tc, **selection)
-    os.makedirs(out_dir, exist_ok=True)
     result = run_patch(spec)
-
+    os.makedirs(out_dir, exist_ok=True)
     save_checkpoint(result.patched, os.path.join(out_dir, "patched.ckpt"))
     result.frontier.to_csv(os.path.join(out_dir, "frontier.csv"))
     atomic_write_json(os.path.join(out_dir, "patch_result.json"),

@@ -318,15 +318,8 @@ class SplitProtocol:
 
 def _subset_task(task, keep_classes, name):
     keep = np.isin(task.labels, list(keep_classes))
-    new_index = np.full(len(task.labels), -1, dtype=np.int64)
-    new_index[keep] = np.arange(int(keep.sum()))
-    splits = {}
-    for split, idx in task.splits.items():
-        kept = [int(new_index[i]) for i in idx if keep[i]]
-        splits[split] = kept
-    return TaskDataset(
-        name, task.inputs[keep], task.labels[keep], tuple(sorted(keep_classes)), splits
-    )
+    return TaskDataset(name, task.inputs[keep], task.labels[keep],
+                       tuple(sorted(keep_classes)), task.row_splits[keep])
 
 
 def split_task(task: TaskDataset, seed: int) -> SplitProtocol:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -51,18 +51,24 @@ def _frozen_head(class_ids, dim):
 
 @dataclass
 class TaskDataset:
-    """Labeled examples with train/val/test splits in a global class-id space."""
+    """Labeled examples in a global class-id space. `row_splits` names each
+    row's split (train, val, test or any other name; "" for none), as the
+    task CSV's split column does; `splits` maps each named split to its
+    ascending row indices."""
 
     name: str
     inputs: np.ndarray
     labels: np.ndarray
     class_ids: tuple
-    splits: dict
+    row_splits: np.ndarray
+    splits: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         self.inputs = np.asarray(self.inputs, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         self.class_ids = tuple(int(c) for c in self.class_ids)
+        # Python strings: a fixed-width numpy str array drops trailing NULs.
+        self.row_splits = np.asarray(self.row_splits, dtype=object)
         if not set(self.labels.tolist()) <= set(self.class_ids):
             raise ValueError(f"task {self.name!r}: label outside class_ids")
         if min(self.class_ids, default=0) < 0:
@@ -70,24 +76,14 @@ class TaskDataset:
         if not np.isfinite(self.inputs).all():
             row, col = np.argwhere(~np.isfinite(self.inputs))[0]
             raise ValueError(f"task {self.name!r}: row {row}: feature {col} is not finite")
-        n = len(self.labels)
-        seen = set()
-        for split, idx in self.splits.items():
-            idx = np.asarray(idx, dtype=np.int64)
-            self.splits[split] = idx
-            where = f"task {self.name!r}: split {split!r}"
-            if idx.size == 0:
-                raise ValueError(f"task {self.name!r}: empty split {split!r}")
-            outside = idx[(idx < 0) | (idx >= n)]
-            if outside.size:
-                raise ValueError(f"{where}: index {outside[0]} outside [0, {n})")
-            members = set(idx.tolist())
-            if len(members) != idx.size:
-                values, counts = np.unique(idx, return_counts=True)
-                raise ValueError(f"{where}: index {values[counts > 1][0]} repeated")
-            if seen & members:
-                raise ValueError(f"task {self.name!r}: overlapping split indices")
-            seen |= members
+        if self.row_splits.shape != self.labels.shape:
+            raise ValueError(f"task {self.name!r}: {self.row_splits.size} split cells "
+                             f"for {self.labels.size} rows")
+        # Compared as Python strings: numpy would cast a str to np.str_ first.
+        rows = {}
+        for i, split in enumerate(self.row_splits.tolist()):
+            rows.setdefault(split, []).append(i)
+        self.splits = {s: np.array(idx, dtype=np.int64) for s, idx in rows.items() if s}
 
     @property
     def dim(self):
@@ -101,16 +97,12 @@ class TaskDataset:
         with atomic_open(path, "w", newline="") as f:
             w = csv.writer(f)
             w.writerow(["id", "split", "label"] + [f"f{i}" for i in range(self.dim)])
-            split_of = {int(i): split for split, idx in self.splits.items() for i in idx}
-            for i in range(len(self.labels)):
-                w.writerow(
-                    [i, split_of.get(i, ""), int(self.labels[i])]
-                    + [repr(float(v)) for v in self.inputs[i]]
-                )
+            for i, (split, label, x) in enumerate(zip(self.row_splits, self.labels, self.inputs)):
+                w.writerow([i, split, int(label)] + [repr(float(v)) for v in x])
 
     @classmethod
     def from_csv(cls, path, name=None):
-        inputs, labels, splits = [], [], {"train": [], "val": [], "test": []}
+        inputs, labels, row_splits = [], [], []
         with open(path, newline="") as f:
             reader = csv.reader(f)
             header = next(reader, [])
@@ -135,8 +127,7 @@ class TaskDataset:
                         _bad_cell(path, reader.line_num, header, row, len(labels))) from None
                 inputs.append(features)
                 labels.append(label)
-                if split:
-                    splits.setdefault(split, []).append(i)
+                row_splits.append(split)
         labels = np.asarray(labels, dtype=np.int64)
         class_ids = tuple(sorted(set(labels.tolist())))
         return cls(
@@ -144,7 +135,7 @@ class TaskDataset:
             np.asarray(inputs, dtype=np.float64).reshape(len(labels), len(header) - 3),
             labels,
             class_ids,
-            {k: v for k, v in splits.items() if v},
+            row_splits,
         )
 
 
@@ -191,30 +182,23 @@ def generate_tasks(seed, num_classes, dim, samples_per_class, noise_scale, parti
         for c in group:
             if not 0 <= c < num_classes:
                 raise ValueError(f"class id {c} outside [0, {num_classes})")
+    n_train = int(round(0.8 * samples_per_class))
+    n_val = int(round(0.1 * samples_per_class))
+    class_splits = (["train"] * n_train + ["val"] * n_val
+                    + ["test"] * (samples_per_class - n_train - n_val))
     rng = np.random.default_rng(seed)
     means = rng.standard_normal((num_classes, dim)) * 2.0
     tasks = []
     for t, group in enumerate(partition):
-        inputs, labels = [], []
-        splits = {"train": [], "val": [], "test": []}
-        for c in group:
-            noise = rng.standard_normal((samples_per_class, dim)) * noise_scale
-            start = len(labels)
-            inputs.append(means[c] + noise)
-            labels.extend([c] * samples_per_class)
-            n_train = int(round(0.8 * samples_per_class))
-            n_val = int(round(0.1 * samples_per_class))
-            idx = np.arange(start, start + samples_per_class)
-            splits["train"].extend(idx[:n_train])
-            splits["val"].extend(idx[n_train : n_train + n_val])
-            splits["test"].extend(idx[n_train + n_val :])
+        inputs = [means[c] + rng.standard_normal((samples_per_class, dim)) * noise_scale
+                  for c in group]
         tasks.append(
             TaskDataset(
                 name=f"task{t}",
                 inputs=np.concatenate(inputs),
-                labels=np.asarray(labels),
+                labels=np.repeat(group, samples_per_class),
                 class_ids=tuple(group),
-                splits=splits,
+                row_splits=class_splits * len(group),
             )
         )
     return tasks
@@ -236,13 +220,8 @@ def merge_tasks(tasks, name="merged"):
             raise ValueError(f"duplicate example across tasks (label {min(shared)[-1]})")
         rows |= own
     class_ids = tuple(sorted({c for t in tasks for c in t.class_ids}))
-    splits = {"train": [], "val": [], "test": []}
-    offset = 0
-    for t in tasks:
-        for split in splits:
-            splits[split].extend(t.splits[split] + offset)
-        offset += len(t.labels)
-    return TaskDataset(name, inputs, labels, class_ids, splits)
+    row_splits = np.concatenate([t.row_splits for t in tasks])
+    return TaskDataset(name, inputs, labels, class_ids, row_splits)
 
 
 @dataclass
@@ -268,8 +247,9 @@ class TrainConfig:
         for name in ("lr", "weight_decay", "l2_init"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if self.lr < 0:
-            raise ValueError("lr must be >= 0")
+        for name in ("lr", "l2_init"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if min(self.hidden, default=1) < 1:
@@ -618,6 +598,9 @@ def baseline_frontiers(model, task, supported_task, config: TrainConfig, snapsho
     """
     if snapshot_every <= 0:
         raise ValueError(f"snapshot_every must be > 0, got {snapshot_every}")
+    if config.iterations < 1:  # each frontier needs its alpha=1 point
+        raise ValueError(f"iterations must be >= 1 for baseline frontiers, "
+                         f"got {config.iterations}")
 
     def accs(ckpt):
         m = model.with_weights(ckpt)
@@ -633,8 +616,9 @@ def baseline_frontiers(model, task, supported_task, config: TrainConfig, snapsho
     out["l2_init"] = _ladder_frontier(
         [accs(finetune(model, task, replace(config, l2_init=lam)).final) for lam in _L2_LADDER])
     # The x1.0 rung trains the early-stopping run's config: reuse its weights.
+    # At lr 0 every update is +-0, so the x0.0 rung scores the start weights.
     out["learning_rate"] = _ladder_frontier(
-        [accs(snapshots[config.iterations] if f == 1.0
+        [accs(model.ckpt if f == 0.0 else snapshots[config.iterations] if f == 1.0
               else finetune(model, task, replace(config, lr=config.lr * f)).final)
          for f in _LR_LADDER])
     out["ema"] = trajectory_frontier(

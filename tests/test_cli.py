@@ -303,6 +303,31 @@ class TestPretrainFinetunePatch:
         out = tmp_path / "out"
         assert main(patch_args(workspace, out, ["--weight_decay", "1e300"])) == 2
         assert capsys.readouterr().err == "error: non-finite loss at step 3: nan\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["pretrain", "finetune", "split_source"])
+    def test_failed_run_leaves_no_out_dir(self, workspace, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        train = ["--out_dir", str(out), "--iterations", "60", "--batch_size", "32",
+                 "--lr", "0.01", "--warmup", "5", "--hidden", "16", "--embed_dim", "8",
+                 "--weight_decay", "1e300"]
+        if command == "pretrain":
+            args = ["pretrain", "--pretrain_tasks", str(workspace / "task0.csv"), *train]
+        elif command == "finetune":
+            args = ["finetune", "--zs_checkpoint", str(workspace / "zero_shot.ckpt"),
+                    "--task", str(workspace / "task1.csv"), *train]
+        else:
+            task = TaskDataset.from_csv(workspace / "task1.csv")
+            keep = task.labels == 4
+            TaskDataset("one", task.inputs[keep], task.labels[keep], (4,),
+                        task.row_splits[keep]).to_csv(tmp_path / "one.csv")
+            args = ["gen-tasks", "--split_source", str(tmp_path / "one.csv"),
+                    "--out_dir", str(out)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert ("single-class" if command == "split_source" else "non-finite loss") in err
+        assert not out.exists()
 
     def test_out_dir_of_an_earlier_run_is_usage_error(self, workspace, tmp_path, capsys):
         # A single run beside a sequential run's per-seed results would be
@@ -372,9 +397,11 @@ class TestPretrainFinetunePatch:
         (["pretrain", "--warmup", "-2"], "warmup"),
         (["pretrain", "--logit_scale", "0"], "logit_scale"),
         (["--logit_scale", "-3"], "logit_scale"),
+        (["finetune", "--l2_init", "-1"], "l2_init"),
+        (["--l2_init", "-0.5"], "l2_init"),
     ], ids=["patch_seed", "pretrain_seed", "finetune_seed", "split_seed", "order_seeds",
             "patch_hidden", "pretrain_hidden", "embed_dim", "iterations", "warmup",
-            "logit_scale_0", "logit_scale_negative"])
+            "logit_scale_0", "logit_scale_negative", "finetune_l2_init", "patch_l2_init"])
     def test_out_of_range_setting_is_usage_error_naming_it(self, workspace, tmp_path,
                                                            capsys, extra, key):
         assert main(command_args(workspace, tmp_path, extra)) == 1

@@ -22,12 +22,22 @@ def test_digests_are_deterministic():
     spec = importlib.util.spec_from_file_location("output_digests", SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    argv = ["--section", "pipeline", "--section", "training", "--section", "baselines"]
+    argv = ["--section", "pipeline", "--section", "training", "--section", "baselines",
+            "--section", "tasks"]
     first = run(module, argv)
     assert run(module, argv) == first
     digests = json.loads(first)
-    assert set(digests) == {"pipeline", "training", "baselines"}
+    assert set(digests) == {"pipeline", "training", "baselines", "tasks"}
     assert all(r["reconstruct_equal"] for r in digests["pipeline"].values())
     assert len(digests["pipeline"]["sequential"]["per_seed"]) == 3
     assert set(digests["training"]["l2_init_ema"]) == {"final", "losses"}
     assert set(digests["baselines"]) == {"early_stopping", "l2_init", "learning_rate", "ema"}
+    labs = digests["tasks"]
+    assert set(labs) == {"cli_single", "pipeline", "training", "baselines",
+                         *(f"sequential_dense_seed{seed}" for seed in (0, 1, 2))}
+    for lab in labs.values():
+        names = {name for name in lab if not name.endswith("_csv")}
+        assert {"merged", "split_A", "split_B", "task0", "task1"} <= names
+        assert set(lab) == names | {f"{name}_csv" for name in names}
+        # Every task reads back from its CSV with the same digest.
+        assert all(lab[name] == lab[f"{name}_csv"] for name in names)

@@ -25,12 +25,14 @@ from paintkit import (
     evaluate,
     generate_tasks,
     lerp,
+    merge_tasks,
     load_checkpoint,
     multi_combine,
     patch_single,
     reconstruct,
     run_patch,
     save_checkpoint,
+    split_task,
 )
 from paintkit.pipeline import SEARCHES, STRATEGIES
 from paintkit.search import project_capped_simplex, uniform_ray, uniform_ray_rows
@@ -209,7 +211,8 @@ def toy_models(draw, dtype=None):
 @given(toy_models(), grids, st.sets(st.integers(0, len(TASK.labels) - 1), min_size=1))
 def test_stacked_scoring_equals_evaluate_per_row(models, grid, rows):
     zs, ft = (m.ckpt for m in models)
-    task = TaskDataset("t", TASK.inputs, TASK.labels, TASK.class_ids, {"val": sorted(rows)})
+    task = TaskDataset("t", TASK.inputs, TASK.labels, TASK.class_ids,
+                       ["val" if i in rows else "" for i in range(len(TASK.labels))])
     stack = lerp_rows(zs, ft, grid)
     log = []
     accs = evaluate_stack(models[0], stack, task, "val", log)
@@ -309,8 +312,7 @@ cells = st.one_of(
 def same_task(a, b):
     return (a.inputs.tobytes() == b.inputs.tobytes() and a.inputs.shape == b.inputs.shape
             and np.array_equal(a.labels, b.labels) and a.class_ids == b.class_ids
-            and {k: v.tolist() for k, v in a.splits.items()}
-            == {k: v.tolist() for k, v in b.splits.items()})
+            and a.row_splits.tolist() == b.row_splits.tolist())
 
 
 @settings(PROPERTY, max_examples=30)  # each example loads every mutated cell
@@ -334,6 +336,38 @@ def test_each_task_csv_cell_mutation_roundtrips_or_names_the_file(path, cell):
             continue
         task.to_csv(copy)
         assert same_task(TaskDataset.from_csv(copy), task), (r, c)
+
+
+PAIR = generate_tasks(5, num_classes=4, dim=2, samples_per_class=10, noise_scale=0.5,
+                      partition=[(0, 1), (2, 3)])
+# Split cells: the usual names, none, and names CSV must quote or that end
+# in a NUL.
+split_cells = st.one_of(st.sampled_from(["", "train", "val", "test"]),
+                        st.text(alphabet="ab ,\"\r\n\0é", max_size=4))
+split_columns = st.lists(split_cells, min_size=20, max_size=20)
+
+
+def rows_by_split(column):
+    return {s: [i for i, cell in enumerate(column) if cell == s] for s in set(column) if s}
+
+
+@settings(PROPERTY, max_examples=30)
+@given(split_columns, split_columns, st.integers(0, 9))
+@example(col_a=["train\0", "a,b", "", "val"] * 5, col_b=["val", "train", "", "x\n"] * 5, seed=0)
+def test_split_column_survives_csv_merge_and_split_task(path, col_a, col_b, seed):
+    a, b = (TaskDataset(t.name, t.inputs, t.labels, t.class_ids, col)
+            for t, col in zip(PAIR, (col_a, col_b)))
+    merged = merge_tasks([a, b])
+    assert merged.row_splits.tolist() == col_a + col_b
+    proto = split_task(merged, seed)
+    halves = [(half, [cell for cell, label in zip(col_a + col_b, merged.labels)
+                      if label in half.class_ids]) for half in (proto.task_a, proto.task_b)]
+    for task, column in [(a, col_a), (b, col_b), (merged, col_a + col_b), *halves]:
+        assert task.row_splits.tolist() == column
+        assert {s: idx.tolist() for s, idx in task.splits.items()} == rows_by_split(column)
+        assert all(idx.dtype == np.int64 for idx in task.splits.values())
+        task.to_csv(path)
+        assert TaskDataset.from_csv(path).row_splits.tolist() == column
 
 
 vectors = st.lists(st.floats(-2.0, 3.0), min_size=1, max_size=8).map(np.array)

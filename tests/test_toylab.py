@@ -260,17 +260,13 @@ class TestGenerateTasks:
         with pytest.raises(ValueError):
             generate_tasks(0, 3, 4, 20, 0.3, [(0, 5)])
 
-    @pytest.mark.parametrize("split, edit, message", [
-        ("test", lambda i: i + 1, "split 'test': index 60 outside [0, 60)"),
-        ("train", lambda i: np.where(i == 0, -1, i), "split 'train': index -1 outside [0, 60)"),
-        ("val", lambda i: np.where(i == i[1], i[0], i), "split 'val': index 16 repeated"),
-    ], ids=["shifted", "negative", "repeated"])
-    def test_bad_split_indices_rejected(self, split, edit, message):
+    @pytest.mark.parametrize("cells", [59, 61], ids=["short", "long"])
+    def test_split_column_length_mismatch_rejected(self, cells):
         (t, _) = small_tasks()
-        splits = {s: np.array(i) for s, i in t.splits.items()}
-        splits[split] = edit(splits[split])
-        with pytest.raises(ValueError, match=re.escape(f"task 'task0': {message}")):
-            TaskDataset(t.name, t.inputs, t.labels, t.class_ids, splits)
+        row_splits = (list(t.row_splits) * 2)[:cells]
+        with pytest.raises(ValueError, match=re.escape(
+                f"task 'task0': {cells} split cells for 60 rows")):
+            TaskDataset(t.name, t.inputs, t.labels, t.class_ids, row_splits)
 
     @pytest.mark.parametrize("column, cell, kind", [
         (0, "7.5", "int"), (2, "x", "int"), (4, "abc", "float"),
@@ -298,7 +294,7 @@ class TestGenerateTasks:
         class_ids = (-5, *t.class_ids[1:])
         with pytest.raises(ValueError, match=re.escape(
                 "task 'task0': class id -5 is negative")):
-            TaskDataset(t.name, t.inputs, labels, class_ids, t.splits)
+            TaskDataset(t.name, t.inputs, labels, class_ids, t.row_splits)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_feature_names_task_and_row(self, value):
@@ -307,7 +303,7 @@ class TestGenerateTasks:
         inputs[7, 2] = value
         with pytest.raises(ValueError, match=re.escape(
                 "task 'task0': row 7: feature 2 is not finite")):
-            TaskDataset(t.name, inputs, t.labels, t.class_ids, t.splits)
+            TaskDataset(t.name, inputs, t.labels, t.class_ids, t.row_splits)
 
     @pytest.mark.parametrize("header, message", [
         ("id,label,split,f0", "task CSV header must start with id,split,label"),
@@ -335,6 +331,7 @@ class TestGenerateTasks:
         assert np.array_equal(t.inputs, u.inputs)
         assert np.array_equal(t.labels, u.labels)
         assert t.class_ids == u.class_ids
+        assert list(t.row_splits) == list(u.row_splits)
         for s in ("train", "val", "test"):
             assert np.array_equal(t.splits[s], u.splits[s])
 
@@ -380,7 +377,7 @@ class TestMergeTasks:
         n = len(b.labels)
         c = TaskDataset("c", np.vstack([b.inputs, a.inputs[:1]]),
                         np.append(b.labels, a.labels[0]), (0, *b.class_ids),
-                        {**b.splits, "train": np.append(b.splits["train"], n)})
+                        [*b.row_splits, "train"])
         with pytest.raises(ValueError, match=re.escape("duplicate example across tasks "
                                                        "(label 0)")):
             merge_tasks([(a, c)[i] for i in order])
@@ -422,6 +419,8 @@ class TestLrSchedule:
             TrainConfig(**{name: value})
 
     @pytest.mark.parametrize("settings, message", [
+        ({"lr": -1e-3}, "lr must be >= 0"),
+        ({"l2_init": -1.0}, "l2_init must be >= 0"),
         ({"iterations": -3, "warmup": -4}, "iterations must be >= 0, got -3"),
         ({"warmup": -2}, "warmup must be >= 0, got -2"),
         ({"seed": -1}, "seed must be >= 0, got -1"),
@@ -668,9 +667,17 @@ class TestBaselineFrontiers:
         assert (rung.supported_acc, rung.patching_acc) == (last.supported_acc,
                                                            last.patching_acc)
 
-    def test_runs_eleven_fine_tunes(self, setup, monkeypatch):
+    def test_lr_zero_run_keeps_the_start_weights(self, setup):
+        # Why the x0.0 rung is not trained: every update is +-0.
+        model, pat, _, _ = setup
+        final = finetune(model, pat, quick_cfg(iterations=60, lr=0.0)).final
+        for name, arr in model.ckpt.items():
+            assert np.array_equal(final[name], arr)
+
+    def test_runs_ten_fine_tunes(self, setup, monkeypatch):
         # Early stopping and EMA are trajectories of one run each; the
-        # learning-rate ladder's x1.0 rung reuses the early-stopping run.
+        # learning-rate ladder's x1.0 rung reuses the early-stopping run and
+        # its x0.0 rung scores the start weights.
         model, pat, sup, frontiers = setup
         runs = []
         steps = toylab._adamw_steps
@@ -681,7 +688,8 @@ class TestBaselineFrontiers:
 
         monkeypatch.setattr(toylab, "_adamw_steps", counted)
         again = baseline_frontiers(model, pat, sup, quick_cfg(iterations=60), 15)
-        assert len({repr(config) for config in runs}) == len(runs) == 11
+        assert len({repr(config) for config in runs}) == len(runs) == 10
+        assert all(config.lr > 0 for config in runs)
         assert {name: f.points for name, f in again.items()} == {
             name: f.points for name, f in frontiers.items()}
 
@@ -689,3 +697,10 @@ class TestBaselineFrontiers:
         model, pat, sup, _ = setup
         with pytest.raises(ValueError, match="snapshot_every must be > 0, got 0"):
             baseline_frontiers(model, pat, sup, quick_cfg(), 0)
+
+    def test_requires_a_training_step(self, setup, monkeypatch):
+        model, pat, sup, _ = setup
+        monkeypatch.setattr(toylab, "_adamw_steps", None)  # nothing may train
+        with pytest.raises(ValueError, match=re.escape(
+                "iterations must be >= 1 for baseline frontiers, got 0")):
+            baseline_frontiers(model, pat, sup, quick_cfg(iterations=0, warmup=0), 15)

@@ -29,6 +29,11 @@ Sections (ROADMAP's outputs that must not change):
   (early stopping, L2-to-init, learning-rate ladder, EMA), snapshots every
   20 steps, on the training lab's classes, with 100 noisier examples per
   class.
+- ``tasks``: the tasks of every lab above as ``generate_tasks`` builds them,
+  their ``merge_tasks``, both ``split_task`` halves of the first task (seed
+  7), and each of those after a ``to_csv``/``from_csv`` round trip: inputs,
+  labels, class ids and each split's row indices (read through
+  ``task.splits``).
 
 A patch result's digest covers the patched weights, coefficients, frontier,
 provenance, val and test accuracies, per-seed results, ``reconstruct``, and
@@ -115,6 +120,22 @@ def _record(record):
     }
 
 
+def _task(task):
+    return _json_sha({
+        "inputs": [str(task.inputs.dtype), task.inputs.shape, _sha(task.inputs.tobytes())],
+        "labels": [str(task.labels.dtype), task.labels.tolist()],
+        "class_ids": list(task.class_ids),
+        "splits": {name: [str(idx.dtype), idx.tolist()] for name, idx in task.splits.items()},
+    })
+
+
+# The generate_tasks arguments of ``cli_single``'s lab, and its partition as
+# gen-tasks reads it.
+CLI_LAB = {"seed": 0, "num_classes": 25, "dim": 16, "samples_per_class": 20,
+           "noise_scale": 0.5}
+CLI_PARTITION = "0-19|20-24"
+
+
 def cli_single(pk):
     with tempfile.TemporaryDirectory() as root:
         tasks = os.path.join(root, "tasks")
@@ -124,9 +145,8 @@ def cli_single(pk):
         report = os.path.join(root, "report")
         common = ["--lr", "0.01", "--hidden", "32,32", "--seed", "0"]
         commands = [
-            ["gen-tasks", "--out_dir", tasks, "--seed", "0", "--num_classes", "25",
-             "--dim", "16", "--samples_per_class", "20", "--noise_scale", "0.5",
-             "--tasks", "0-19|20-24"],
+            ["gen-tasks", "--out_dir", tasks, "--tasks", CLI_PARTITION,
+             *[arg for key, value in CLI_LAB.items() for arg in (f"--{key}", str(value))]],
             ["pretrain", "--pretrain_tasks", os.path.join(tasks, "task0.csv"),
              "--out_dir", root, "--iterations", "300", "--warmup", "20", *common],
             ["patch", "--zs_checkpoint", os.path.join(root, "zero_shot.ckpt"),
@@ -161,11 +181,14 @@ def cli_single(pk):
     return out
 
 
+def _sequential_tasks(pk, seed):
+    return pk.generate_tasks(seed, 64, 16, 20, 0.5, [list(range(60)), [60, 61], [62, 63]])
+
+
 def sequential_dense(pk):
     out = {}
     for seed in (0, 1, 2):
-        groups = [list(range(60)), [60, 61], [62, 63]]
-        tasks = pk.generate_tasks(seed, 64, 16, 20, 0.5, groups)
+        tasks = _sequential_tasks(pk, seed)
 
         def cfg(iterations, warmup):
             return pk.TrainConfig(iterations=iterations, batch_size=64, lr=1e-2,
@@ -181,9 +204,13 @@ def sequential_dense(pk):
     return out
 
 
+def _pipeline_tasks(pk):
+    return pk.generate_tasks(0, num_classes=10, dim=8, samples_per_class=20, noise_scale=0.3,
+                             partition=((0, 1, 2, 3), (4, 5), (6, 7), (8, 9)))
+
+
 def pipeline(pk):
-    tasks = pk.generate_tasks(0, num_classes=10, dim=8, samples_per_class=20, noise_scale=0.3,
-                              partition=((0, 1, 2, 3), (4, 5), (6, 7), (8, 9)))
+    tasks = _pipeline_tasks(pk)
     model = pk.pretrain(pk.TrainConfig(iterations=150, batch_size=32, lr=1e-2, warmup=10,
                                        hidden=(16,), embed_dim=8, seed=0), [tasks[0]])
     train = pk.TrainConfig(iterations=60, batch_size=32, lr=1e-2, warmup=5,
@@ -207,10 +234,14 @@ def pipeline(pk):
     return {name: _result(pk, pk.run_patch(s)) for name, s in runs.items()}
 
 
+def _training_tasks(pk, samples_per_class, noise_scale):
+    return pk.generate_tasks(1, num_classes=6, dim=6, samples_per_class=samples_per_class,
+                             noise_scale=noise_scale, partition=((0, 1, 2, 3), (4, 5)))
+
+
 def _training_lab(pk, samples_per_class=20, noise_scale=0.4):
     """Tasks, base config and pretrained model of ``training`` and ``baselines``."""
-    tasks = pk.generate_tasks(1, num_classes=6, dim=6, samples_per_class=samples_per_class,
-                              noise_scale=noise_scale, partition=((0, 1, 2, 3), (4, 5)))
+    tasks = _training_tasks(pk, samples_per_class, noise_scale)
     base = pk.TrainConfig(iterations=60, batch_size=16, lr=1e-2, warmup=5,
                           hidden=(16, 8), embed_dim=8, seed=3)
     return tasks, base, pk.pretrain(base, [tasks[0]])
@@ -240,8 +271,34 @@ def baselines(pk):
     return {name: _frontier(f) for name, f in frontiers.items()}
 
 
+def tasks(pk):
+    labs = {
+        "cli_single": pk.generate_tasks(
+            **CLI_LAB, partition=pk.cli.parse_partition(CLI_PARTITION)),
+        **{f"sequential_dense_seed{seed}": _sequential_tasks(pk, seed) for seed in (0, 1, 2)},
+        "pipeline": _pipeline_tasks(pk),
+        "training": _training_tasks(pk, 20, 0.4),
+        "baselines": _training_tasks(pk, 100, 1.5),
+    }
+    out = {}
+    with tempfile.TemporaryDirectory() as root:
+        for lab, generated in labs.items():
+            proto = pk.split_task(generated[0], 7)
+            built = {**{t.name: t for t in generated},
+                     "merged": pk.merge_tasks(generated),
+                     "split_A": proto.task_a, "split_B": proto.task_b}
+            out[lab] = {}
+            for name, task in built.items():
+                path = os.path.join(root, f"{lab}_{name}.csv")
+                task.to_csv(path)
+                out[lab][name] = _task(task)
+                out[lab][f"{name}_csv"] = _task(pk.TaskDataset.from_csv(path))
+    return out
+
+
 SECTIONS = {"cli_single": cli_single, "sequential_dense": sequential_dense,
-            "pipeline": pipeline, "training": training, "baselines": baselines}
+            "pipeline": pipeline, "training": training, "baselines": baselines,
+            "tasks": tasks}
 
 
 def main(argv=None):
