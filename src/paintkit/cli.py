@@ -211,6 +211,19 @@ def train_config(cfg):
     return _as_usage_error(TrainConfig, **{k: v for k, v in cfg.items() if k in TRAIN_KEYS})
 
 
+def load_model(path, cfg):
+    """The ToyModel in the checkpoint at `path`. The checkpoint fixes the
+    model's shape and logit scale, so a hidden, embed_dim or logit_scale
+    setting in `cfg` that differs from it is a usage error instead of being
+    ignored. Unset keys go unchecked."""
+    model = ToyModel(load_checkpoint(path))
+    for key in ("hidden", "embed_dim", "logit_scale"):
+        held = getattr(model, key)
+        if key in cfg and cfg[key] != held:
+            raise ConfigError(f"{key} is {cfg[key]}, but {path} has {key} {held}")
+    return model
+
+
 def load_tasks(paths_text, width=None):
     """The tasks of comma-separated CSV paths. A task without a train, val or
     test split, or without `width` features per example (default: the first
@@ -267,7 +280,7 @@ def cmd_pretrain(cfg):
 def cmd_finetune(cfg):
     ckpt_path, task_text, out_dir = require(cfg, "zs_checkpoint", "task", "out_dir")
     tc = train_config(cfg)
-    model = ToyModel(load_checkpoint(ckpt_path))
+    model = load_model(ckpt_path, cfg)
     (task,) = load_tasks(task_text, model.in_dim)
     record = finetune(model, task, tc)
     os.makedirs(out_dir, exist_ok=True)
@@ -303,7 +316,7 @@ def cmd_patch(cfg):
         raise ConfigError(f"{earlier[0]} exists: out_dir holds an earlier patch run")
     _as_usage_error(check_selection, selection)
     tc = train_config(cfg)
-    model = ToyModel(load_checkpoint(ckpt_path))
+    model = load_model(ckpt_path, cfg)
     patching = load_tasks(patching_text, model.in_dim)
     supported = load_tasks(supported_text, model.in_dim)
     spec = PatchSpec(model=model, patching_tasks=patching, supported_tasks=supported,

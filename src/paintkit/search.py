@@ -68,17 +68,11 @@ def default_grid():
     return [round(i * 0.05, 10) for i in range(21)]
 
 
-def uniform_ray(zs, fts, beta):
-    """The checkpoint at `beta` on the ray from zs toward the average of the
-    fine-tuned checkpoints, combined from per-model coefficients beta/k so it
-    is bit-equal to the model those coefficients select."""
-    k = len(fts)
-    return multi_combine(zs, fts, [beta / k] * k)
-
-
 def uniform_ray_rows(zs, fts, betas):
-    """The stack whose row i holds the weights of uniform_ray(zs, fts, betas[i])
-    (see tensors.combine_rows)."""
+    """The stack whose row i holds the weights at betas[i] on the ray from zs
+    toward the average of the fine-tuned checkpoints, combined from per-model
+    coefficients beta/k so that it is bit-equal to the model those
+    coefficients select (see tensors.combine_rows)."""
     k = len(fts)
     return combine_rows(zs, fts, [[beta / k] * k for beta in betas])
 
@@ -96,7 +90,7 @@ def uniform_search_parallel(zs, fts, eval_model, grid) -> SearchResult:
 
     def objective(coeffs):
         (beta,) = coeffs
-        return eval_model(uniform_ray(zs, fts, beta))
+        return eval_model(multi_combine(zs, fts, [beta / k] * k))
 
     result = grid_search_1d(SearchObjective(objective), grid)
     (beta_star,) = result.best

@@ -1,5 +1,8 @@
 """Named tensor collections, a portable binary checkpoint container, and
-weight-space arithmetic (interpolation, combination, similarity)."""
+weight-space arithmetic (interpolation, combination, similarity).
+
+Arithmetic that returns a checkpoint gives it the first operand's meta, so
+a patched model loads like the model it was patched from."""
 
 from __future__ import annotations
 
@@ -78,9 +81,10 @@ class Checkpoint:
             raise error(f"non-finite element in tensor {name!r}")
         return self
 
-    def _like(self, vec, meta):
-        """A checkpoint with this layout and dtype over a copy of the flat `vec`."""
-        return Checkpoint.__new__(Checkpoint)._adopt(vec.astype(self.dtype), self._layout, meta)
+    def _like(self, vec):
+        """A checkpoint with this layout, dtype and meta over a copy of the flat `vec`."""
+        return Checkpoint.__new__(Checkpoint)._adopt(vec.astype(self.dtype), self._layout,
+                                                     self.meta)
 
     def views(self, vec):
         """Name -> view of the flat vector `vec`, laid out like this checkpoint.
@@ -237,15 +241,10 @@ def load_checkpoint(path) -> Checkpoint:
         raise FormatError(f"invalid tensor shape: {exc}") from None
 
 
-def _ident(ckpt):
-    return ckpt.meta.get("model_id", "")
-
-
 def lerp(zs: Checkpoint, ft: Checkpoint, alpha: float) -> Checkpoint:
-    """(1-alpha)*zs + alpha*ft elementwise. Endpoints are exact copies."""
+    """(1-alpha)*zs + alpha*ft elementwise, with zs's meta. Endpoints are exact copies."""
     (row,) = lerp_rows(zs, ft, [alpha])
-    meta = {"alpha": repr(float(alpha)), "parent_zs": _ident(zs), "parent_ft": _ident(ft)}
-    return zs._like(row, meta)
+    return zs._like(row)
 
 
 def lerp_rows(zs: Checkpoint, ft: Checkpoint, alphas) -> np.ndarray:
@@ -266,15 +265,9 @@ def lerp_rows(zs: Checkpoint, ft: Checkpoint, alphas) -> np.ndarray:
 
 
 def multi_combine(zs: Checkpoint, fts, alphas) -> Checkpoint:
-    """(1 - sum(alphas))*zs + sum_i alphas[i]*fts[i]."""
-    alphas = [float(a) for a in alphas]
+    """(1 - sum(alphas))*zs + sum_i alphas[i]*fts[i], with zs's meta."""
     (row,) = combine_rows(zs, fts, [alphas])
-    meta = {
-        "alphas": ",".join(repr(a) for a in alphas),
-        "parent_zs": _ident(zs),
-        "parent_fts": ";".join(_ident(ft) for ft in fts),
-    }
-    return zs._like(row, meta)
+    return zs._like(row)
 
 
 def combine_rows(zs: Checkpoint, fts, alpha_rows) -> np.ndarray:
@@ -303,7 +296,7 @@ def combine_rows(zs: Checkpoint, fts, alpha_rows) -> np.ndarray:
 
 
 def average(fts) -> Checkpoint:
-    """Elementwise arithmetic mean of a nonempty list of checkpoints."""
+    """Elementwise mean of a nonempty list of checkpoints, with the first one's meta."""
     fts = list(fts)
     if not fts:
         raise ValueError("empty checkpoint list")
@@ -311,7 +304,7 @@ def average(fts) -> Checkpoint:
     for other in fts[1:]:
         validate_compatible(first, other)
     mean = sum(ft.flat() for ft in fts) / len(fts)
-    return first._like(mean, {"average_of": ";".join(_ident(ft) for ft in fts)})
+    return first._like(mean)
 
 
 def cosine_similarity(a: Checkpoint, b: Checkpoint) -> float:

@@ -247,7 +247,7 @@ class TrainConfig:
         for name in ("lr", "weight_decay", "l2_init"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        for name in ("lr", "l2_init"):
+        for name in ("lr", "weight_decay", "l2_init"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         if self.batch_size < 1:
@@ -329,6 +329,11 @@ class ToyModel:
     def in_dim(self):
         """The number of input features the encoder takes."""
         return self.ckpt[self._names[0][0]].shape[1]
+
+    @property
+    def hidden(self):
+        """The widths of the encoder's hidden layers."""
+        return tuple(self.ckpt[w].shape[0] for w, _ in self._names[:-1])
 
     def with_weights(self, ckpt: Checkpoint):
         """Same architecture and head, different trainable weights."""
@@ -511,7 +516,7 @@ def finetune(model: ToyModel, task: TaskDataset, config: TrainConfig) -> TrainRe
     # A diverging run is reported once, by the non-finite-loss error.
     with np.errstate(over="ignore", invalid="ignore"):
         losses = list(_adamw_steps(model, task, config, params))
-    return TrainRecord(model.ckpt._like(params, model.ckpt.meta), losses)
+    return TrainRecord(model.ckpt._like(params), losses)
 
 
 def pretrain(config: TrainConfig, base_tasks) -> ToyModel:
@@ -577,14 +582,14 @@ def _trajectory(model, task, config, every, ema_decay=None):
     start = model.ckpt
     params = start.flat().copy()
     tracked = params if ema_decay is None else params.copy()
-    snapshots = {0: start._like(tracked, start.meta)}
+    snapshots = {0: start._like(tracked)}
     with np.errstate(over="ignore", invalid="ignore"):
         for step, _ in enumerate(_adamw_steps(model, task, config, params), 1):
             if ema_decay is not None:
                 tracked *= ema_decay
                 tracked += params * (1 - ema_decay)
             if step % every == 0 or step == config.iterations:
-                snapshots[step] = start._like(tracked, start.meta)
+                snapshots[step] = start._like(tracked)
     return snapshots
 
 

@@ -268,6 +268,55 @@ class TestPretrainFinetunePatch:
         assert len(result["coefficients"]) == 2
         assert result["averaged_test_accuracies"]
 
+    @pytest.mark.parametrize("strategy", ["single", "joint", "sequential", "parallel"])
+    def test_patched_checkpoint_starts_a_later_run(self, workspace, tmp_path, strategy):
+        # Patching one task after another across runs: a later finetune or
+        # patch starts from an earlier run's patched.ckpt.
+        first = tmp_path / "first"
+        args = patch_args(workspace, first, ["--strategy", strategy])
+        if strategy != "single":
+            args[args.index("--patching_tasks") + 1] = ",".join(
+                [str(workspace / "task1.csv"), str(workspace / "task2.csv")])
+        assert main(args) == 0
+        patched = first / "patched.ckpt"
+        zs = load_checkpoint(workspace / "zero_shot.ckpt")
+        assert load_checkpoint(patched).meta == zs.meta
+        second = patch_args(workspace, tmp_path / "second", ["--strategy", "single"])
+        second[second.index("--zs_checkpoint") + 1] = str(patched)
+        assert main(second) == 0
+        training = second[second.index("--iterations"):second.index("--strategy")]
+        assert main(["finetune", "--zs_checkpoint", str(patched), "--task",
+                     str(workspace / "task2.csv"), "--out_dir", str(tmp_path / "ft"),
+                     *training]) == 0
+
+    @pytest.mark.parametrize("command, key, value, shown, held", [
+        ("patch", "hidden", "999,1", "(999, 1)", "(16,)"),
+        ("patch", "embed_dim", "3", "3", "8"),
+        ("patch", "logit_scale", "1", "1.0", "20.0"),
+        ("finetune", "hidden", "16,16", "(16, 16)", "(16,)"),
+        ("finetune", "embed_dim", "16", "16", "8"),
+        ("finetune", "logit_scale", "20.5", "20.5", "20.0"),
+    ])
+    def test_model_setting_unlike_the_checkpoint_is_usage_error(
+            self, workspace, tmp_path, capsys, command, key, value, shown, held):
+        out = tmp_path / "out"
+        if command == "patch":
+            args = patch_args(workspace, out, [f"--{key}", value])
+        else:
+            args = ["finetune", "--zs_checkpoint", str(workspace / "zero_shot.ckpt"),
+                    "--task", str(workspace / "task1.csv"), "--out_dir", str(out),
+                    f"--{key}", value]
+        assert main(args) == 1
+        assert capsys.readouterr().err == (
+            f"error: {key} is {shown}, but {workspace / 'zero_shot.ckpt'} has {key} {held}\n")
+        assert not out.exists()
+
+    def test_model_settings_like_the_checkpoint_are_accepted(self, workspace, tmp_path):
+        assert main(["finetune", "--zs_checkpoint", str(workspace / "zero_shot.ckpt"),
+                     "--task", str(workspace / "task1.csv"), "--out_dir", str(tmp_path),
+                     "--iterations", "10", "--warmup", "2", "--hidden", "16",
+                     "--embed_dim", "8", "--logit_scale", "20"]) == 0
+
     def test_float32_zero_shot_patches_in_float32(self, workspace, tmp_path):
         zs = load_checkpoint(workspace / "zero_shot.ckpt")
         zs32 = Checkpoint({n: a.astype(np.float32) for n, a in zs.items()}, zs.meta)
@@ -399,9 +448,12 @@ class TestPretrainFinetunePatch:
         (["--logit_scale", "-3"], "logit_scale"),
         (["finetune", "--l2_init", "-1"], "l2_init"),
         (["--l2_init", "-0.5"], "l2_init"),
+        (["finetune", "--weight_decay", "-5"], "weight_decay"),
+        (["--weight_decay", "-0.1"], "weight_decay"),
     ], ids=["patch_seed", "pretrain_seed", "finetune_seed", "split_seed", "order_seeds",
             "patch_hidden", "pretrain_hidden", "embed_dim", "iterations", "warmup",
-            "logit_scale_0", "logit_scale_negative", "finetune_l2_init", "patch_l2_init"])
+            "logit_scale_0", "logit_scale_negative", "finetune_l2_init", "patch_l2_init",
+            "finetune_weight_decay", "patch_weight_decay"])
     def test_out_of_range_setting_is_usage_error_naming_it(self, workspace, tmp_path,
                                                            capsys, extra, key):
         assert main(command_args(workspace, tmp_path, extra)) == 1

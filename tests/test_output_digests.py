@@ -31,6 +31,11 @@ def test_digests_are_deterministic():
     assert all(r["reconstruct_equal"] for r in digests["pipeline"].values())
     assert len(digests["pipeline"]["sequential"]["per_seed"]) == 3
     assert set(digests["training"]["l2_init_ema"]) == {"final", "losses"}
+    # A checkpoint's weights and meta are digested apart.
+    assert set(digests["training"]["pretrain"]) == {"weights", "meta"}
+    # Every strategy's patched checkpoint keeps the zero-shot model's meta.
+    metas = {r["patched"]["meta"] for r in digests["pipeline"].values()}
+    assert metas == {digests["pipeline"]["single"]["fine_tuned"][0]["meta"]}
     assert set(digests["baselines"]) == {"early_stopping", "l2_init", "learning_rate", "ema"}
     labs = digests["tasks"]
     assert set(labs) == {"cli_single", "pipeline", "training", "baselines",

@@ -35,7 +35,7 @@ from paintkit import (
     split_task,
 )
 from paintkit.pipeline import SEARCHES, STRATEGIES
-from paintkit.search import project_capped_simplex, uniform_ray, uniform_ray_rows
+from paintkit.search import project_capped_simplex, uniform_ray_rows
 from paintkit.tensors import combine_rows, lerp_rows
 from paintkit.toylab import evaluate_stack
 
@@ -189,7 +189,7 @@ def test_combine_and_ray_rows_hold_multi_combine_bits(cs, betas):
         ray = uniform_ray_rows(zs, fts, betas)
         assert ray.tobytes() == rows.tobytes()
         for beta, row in zip(betas, ray):
-            assert row.astype(np.float64).tobytes() == bits(uniform_ray(zs, fts, beta))
+            assert row.astype(np.float64).tobytes() == bits(multi_combine(zs, fts, [beta / k] * k))
 
 
 TASK = generate_tasks(4, num_classes=5, dim=3, samples_per_class=10, noise_scale=0.8,

@@ -11,8 +11,12 @@ from paintkit import (
     FormatError,
     Frontier,
     FrontierPoint,
+    ToyModel,
+    TrainConfig,
     average,
     cosine_similarity,
+    finetune,
+    generate_tasks,
     l1_mean_distance,
     lerp,
     load_checkpoint,
@@ -250,14 +254,6 @@ class TestLerp:
             right = lerp(b, a, 1.0 - alpha).flat()
             assert np.max(np.abs(left - right)) < 1e-12
 
-    def test_meta_records_alpha_and_parents(self):
-        a = Checkpoint({"w": np.zeros(1)}, {"model_id": "zs"})
-        b = Checkpoint({"w": np.ones(1)}, {"model_id": "ft"})
-        out = lerp(a, b, 0.25)
-        assert out.meta["alpha"] == "0.25"
-        assert out.meta["parent_zs"] == "zs"
-        assert out.meta["parent_ft"] == "ft"
-
 
 class TestMultiCombine:
     def test_reduces_to_lerp(self, rng):
@@ -320,6 +316,23 @@ class TestAverage:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             average([])
+
+
+def test_weight_arithmetic_and_finetune_keep_the_first_meta():
+    # A patched checkpoint loads as the model it was patched from.
+    (task,) = generate_tasks(0, num_classes=2, dim=3, samples_per_class=10, noise_scale=0.5,
+                             partition=[(0, 1)])
+    model = ToyModel.init(0, task.dim, hidden=(4,), embed_dim=2)
+    zs = model.ckpt
+    ft = finetune(model, task, TrainConfig(iterations=3, warmup=0, batch_size=4)).final
+    assert ft.meta == zs.meta
+    other = ft.with_meta({"tag": "ft"})
+    for out in (lerp(zs, other, 0.25), lerp(zs, other, 1.0),
+                multi_combine(zs, [other, other], [0.25, 0.5]), average([zs, other])):
+        assert out.meta == zs.meta
+        assert ToyModel(out).hidden == (4,)
+    assert lerp(other, zs, 0.0).meta == average([other, zs]).meta == {"tag": "ft"}
+    assert multi_combine(other, [zs], [1.0]).meta == {"tag": "ft"}
 
 
 class TestSimilarity:

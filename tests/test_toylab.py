@@ -430,6 +430,7 @@ class TestLrSchedule:
         ({"logit_scale": -3.0}, "logit_scale must be positive and finite, got -3.0"),
         ({"logit_scale": math.nan}, "logit_scale must be positive and finite, got nan"),
         ({"logit_scale": math.inf}, "logit_scale must be positive and finite, got inf"),
+        ({"weight_decay": -5.0}, "weight_decay must be >= 0"),
     ])
     def test_out_of_range_setting_rejected(self, settings, message):
         with pytest.raises(ValueError, match=re.escape(message)):

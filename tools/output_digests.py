@@ -12,9 +12,10 @@ Sections (ROADMAP's outputs that must not change):
 - ``cli_single``: ``paintkit gen-tasks``, ``pretrain``, ``finetune``, ``patch
   --strategy single``, ``gen-tasks --split_source`` and ``report`` on the
   patch output, on the criterion-7 toy, seed 0 (split seed 7): the bytes of
-  every task CSV and checkpoint, ``frontier.csv`` and ``scatter.csv``,
-  ``patch_result.json`` without its timestamp, and the ``experiments`` of
-  ``report.json`` (its ``scatter_csv`` is a temporary path).
+  every task CSV and checkpoint, each checkpoint as loaded, ``frontier.csv``
+  and ``scatter.csv``, ``patch_result.json`` without its timestamp, and the
+  ``experiments`` of ``report.json`` (its ``scatter_csv`` is a temporary
+  path).
 - ``sequential_dense``: ``patch_sequential`` on the 60-class supported task,
   two patching tasks and a 51-point grid, seeds 0-2.
 - ``pipeline``: every strategy on a small lab: single, joint, sequential over
@@ -35,12 +36,15 @@ Sections (ROADMAP's outputs that must not change):
   labels, class ids and each split's row indices (read through
   ``task.splits``).
 
-A patch result's digest covers the patched weights, coefficients, frontier,
-provenance, val and test accuracies, per-seed results, ``reconstruct``, and
-the number of val and test evaluations per task (not their order). BLAS is
-pinned to one thread before numpy is imported. Only public paintkit names are
-used. A revision whose ``baseline_frontiers`` reads its snapshot interval
-from ``TrainConfig`` needs the script of its own revision.
+Each checkpoint is digested as two fields: ``weights`` (tensor names, dtype,
+shapes and bits) and ``meta``, so that a change to its metadata alone reads
+as one. A patch result's digest covers the patched checkpoint, coefficients,
+frontier, provenance, val and test accuracies, per-seed results,
+``reconstruct``, and the number of val and test evaluations per task (not
+their order). BLAS is pinned to one thread before numpy is imported. Only
+public paintkit names are used. A revision whose ``baseline_frontiers``
+reads its snapshot interval from ``TrainConfig`` needs the script of its own
+revision.
 """
 
 from __future__ import annotations
@@ -78,13 +82,12 @@ def _json_sha(obj) -> str:
     return _sha(json.dumps(obj, sort_keys=True).encode())
 
 
-def _ckpt(ckpt) -> str:
+def _ckpt(ckpt) -> dict:
     h = hashlib.sha256()
     for name, arr in ckpt.items():
         h.update(f"{name}|{arr.dtype}|{arr.shape}|".encode())
         h.update(arr.tobytes())
-    h.update(json.dumps(ckpt.meta, sort_keys=True).encode())
-    return h.hexdigest()[:32]
+    return {"weights": h.hexdigest()[:32], "meta": _json_sha(ckpt.meta)}
 
 
 def _frontier(frontier) -> str:
@@ -172,6 +175,8 @@ def cli_single(pk):
                      os.path.join(report, "scatter.csv")):
             with open(path, "rb") as f:
                 out[os.path.relpath(path, root)] = _sha(f.read())
+            if path.endswith(".ckpt"):
+                out[os.path.relpath(path, root) + ":loaded"] = _ckpt(pk.load_checkpoint(path))
         with open(os.path.join(patch, "patch_result.json")) as f:
             result = json.load(f)
         result.pop("timestamp")
