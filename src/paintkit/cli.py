@@ -224,6 +224,15 @@ def load_model(path, cfg):
     return model
 
 
+def one_path(cfg, key):
+    """cfg[key], a key that names one task CSV; comma-separated paths are a
+    usage error naming the key."""
+    count = len(cfg[key].split(","))
+    if count != 1:
+        raise ConfigError(f"{key} takes one path, got {count}: {cfg[key]!r}")
+    return cfg[key]
+
+
 def load_tasks(paths_text, width=None):
     """The tasks of comma-separated CSV paths. A task without a train, val or
     test split, or without `width` features per example (default: the first
@@ -247,7 +256,7 @@ def cmd_gen_tasks(cfg):
     # Each command creates its output directory only once it has something to
     # write, so a run that fails leaves none behind.
     if "split_source" in cfg:
-        (task,) = load_tasks(cfg["split_source"])
+        (task,) = load_tasks(one_path(cfg, "split_source"))
         proto = split_task(task, cfg.get("seed", 0))
         os.makedirs(out_dir, exist_ok=True)
         for sub in (proto.task_a, proto.task_b):
@@ -278,10 +287,11 @@ def cmd_pretrain(cfg):
 
 
 def cmd_finetune(cfg):
-    ckpt_path, task_text, out_dir = require(cfg, "zs_checkpoint", "task", "out_dir")
+    ckpt_path, _, out_dir = require(cfg, "zs_checkpoint", "task", "out_dir")
+    task_path = one_path(cfg, "task")
     tc = train_config(cfg)
     model = load_model(ckpt_path, cfg)
-    (task,) = load_tasks(task_text, model.in_dim)
+    (task,) = load_tasks(task_path, model.in_dim)
     record = finetune(model, task, tc)
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"finetuned_{task.name}.ckpt")
@@ -290,10 +300,11 @@ def cmd_finetune(cfg):
     return 0
 
 
-def _result_json(result, strategy):
+def _result_json(result, strategy, inputs):
     return {
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "strategy": strategy,
+        "inputs": inputs,
         "coefficients": list(result.coefficients),
         "val_accuracies": result.val_accuracies,
         "test_accuracies": result.test_accuracies,
@@ -322,15 +333,19 @@ def cmd_patch(cfg):
     spec = PatchSpec(model=model, patching_tasks=patching, supported_tasks=supported,
                      train=tc, **selection)
     result = run_patch(spec)
+    # What the run started from, as given; out_dir is left out so that a run's
+    # results do not depend on where they are written.
+    inputs = {"zs_checkpoint": ckpt_path, "patching_tasks": patching_text,
+              "supported_tasks": supported_text}
     os.makedirs(out_dir, exist_ok=True)
     save_checkpoint(result.patched, os.path.join(out_dir, "patched.ckpt"))
     result.frontier.to_csv(os.path.join(out_dir, "frontier.csv"))
     atomic_write_json(os.path.join(out_dir, "patch_result.json"),
-                      _result_json(result, spec.strategy))
+                      _result_json(result, spec.strategy, inputs))
     for seed, seed_result in zip(spec.order_seeds, result.per_seed):
         atomic_write_json(
             os.path.join(out_dir, f"patch_result_seed{seed}.json"),
-            _result_json(seed_result, spec.strategy),
+            _result_json(seed_result, spec.strategy, inputs),
         )
     print(f"strategy={spec.strategy} coefficients={list(result.coefficients)}")
     print(f"wrote {os.path.join(out_dir, 'patch_result.json')}")
@@ -408,7 +423,7 @@ def cmd_report(cfg):
                 baselines.append((os.path.splitext(name)[0],
                                   Frontier.from_csv(path, unit="fraction")))
     if not series:
-        print("no patch results found", file=sys.stderr)
+        print(f"no patch results found in {results_dir}", file=sys.stderr)
         return RUNTIME_ERROR
     os.makedirs(out_dir, exist_ok=True)
 

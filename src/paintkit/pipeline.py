@@ -17,7 +17,7 @@ from .search import (
     grid_search_1d,
     uniform_ray_rows,
 )
-from .tensors import Checkpoint, combine_rows, lerp, lerp_rows, multi_combine
+from .tensors import Checkpoint, combine_rows, lerp, multi_combine
 from .toylab import (
     TaskDataset,
     ToyModel,
@@ -144,8 +144,8 @@ def _lerp_step(spec, model, patching, ft, log):
     """Sweep lerp(zs, ft, alpha) with zs = model.ckpt; return the search result,
     the frontier, and the val accuracies and weights at the selected alpha."""
     zs = model.ckpt
-    search, frontier, records = _sweep(spec, model, patching,
-                                       lambda alphas: lerp_rows(zs, ft, alphas), log)
+    search, frontier, records = _sweep(
+        spec, model, patching, lambda alphas: combine_rows(zs, [ft], [[a] for a in alphas]), log)
     (alpha,) = search.best
     return search, frontier, records[search.best], lerp(zs, ft, alpha)
 
@@ -360,8 +360,8 @@ def broad_transfer_eval(model, task_a, task_b, supported_tasks, spec_kwargs=None
         **(spec_kwargs or {}),
     )
     result = patch_single(spec)
-    zs_on_b = evaluate(model, task_b, "test")
-    patched_on_b = evaluate(model.with_weights(result.patched), task_b, "test")
+    stack = np.stack([model.ckpt.flat(), result.patched.flat()])
+    zs_on_b, patched_on_b = evaluate_stack(model, stack, task_b, "test")
     return {
         "task": task_b.name,
         "patched_on": task_a.name,

@@ -243,25 +243,9 @@ def load_checkpoint(path) -> Checkpoint:
 
 def lerp(zs: Checkpoint, ft: Checkpoint, alpha: float) -> Checkpoint:
     """(1-alpha)*zs + alpha*ft elementwise, with zs's meta. Endpoints are exact copies."""
-    (row,) = lerp_rows(zs, ft, [alpha])
-    return zs._like(row)
-
-
-def lerp_rows(zs: Checkpoint, ft: Checkpoint, alphas) -> np.ndarray:
-    """A (len(alphas), num_params) stack in zs's dtype whose row i holds the
-    weights of lerp(zs, ft, alphas[i]), laid out like zs (see `views`).
-    Rows at alpha 0 and 1 are exact copies of zs and ft."""
-    alphas = [float(a) for a in alphas]
-    for a in alphas:
-        if not 0.0 <= a <= 1.0:
-            raise ValueError(f"alpha out of range: {a}")
-    rows = combine_rows(zs, [ft], [[a] for a in alphas])
-    for i, alpha in enumerate(alphas):
-        if alpha == 0.0:
-            rows[i] = zs._buf
-        elif alpha == 1.0:
-            rows[i] = ft._buf
-    return rows
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha out of range: {alpha}")
+    return multi_combine(zs, [ft], [alpha])
 
 
 def multi_combine(zs: Checkpoint, fts, alphas) -> Checkpoint:
@@ -272,7 +256,10 @@ def multi_combine(zs: Checkpoint, fts, alphas) -> Checkpoint:
 
 def combine_rows(zs: Checkpoint, fts, alpha_rows) -> np.ndarray:
     """A (len(alpha_rows), num_params) stack in zs's dtype whose row i holds
-    the weights of multi_combine(zs, fts, alpha_rows[i]), laid out like zs."""
+    the weights of multi_combine(zs, fts, alpha_rows[i]), laid out like zs.
+    A row whose coefficients are all 0 is an exact copy of zs, and a row with
+    one coefficient of 1 and the rest 0 an exact copy of that fine-tuned
+    model: the arithmetic could flip the sign of a zero weight."""
     alpha_rows = [[float(a) for a in alphas] for alphas in alpha_rows]
     totals = []
     for alphas in alpha_rows:
@@ -292,7 +279,14 @@ def combine_rows(zs: Checkpoint, fts, alpha_rows) -> np.ndarray:
     acc = (1.0 - np.array(totals, dtype=np.float64)).reshape(-1, 1) * zs.flat()
     for i, ft in enumerate(fts):
         acc += coeffs[:, i : i + 1] * ft.flat()
-    return acc.astype(zs.dtype, copy=False)
+    rows = acc.astype(zs.dtype, copy=False)
+    for row, alphas in zip(rows, alpha_rows):
+        zeros = alphas.count(0.0)
+        if zeros == len(alphas):
+            row[:] = zs._buf
+        elif zeros == len(alphas) - 1 and 1.0 in alphas:
+            row[:] = fts[alphas.index(1.0)]._buf
+    return rows
 
 
 def average(fts) -> Checkpoint:

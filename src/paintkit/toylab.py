@@ -535,8 +535,10 @@ def pretrain(config: TrainConfig, base_tasks) -> ToyModel:
 
 
 def evaluate(model: ToyModel, task: TaskDataset, split="test", access_log=None) -> float:
-    """Fraction of argmax-correct predictions over the task's class set."""
-    return float(_accuracies(model, task, split, None, access_log, 1))
+    """Fraction of argmax-correct predictions over the task's class set: the
+    one-row case of `evaluate_stack`."""
+    (acc,) = evaluate_stack(model, model.ckpt.flat()[None], task, split, access_log)
+    return acc
 
 
 def evaluate_stack(model: ToyModel, stack, task: TaskDataset, split="test",
@@ -549,29 +551,18 @@ def evaluate_stack(model: ToyModel, stack, task: TaskDataset, split="test",
     if stack.ndim != 2 or stack.shape[1] != model.ckpt.num_params:
         raise ValueError(f"weight stack of shape {stack.shape} does not hold rows of "
                          f"{model.ckpt.num_params} parameters")
-    weights = model.ckpt.views(stack)
-    return _accuracies(model, task, split, weights, access_log, len(stack)).tolist()
-
-
-def _accuracies(model, task, split, weights, access_log, n_models):
     x, y = task.split_arrays(split)
     if access_log is not None:
-        access_log.extend([(task.name, split)] * n_models)
-    logits = model.logits(x, task.class_ids, weights)
+        access_log.extend([(task.name, split)] * len(stack))
+    logits = model.logits(x, task.class_ids, model.ckpt.views(stack))
     pred = np.asarray(task.class_ids)[logits.argmax(axis=-1)]
     # np.mean's float64 sum and division, without its Python-level overhead
-    return np.add.reduce(pred == y, axis=-1, dtype=np.float64) / len(y)
+    return (np.add.reduce(pred == y, axis=-1, dtype=np.float64) / len(y)).tolist()
 
 
 _L2_LADDER = (10.0, 1.0, 0.1, 0.01, 0.001)
 _LR_LADDER = (0.0, 0.01, 0.1, 0.3, 1.0)  # factors applied to the configured peak rate
 _EMA_DECAY = 0.99
-
-
-def _ladder_frontier(points):
-    n = len(points)
-    pts = [FrontierPoint(i / (n - 1), x, y) for i, (x, y) in enumerate(points)]
-    return Frontier(pts, "fraction")
 
 
 def _trajectory(model, task, config, every, ema_decay=None):
@@ -607,25 +598,26 @@ def baseline_frontiers(model, task, supported_task, config: TrainConfig, snapsho
         raise ValueError(f"iterations must be >= 1 for baseline frontiers, "
                          f"got {config.iterations}")
 
-    def accs(ckpt):
-        m = model.with_weights(ckpt)
-        return evaluate(m, supported_task, "val"), evaluate(m, task, "val")
-
-    def trajectory_frontier(snapshots):
-        return Frontier([FrontierPoint(step / config.iterations, *accs(ckpt))
-                         for step, ckpt in sorted(snapshots.items())], "fraction")
+    def frontier(points):
+        """The val frontier of {alpha: checkpoint}, each task scored as one stack."""
+        stack = np.stack([ckpt.flat() for ckpt in points.values()])
+        sup = evaluate_stack(model, stack, supported_task, "val")
+        pat = evaluate_stack(model, stack, task, "val")
+        return Frontier(list(map(FrontierPoint, points, sup, pat)), "fraction")
 
     out = {}
     snapshots = _trajectory(model, task, config, snapshot_every)
-    out["early_stopping"] = trajectory_frontier(snapshots)
-    out["l2_init"] = _ladder_frontier(
-        [accs(finetune(model, task, replace(config, l2_init=lam)).final) for lam in _L2_LADDER])
+    out["early_stopping"] = frontier({s / config.iterations: c for s, c in snapshots.items()})
+    out["l2_init"] = frontier({i / (len(_L2_LADDER) - 1):
+                               finetune(model, task, replace(config, l2_init=lam)).final
+                               for i, lam in enumerate(_L2_LADDER)})
     # The x1.0 rung trains the early-stopping run's config: reuse its weights.
     # At lr 0 every update is +-0, so the x0.0 rung scores the start weights.
-    out["learning_rate"] = _ladder_frontier(
-        [accs(model.ckpt if f == 0.0 else snapshots[config.iterations] if f == 1.0
-              else finetune(model, task, replace(config, lr=config.lr * f)).final)
-         for f in _LR_LADDER])
-    out["ema"] = trajectory_frontier(
-        _trajectory(model, task, replace(config, constant_lr=True), snapshot_every, _EMA_DECAY))
+    out["learning_rate"] = frontier({
+        i / (len(_LR_LADDER) - 1):
+        model.ckpt if f == 0.0 else snapshots[config.iterations] if f == 1.0
+        else finetune(model, task, replace(config, lr=config.lr * f)).final
+        for i, f in enumerate(_LR_LADDER)})
+    ema = _trajectory(model, task, replace(config, constant_lr=True), snapshot_every, _EMA_DECAY)
+    out["ema"] = frontier({s / config.iterations: c for s, c in ema.items()})
     return out

@@ -267,6 +267,28 @@ class TestPretrainFinetunePatch:
         result = json.loads((tmp_path / "patch_result.json").read_text())
         assert len(result["coefficients"]) == 2
         assert result["averaged_test_accuracies"]
+        assert result["inputs"]["patching_tasks"] == args[args.index("--patching_tasks") + 1]
+        for seed in (0, 1):
+            seed_result = json.loads((tmp_path / f"patch_result_seed{seed}.json").read_text())
+            assert seed_result["inputs"] == result["inputs"]
+
+    def test_two_run_chain_records_its_inputs(self, workspace, tmp_path):
+        # README's chain: a second run patches task2 onto the first run's model.
+        first, second = tmp_path / "patch", tmp_path / "patch2"
+        assert main(patch_args(workspace, first)) == 0
+        args = patch_args(workspace, second)
+        args[args.index("--zs_checkpoint") + 1] = str(first / "patched.ckpt")
+        args[args.index("--patching_tasks") + 1] = str(workspace / "task2.csv")
+        assert main(args) == 0
+        inputs = [json.loads((out / "patch_result.json").read_text())["inputs"]
+                  for out in (first, second)]
+        supported = str(workspace / "task0.csv")
+        assert inputs == [
+            {"zs_checkpoint": str(workspace / "zero_shot.ckpt"),
+             "patching_tasks": str(workspace / "task1.csv"), "supported_tasks": supported},
+            {"zs_checkpoint": str(first / "patched.ckpt"),
+             "patching_tasks": str(workspace / "task2.csv"), "supported_tasks": supported},
+        ]
 
     @pytest.mark.parametrize("strategy", ["single", "joint", "sequential", "parallel"])
     def test_patched_checkpoint_starts_a_later_run(self, workspace, tmp_path, strategy):
@@ -458,6 +480,15 @@ class TestPretrainFinetunePatch:
                                                            capsys, extra, key):
         assert main(command_args(workspace, tmp_path, extra)) == 1
         assert key in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, key", [("finetune", "task"),
+                                              ("gen-tasks", "split_source")])
+    def test_several_paths_for_a_one_path_key_is_usage_error(self, workspace, tmp_path,
+                                                             capsys, command, key):
+        paths = f"{workspace / 'task1.csv'},{workspace / 'task2.csv'}"
+        assert main(command_args(workspace, tmp_path, [command, f"--{key}", paths])) == 1
+        assert f"error: {key} takes one path, got 2: {paths!r}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("key, value", [
@@ -678,6 +709,7 @@ class TestReportCommand:
 
     def test_empty_dir_is_runtime_error(self, tmp_path, capsys):
         assert main(["report", "--results_dir", str(tmp_path)]) == 2
+        assert f"no patch results found in {tmp_path}" in capsys.readouterr().err
 
 
 FRONTIER_HEADER = "alpha,supported_acc,patching_acc\n0.0,0.9,0.1\n"

@@ -22,12 +22,14 @@ def test_digests_are_deterministic():
     spec = importlib.util.spec_from_file_location("output_digests", SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    argv = ["--section", "pipeline", "--section", "training", "--section", "baselines",
-            "--section", "tasks"]
+    # cli_single runs in a new temporary directory each time.
+    argv = ["--section", "cli_single", "--section", "pipeline", "--section", "training",
+            "--section", "baselines", "--section", "tasks"]
     first = run(module, argv)
     assert run(module, argv) == first
     digests = json.loads(first)
-    assert set(digests) == {"pipeline", "training", "baselines", "tasks"}
+    assert set(digests) == {"cli_single", "pipeline", "training", "baselines", "tasks"}
+    assert digests["cli_single"]["exit_codes"] == [0] * 6
     assert all(r["reconstruct_equal"] for r in digests["pipeline"].values())
     assert len(digests["pipeline"]["sequential"]["per_seed"]) == 3
     assert set(digests["training"]["l2_init_ema"]) == {"final", "losses"}

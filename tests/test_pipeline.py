@@ -6,6 +6,8 @@ from paintkit import (
     broad_transfer_eval,
     evaluate,
     generate_tasks,
+    lerp,
+    multi_combine,
     patch_joint,
     patch_parallel,
     patch_sequential,
@@ -16,6 +18,8 @@ from paintkit import (
     split_task,
     TrainConfig,
 )
+from paintkit.search import uniform_ray_rows
+from paintkit.toylab import evaluate_stack
 
 
 def lab(seed=0, partition=((0, 1, 2, 3), (4, 5), (6, 7), (8, 9)), noise=0.3):
@@ -188,9 +192,25 @@ class TestPatchParallel:
         model, tasks, _ = env
         result = patch_parallel(spec_for(env, "parallel", patch_idx=(1, 2),
                                          search="uniform"))
-        from paintkit import multi_combine
         zs_again = multi_combine(result.zero_shot, result.fine_tuned, [0.0, 0.0])
-        assert np.array_equal(zs_again.flat(), model.ckpt.flat())
+        assert zs_again.flat().tobytes() == model.ckpt.flat().tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_uniform_ships_the_ray_row_it_selected(self, env, k):
+        spec = spec_for(env, "parallel", patch_idx=tuple(range(1, k + 1)), search="uniform")
+        result = patch_parallel(spec)
+        zs, fts, grid = result.zero_shot, result.fine_tuned, spec.alpha_grid
+        ray = uniform_ray_rows(zs, fts, grid)
+        assert ray[grid.index(0.0)].tobytes() == zs.flat().tobytes()
+        i = [beta / k for beta in grid].index(result.coefficients[0])
+        assert result.coefficients == (grid[i] / k,) * k
+        assert ray[i].tobytes() == result.patched.flat().tobytes()
+        assert result.val_accuracies == {
+            t.name: evaluate_stack(spec.model, ray[i : i + 1], t, "val")[0]
+            for t in spec.supported_tasks + spec.patching_tasks}
+        if k == 1:  # the ray of one model is the lerp grid
+            for beta, row in zip(grid, ray):
+                assert row.tobytes() == lerp(zs, fts[0], beta).flat().tobytes()
 
     def test_blackbox_feasible_and_competitive(self, env):
         uniform = patch_parallel(spec_for(env, "parallel", patch_idx=(1, 2),

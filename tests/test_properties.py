@@ -36,7 +36,7 @@ from paintkit import (
 )
 from paintkit.pipeline import SEARCHES, STRATEGIES
 from paintkit.search import project_capped_simplex, uniform_ray_rows
-from paintkit.tensors import combine_rows, lerp_rows
+from paintkit.tensors import combine_rows
 from paintkit.toylab import evaluate_stack
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=15)
@@ -166,9 +166,9 @@ def bits(ckpt):
 
 @PROPERTY
 @given(checkpoints(count=2), grids)
-def test_lerp_rows_hold_lerp_bits(cs, grid):
+def test_one_model_combine_rows_hold_lerp_bits(cs, grid):
     zs, ft = cs
-    rows = lerp_rows(zs, ft, grid)
+    rows = combine_rows(zs, [ft], [[a] for a in grid])
     assert rows.shape == (len(grid), zs.num_params) and rows.dtype == zs.dtype
     for alpha, row in zip(grid, rows):
         assert row.astype(np.float64).tobytes() == bits(lerp(zs, ft, alpha))
@@ -192,6 +192,48 @@ def test_combine_and_ray_rows_hold_multi_combine_bits(cs, betas):
             assert row.astype(np.float64).tobytes() == bits(multi_combine(zs, fts, [beta / k] * k))
 
 
+@st.composite
+def signed_zero_checkpoints(draw, count):
+    """`count` checkpoints sharing a drawn layout and dtype, whose elements
+    include -0.0 and +0.0. A `zeros` tensor pairs each sign of the first
+    one's zeros with each sign of every other's."""
+    layout = draw(layouts)
+    dtype = draw(st.sampled_from(DTYPES))
+    elements = st.sampled_from([0.0, -0.0]) | st.floats(
+        allow_nan=False, allow_infinity=False, width=np.dtype(dtype).itemsize * 8)
+    zeros = ([-0.0, -0.0, 0.0, 0.0], [-0.0, 0.0, -0.0, 0.0])
+    return [Checkpoint({"zeros": np.array(zeros[min(i, 1)], dtype),
+                        **{n: draw(hnp.arrays(dtype, s, elements=elements))
+                           for n, s in layout.items()}}, draw(metas))
+            for i in range(count)]
+
+
+@PROPERTY
+@given(st.integers(1, 3).flatmap(lambda k: signed_zero_checkpoints(k + 1)),
+       st.lists(alphas, max_size=4))
+def test_endpoint_rows_copy_their_operand_bit_exactly(cs, betas):
+    # Arithmetic gives -0.0 + 0.0 = +0.0, so only a copy keeps every zero's sign.
+    zs, *fts = cs
+    k = len(fts)
+    zero = [0.0] * k
+    one_hot = [[float(i == j) for i in range(k)] for j in range(k)]
+
+    def holds(row, ckpt):
+        return row.dtype == ckpt.dtype and row.astype(np.float64).tobytes() == bits(ckpt)
+
+    rows = combine_rows(zs, fts, [[b / k] * k for b in betas] + [zero] + one_hot)
+    assert holds(rows[len(betas)], zs)
+    assert all(holds(row, ft) for row, ft in zip(rows[len(betas) + 1:], fts))
+    assert same_bits(multi_combine(zs, fts, zero), zs)
+    assert all(same_bits(multi_combine(zs, fts, c), ft) for c, ft in zip(one_hot, fts))
+    ray = uniform_ray_rows(zs, fts, [0.0, *betas, 1.0])
+    assert holds(ray[0], zs)
+    if k == 1:
+        assert holds(ray[-1], fts[0])
+    assert same_bits(lerp(zs, fts[0], 0.0), zs)
+    assert same_bits(lerp(zs, fts[0], 1.0), fts[0])
+
+
 TASK = generate_tasks(4, num_classes=5, dim=3, samples_per_class=10, noise_scale=0.8,
                       partition=[(0, 1, 2, 3, 4)])[0]
 
@@ -213,7 +255,7 @@ def test_stacked_scoring_equals_evaluate_per_row(models, grid, rows):
     zs, ft = (m.ckpt for m in models)
     task = TaskDataset("t", TASK.inputs, TASK.labels, TASK.class_ids,
                        ["val" if i in rows else "" for i in range(len(TASK.labels))])
-    stack = lerp_rows(zs, ft, grid)
+    stack = combine_rows(zs, [ft], [[a] for a in grid])
     log = []
     accs = evaluate_stack(models[0], stack, task, "val", log)
     assert log == [("t", "val")] * len(grid)

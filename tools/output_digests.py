@@ -13,9 +13,9 @@ Sections (ROADMAP's outputs that must not change):
   --strategy single``, ``gen-tasks --split_source`` and ``report`` on the
   patch output, on the criterion-7 toy, seed 0 (split seed 7): the bytes of
   every task CSV and checkpoint, each checkpoint as loaded, ``frontier.csv``
-  and ``scatter.csv``, ``patch_result.json`` without its timestamp, and the
-  ``experiments`` of ``report.json`` (its ``scatter_csv`` is a temporary
-  path).
+  and ``scatter.csv``, ``patch_result.json`` without its timestamp and with
+  its input paths relative to the lab's root, and the ``experiments`` of
+  ``report.json`` (its ``scatter_csv`` is a temporary path).
 - ``sequential_dense``: ``patch_sequential`` on the 60-class supported task,
   two patching tasks and a 51-point grid, seeds 0-2.
 - ``pipeline``: every strategy on a small lab: single, joint, sequential over
@@ -180,6 +180,9 @@ def cli_single(pk):
         with open(os.path.join(patch, "patch_result.json")) as f:
             result = json.load(f)
         result.pop("timestamp")
+        # The inputs name files of this temporary lab: digest them relative to it.
+        for key, paths in result.get("inputs", {}).items():
+            result["inputs"][key] = ",".join(os.path.relpath(p, root) for p in paths.split(","))
         out["patch/patch_result.json"] = _json_sha(result)
         with open(os.path.join(report, "report.json")) as f:
             out["report/report.json:experiments"] = json.load(f)["experiments"]
