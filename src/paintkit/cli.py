@@ -233,6 +233,18 @@ def one_path(cfg, key):
     return cfg[key]
 
 
+def check_out_dir(out_dir):
+    """Reject an out_dir that cannot be a directory: the path, or the
+    nearest of its ancestors that exists, is a file. Checked before any
+    command runs, so a command never trains only to fail at its first write."""
+    head = out_dir
+    while head and not os.path.exists(head):
+        head = os.path.dirname(head)
+    if head and not os.path.isdir(head):
+        where = "" if head == out_dir else f" (its ancestor {head})"
+        raise ConfigError(f"out_dir {out_dir}{where} is not a directory")
+
+
 def load_tasks(paths_text, width=None):
     """The tasks of comma-separated CSV paths. A task without a train, val or
     test split, or without `width` features per example (default: the first
@@ -474,6 +486,8 @@ def main(argv=None):
             raise ConfigError(f"expected a command, one of {commands}{got}")
         overrides = parse_overrides(argv[1:])
         cfg = cast_config(parse_config(overrides.pop("config", None), overrides))
+        if "out_dir" in cfg:
+            check_out_dir(cfg["out_dir"])
         return COMMANDS[argv[0]](cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

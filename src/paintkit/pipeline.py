@@ -36,10 +36,10 @@ _ALPHA_BLOCK = 8
 
 
 def check_selection(settings):
-    """Reject an alpha grid, search, strategy or budget in `settings` (a
-    mapping of PatchSpec field names to values) that patching cannot use.
-    Absent names go unchecked. Needs no model, so callers can run it before
-    any training."""
+    """Reject an alpha grid, search, strategy, budget or repeated order seed
+    in `settings` (a mapping of PatchSpec field names to values) that
+    patching cannot use. Absent names go unchecked. Needs no model, so
+    callers can run it before any training."""
     if "alpha_grid" in settings:
         grid = check_grid(settings["alpha_grid"])
         # The frontier is anchored at the zero-shot and fine-tuned endpoints.
@@ -51,6 +51,10 @@ def check_selection(settings):
                              f"expected one of {', '.join(allowed)}")
     if "budget" in settings and settings["budget"] < 1:
         raise ValueError(f"budget must be >= 1, got {settings['budget']}")
+    seeds = list(settings.get("order_seeds", ()))
+    for seed in seeds:
+        if seeds.count(seed) > 1:
+            raise ValueError(f"order seed {seed} is repeated in {tuple(seeds)}")
 
 
 @dataclass
@@ -60,7 +64,7 @@ class PatchSpec:
     supported_tasks: list
     strategy: str = "single"
     alpha_grid: list = field(default_factory=default_grid)
-    search: str = "grid"  # parallel strategy: "uniform" or "blackbox"
+    search: str = "grid"  # read by parallel with >= 2 tasks; grid and uniform sweep the ray
     order_seeds: tuple = (0,)
     budget: int = 50
     group_weighting: bool = False
@@ -100,12 +104,12 @@ class PatchResult:
     averaged_test_accuracies: dict = field(default_factory=dict)
 
 
-def _objective_value(accs, supported, patching, group_weighting):
-    if group_weighting:
-        sup = mean_accuracy([accs[t.name] for t in supported])
+def _objective_value(spec, patching, accs):
+    if spec.group_weighting:
+        sup = mean_accuracy([accs[t.name] for t in spec.supported_tasks])
         pat = mean_accuracy([accs[t.name] for t in patching])
         return (sup + pat) / 2.0
-    return mean_accuracy([accs[t.name] for t in supported + patching])
+    return mean_accuracy([accs[t.name] for t in spec.supported_tasks + patching])
 
 
 def _score(spec, model, patching, rows, log):
@@ -116,38 +120,43 @@ def _score(spec, model, patching, rows, log):
     return [dict(zip(accs, row)) for row in zip(*accs.values())]
 
 
-def _sweep(spec, model, patching, stack, log):
-    """Grid-search the single coefficient of `stack`, which maps a list of
-    coefficients to the stack of their flat weights, over the alpha grid.
-    The grid is scored in blocks of _ALPHA_BLOCK points, task by task.
-    Returns the search result, the frontier of the scored points, and their
-    val accuracies keyed by coefficient tuple."""
+def _select(spec, model, patching, fts, log):
+    """Patch model.ckpt toward the k fine-tuned `fts`, selecting on the val
+    accuracy of the supported tasks and `patching`. The alpha grid is swept
+    as beta along uniform_ray_rows (with one model, the lerp grid) in blocks
+    of _ALPHA_BLOCK points, task by task; the sweep gives the frontier and,
+    unless k > 1 and spec.search is blackbox, the coefficients beta/k each.
+    Returns the search, frontier, coefficients, val accuracies and patch."""
+    zs, k = model.ckpt, len(fts)
     grid = check_grid(spec.alpha_grid)
+    # Val accuracies keyed by coefficients: (beta,) on the ray, k-tuples off it.
     records = {}
     for i in range(0, len(grid), _ALPHA_BLOCK):
         block = grid[i : i + _ALPHA_BLOCK]
-        scored = _score(spec, model, patching, stack(block), log)
-        records.update(((alpha,), accs) for alpha, accs in zip(block, scored))
-    obj = SearchObjective(lambda coeffs: _objective_value(
-        records[coeffs], spec.supported_tasks, patching, spec.group_weighting))
-    result = grid_search_1d(obj, grid)
+        scored = _score(spec, model, patching, uniform_ray_rows(zs, fts, block), log)
+        records.update(((beta,), accs) for beta, accs in zip(block, scored))
+    obj = SearchObjective(lambda coeffs: _objective_value(spec, patching, records[coeffs]))
+    search = grid_search_1d(obj, grid)
     frontier = sweep_to_frontier(
-        [(alpha, accs) for (alpha,), accs in sorted(records.items())],
+        [(beta, accs) for (beta,), accs in sorted(records.items())],
         [t.name for t in spec.supported_tasks],
         [t.name for t in patching],
         unit="fraction",
     )
-    return result, frontier, records
+    if spec.search == "blackbox" and k > 1:
+        # Each black-box point depends on the ones before it, so it is scored alone.
+        def score_point(coeffs):
+            (records[coeffs],) = _score(spec, model, patching, combine_rows(zs, fts, [coeffs]),
+                                        log)
+            return _objective_value(spec, patching, records[coeffs])
 
-
-def _lerp_step(spec, model, patching, ft, log):
-    """Sweep lerp(zs, ft, alpha) with zs = model.ckpt; return the search result,
-    the frontier, and the val accuracies and weights at the selected alpha."""
-    zs = model.ckpt
-    search, frontier, records = _sweep(
-        spec, model, patching, lambda alphas: combine_rows(zs, [ft], [[a] for a in alphas]), log)
-    (alpha,) = search.best
-    return search, frontier, records[search.best], lerp(zs, ft, alpha)
+        search = black_box_search(SearchObjective(score_point), k=k, budget=spec.budget,
+                                  init=0.5, seed=spec.order_seeds[0])
+        coeffs = search.best
+    else:
+        (beta,) = search.best
+        coeffs = (beta / k,) * k
+    return search, frontier, coeffs, records[search.best], multi_combine(zs, fts, coeffs)
 
 
 def _result(spec, patched, coefficients, frontier, val_accs, selection_log,
@@ -169,18 +178,18 @@ def _result(spec, patched, coefficients, frontier, val_accs, selection_log,
     )
 
 
-def _patch_one(spec, ft, ft_task_name):
-    """Sweep lerp(zs, ft, alpha) and return the selected interpolation."""
-    log = []
-    search, frontier, val_accs, patched = _lerp_step(spec, spec.model, spec.patching_tasks,
-                                                     ft, log)
+def _patch_one(spec, task):
+    """Fine-tune on `task` and return the selected lerp(zs, ft, alpha)."""
+    ft, log = finetune(spec.model, task, spec.train).final, []
+    search, frontier, coeffs, val_accs, patched = _select(spec, spec.model,
+                                                          spec.patching_tasks, [ft], log)
     provenance = {
         "strategy": spec.strategy,
-        "fine_tuned_on": ft_task_name,
-        "alphas": list(search.best),
+        "fine_tuned_on": task.name,
+        "alphas": list(coeffs),
         "search_evaluations": search.evaluations,
     }
-    return _result(spec, patched, search.best, frontier, val_accs, log, provenance, [ft])
+    return _result(spec, patched, coeffs, frontier, val_accs, log, provenance, [ft])
 
 
 def patch_single(spec: PatchSpec) -> PatchResult:
@@ -188,8 +197,7 @@ def patch_single(spec: PatchSpec) -> PatchResult:
     validation accuracy on all tasks, and return the selected interpolation."""
     if len(spec.patching_tasks) != 1:
         raise ValueError("patch_single expects exactly one patching task")
-    task = spec.patching_tasks[0]
-    return _patch_one(spec, finetune(spec.model, task, spec.train).final, task.name)
+    return _patch_one(spec, spec.patching_tasks[0])
 
 
 def patch_joint(spec: PatchSpec) -> PatchResult:
@@ -197,8 +205,7 @@ def patch_joint(spec: PatchSpec) -> PatchResult:
     global ids); accuracies stay reported per original task."""
     if len(spec.patching_tasks) == 1:
         return patch_single(replace(spec, strategy="single"))
-    merged = merge_tasks(spec.patching_tasks, name="joint")
-    return _patch_one(spec, finetune(spec.model, merged, spec.train).final, merged.name)
+    return _patch_one(spec, merge_tasks(spec.patching_tasks, name="joint"))
 
 
 def patch_sequential(spec: PatchSpec) -> PatchResult:
@@ -216,9 +223,9 @@ def patch_sequential(spec: PatchSpec) -> PatchResult:
         for task_idx in order:
             seen.append(spec.patching_tasks[task_idx])
             ft = finetune(current, seen[-1], spec.train).final
-            search, frontier, val_accs, patched = _lerp_step(spec, current, seen, ft,
+            _, frontier, coeffs, val_accs, patched = _select(spec, current, seen, [ft],
                                                              selection_log)
-            alphas.extend(search.best)
+            alphas.extend(coeffs)
             fts.append(ft)
             current = current.with_weights(patched)
         provenance = {
@@ -248,33 +255,11 @@ def patch_parallel(spec: PatchSpec) -> PatchResult:
     then pick mixing coefficients by uniform or black-box search."""
     if len(spec.patching_tasks) == 1:
         return patch_single(replace(spec, strategy="single"))
-    zs = spec.model.ckpt
     fts = [finetune(spec.model, task, replace(spec.train, seed=spec.train.seed + i)).final
            for i, task in enumerate(spec.patching_tasks)]
-    k = len(fts)
     selection_log = []
-    # The uniform ray is the uniform search and, for every search method,
-    # the reported frontier.
-    ray, frontier, ray_records = _sweep(spec, spec.model, spec.patching_tasks,
-                                        lambda betas: uniform_ray_rows(zs, fts, betas),
-                                        selection_log)
-    if spec.search == "blackbox":
-        # Each black-box point depends on the ones before it, so it is scored alone.
-        records = {}
-
-        def score_point(coeffs):
-            (records[coeffs],) = _score(spec, spec.model, spec.patching_tasks,
-                                        combine_rows(zs, fts, [coeffs]), selection_log)
-            return _objective_value(records[coeffs], spec.supported_tasks,
-                                    spec.patching_tasks, spec.group_weighting)
-
-        search = black_box_search(SearchObjective(score_point), k=k, budget=spec.budget,
-                                  init=0.5, seed=spec.order_seeds[0])
-        coeffs = search.best
-    else:
-        search, records = ray, ray_records
-        (beta,) = ray.best
-        coeffs = (beta / k,) * k
+    search, frontier, coeffs, val_accs, patched = _select(
+        spec, spec.model, spec.patching_tasks, fts, selection_log)
     provenance = {
         "strategy": "parallel",
         "search": spec.search,
@@ -282,8 +267,7 @@ def patch_parallel(spec: PatchSpec) -> PatchResult:
         "search_evaluations": search.evaluations,
         "best_value": search.best_value,
     }
-    return _result(spec, multi_combine(zs, fts, coeffs), coeffs, frontier,
-                   records[search.best], selection_log, provenance, fts)
+    return _result(spec, patched, coeffs, frontier, val_accs, selection_log, provenance, fts)
 
 
 def run_patch(spec: PatchSpec) -> PatchResult:

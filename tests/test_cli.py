@@ -418,6 +418,34 @@ class TestPretrainFinetunePatch:
             f"error: {out / 'patch_result.json'} exists: out_dir holds an earlier patch run\n")
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    @pytest.mark.parametrize("target", ["afile", "afile/sub"])
+    @pytest.mark.parametrize("command", ["gen-tasks", "pretrain", "finetune", "patch",
+                                         "metrics"])
+    def test_out_dir_that_is_a_file_is_usage_error_before_any_work(self, workspace,
+                                                                    tmp_path, capsys,
+                                                                    command, target):
+        # Each command would otherwise succeed, so only the out_dir fails it,
+        # and before any training rather than at the first write.
+        (tmp_path / "afile").write_bytes(b"kept")
+        out = str(tmp_path / target)
+        train = ["--iterations", "60", "--batch_size", "32", "--lr", "0.01", "--warmup", "5"]
+        args = {
+            "gen-tasks": ["gen-tasks", "--seed", "0", "--num_classes", "4", "--dim", "3",
+                          "--samples_per_class", "20", "--noise_scale", "0.1",
+                          "--tasks", "0,1|2,3"],
+            "pretrain": ["pretrain", "--pretrain_tasks", str(workspace / "task0.csv"),
+                         "--hidden", "16", "--embed_dim", "8", *train],
+            "finetune": ["finetune", "--zs_checkpoint", str(workspace / "zero_shot.ckpt"),
+                         "--task", str(workspace / "task1.csv"), *train],
+            "patch": patch_args(workspace, out),
+            "metrics": ["metrics", "--frontier", MNIST_FIXTURE],
+        }[command]
+        assert main([*args, "--out_dir", out]) == 1
+        where = "" if target == "afile" else f" (its ancestor {tmp_path / 'afile'})"
+        assert capsys.readouterr().err == f"error: out_dir {out}{where} is not a directory\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+        assert (tmp_path / "afile").read_bytes() == b"kept"
+
     def test_parallel_strategy(self, workspace, tmp_path):
         args = patch_args(workspace, tmp_path,
                           ["--strategy", "parallel", "--search", "uniform"])
@@ -448,6 +476,7 @@ class TestPretrainFinetunePatch:
         ["gen-tasks", "--seed", "x"],
         ["gen-tasks", "--tasks", "0,a|2,3"],
         ["--strategy", "parallel", "--search", "blackbox", "--budget", "0"],
+        ["--strategy", "sequential", "--order_seeds", "0,0"],
     ])
     def test_bad_selection_is_usage_error_before_training(self, workspace, tmp_path,
                                                           capsys, extra):

@@ -268,6 +268,15 @@ class TestPatchSpecValidation:
             PatchSpec(model=model, patching_tasks=[tasks[1]],
                       supported_tasks=[tasks[0], tasks[1]])
 
+    def test_rejects_a_repeated_order_seed(self, env):
+        # Two copies of one order would count twice in the averages and
+        # share one per-seed result file.
+        model, tasks, _ = env
+        with pytest.raises(ValueError, match=r"order seed 3 is repeated in \(3, 1, 3\)"):
+            PatchSpec(model=model, patching_tasks=[tasks[1], tasks[2]],
+                      supported_tasks=[tasks[0]], strategy="sequential",
+                      order_seeds=(3, 1, 3))
+
 
 class TestRunPatch:
     def test_dispatch(self, env):
@@ -280,6 +289,25 @@ class TestRunPatch:
         spec.strategy = "mystery"
         with pytest.raises(ValueError):
             run_patch(spec)
+
+    @pytest.mark.parametrize("strategy, patch_idx", [
+        ("single", (1,)), ("joint", (1, 2)), ("sequential", (1, 2)), ("parallel", (1,))])
+    def test_search_matters_only_to_parallel_with_two_or_more_tasks(self, env, strategy,
+                                                                     patch_idx):
+        # With one fine-tuned model per selection there is only the lerp
+        # grid to sweep, so a black-box search and its budget change nothing.
+        kw = {"order_seeds": (0, 1)} if strategy == "sequential" else {}
+        grid = run_patch(spec_for(env, strategy, patch_idx, **kw))
+        blackbox = run_patch(spec_for(env, strategy, patch_idx, search="blackbox", budget=3,
+                                      **kw))
+        assert len(grid.per_seed) == len(blackbox.per_seed)
+        for a, b in zip([grid, *grid.per_seed], [blackbox, *blackbox.per_seed]):
+            assert a.patched.equal(b.patched)
+            assert a.patched.flat().tobytes() == b.patched.flat().tobytes()
+            assert a.coefficients == b.coefficients
+            assert a.frontier.points == b.frontier.points
+            assert a.provenance == b.provenance
+            assert a.access_log == b.access_log
 
 
 class TestSplitTask:

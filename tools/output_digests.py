@@ -20,7 +20,9 @@ Sections (ROADMAP's outputs that must not change):
   two patching tasks and a 51-point grid, seeds 0-2.
 - ``pipeline``: every strategy on a small lab: single, joint, sequential over
   order seeds 0-2 and group-weighted, parallel uniform and black-box at k=2
-  and k=3.
+  and k=3; and the one-task cases that select along one fine-tuned model
+  whatever the search: joint and parallel (uniform, black-box) with one
+  patching task, and single with black-box search.
 - ``training``: ``pretrain`` and ``finetune`` (plain, L2-to-init, constant
   lr, float32 weights): final weights and the losses. The L2-to-init and
   constant-lr runs keep the names ``l2_init_ema`` and ``constant_lr_ema``
@@ -238,6 +240,10 @@ def pipeline(pk):
         "parallel_uniform_k3": spec("parallel", (1, 2, 3), search="uniform"),
         "parallel_blackbox_k2": spec("parallel", (1, 2), search="blackbox", budget=30),
         "parallel_blackbox_k3": spec("parallel", (1, 2, 3), search="blackbox", budget=30),
+        "joint_k1": spec("joint", (1,)),
+        "parallel_uniform_k1": spec("parallel", (1,), search="uniform"),
+        "parallel_blackbox_k1": spec("parallel", (1,), search="blackbox", budget=30),
+        "single_blackbox": spec("single", (1,), search="blackbox", budget=30),
     }
     return {name: _result(pk, pk.run_patch(s)) for name, s in runs.items()}
 
