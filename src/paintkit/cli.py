@@ -20,7 +20,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import metrics as metrics_mod
-from .metrics import Frontier, FrontierPoint, rep_matrix_from_csv
+from .metrics import Frontier, FrontierPoint
 from ._atomic import atomic_open
 from .pipeline import PatchSpec, check_selection, run_patch, split_task
 from .tensors import (
@@ -45,17 +45,21 @@ class ConfigError(Exception):
 def parse_config(path=None, overrides=()):
     cfg = {}
     if path:
-        if not os.path.exists(path):
-            raise ConfigError(f"config file not found: {path}")
-        with open(path) as f:
-            for lineno, line in enumerate(f, 1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected key=value")
-                key, value = line.split("=", 1)
-                cfg[key.strip()] = value.strip()
+        try:
+            with open(path) as f:
+                lines = f.readlines()
+        except FileNotFoundError:
+            raise ConfigError(f"config file not found: {path}") from None
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc}") from None
+        for lineno, line in enumerate(lines, 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ConfigError(f"{path}:{lineno}: expected key=value")
+            key, value = line.split("=", 1)
+            cfg[key.strip()] = value.strip()
     cfg.update(overrides)
     for key in cfg:
         if key not in KEYS:
@@ -177,7 +181,7 @@ KEYS = {
     "budget": int, "group_weighting": truthy, "zs_checkpoint": str,
     "patching_tasks": str, "supported_tasks": str, "pretrain_tasks": str, "task": str,
     # metrics
-    "frontier": str, "ckpt_a": str, "ckpt_b": str, "rep_a": str, "rep_b": str,
+    "frontier": str, "ckpt_a": str, "ckpt_b": str,
     # report
     "results_dir": str,
 }
@@ -245,13 +249,18 @@ def check_out_dir(out_dir):
         raise ConfigError(f"out_dir {out_dir}{where} is not a directory")
 
 
+def task_name(path):
+    """The name of the task in the CSV at `path`: its file name's stem."""
+    return os.path.splitext(os.path.basename(path))[0]
+
+
 def load_tasks(paths_text, width=None):
     """The tasks of comma-separated CSV paths. A task without a train, val or
     test split, or without `width` features per example (default: the first
     task's count), is a ValueError naming its file."""
     tasks = []
     for path in paths_text.split(","):
-        task = TaskDataset.from_csv(path, name=os.path.splitext(os.path.basename(path))[0])
+        task = TaskDataset.from_csv(path, name=task_name(path))
         for split in ("train", "val", "test"):
             if split not in task.splits:
                 raise ValueError(f"{path}: no {split!r} split")
@@ -338,6 +347,12 @@ def cmd_patch(cfg):
     if earlier:
         raise ConfigError(f"{earlier[0]} exists: out_dir holds an earlier patch run")
     _as_usage_error(check_selection, selection)
+    first = {}
+    for path in [*patching_text.split(","), *supported_text.split(",")]:
+        name = task_name(path)
+        if name in first:
+            raise ConfigError(f"two tasks are named {name!r}: {first[name]} and {path}")
+        first[name] = path
     tc = train_config(cfg)
     model = load_model(ckpt_path, cfg)
     patching = load_tasks(patching_text, model.in_dim)
@@ -377,8 +392,9 @@ def cmd_metrics(cfg):
             report[path] = entry
             for name, value in entry.items():
                 print(f"{path} {name} {value:.6f}")
-    if "ckpt_a" in cfg or "ckpt_b" in cfg:
+    if "ckpt_a" in cfg or "ckpt_b" in cfg or "task" in cfg:
         a_path, b_path = require(cfg, "ckpt_a", "ckpt_b")
+        task_path = one_path(cfg, "task") if "task" in cfg else None
         a, b = load_checkpoint(a_path), load_checkpoint(b_path)
         report["weights"] = {
             "cosine_similarity": cosine_similarity(a, b),
@@ -386,13 +402,15 @@ def cmd_metrics(cfg):
         }
         for name, value in report["weights"].items():
             print(f"{name} {value:.6f}")
-    if "rep_a" in cfg or "rep_b" in cfg:
-        a_path, b_path = require(cfg, "rep_a", "rep_b")
-        value = metrics_mod.cka(rep_matrix_from_csv(a_path), rep_matrix_from_csv(b_path))
-        report["cka"] = value
-        print(f"cka {value:.6f}")
+        if task_path:
+            # How far the encoder's features moved, on the split `patch` reports on.
+            model_a, model_b = ToyModel(a), ToyModel(b)
+            (task,) = load_tasks(task_path, model_a.in_dim)
+            x, _ = task.split_arrays("test")
+            report["cka"] = metrics_mod.cka(model_a.encode(x), model_b.encode(x))
+            print(f"cka {report['cka']:.6f}")
     if not report:
-        raise ConfigError("missing required key: frontier (or ckpt_a/ckpt_b, rep_a/rep_b)")
+        raise ConfigError("missing required key: frontier (or ckpt_a/ckpt_b)")
     if "out_dir" in cfg:
         os.makedirs(cfg["out_dir"], exist_ok=True)
         atomic_write_json(os.path.join(cfg["out_dir"], "metrics.json"), report)

@@ -4,7 +4,6 @@ representation similarity (linear CKA)."""
 from __future__ import annotations
 
 import csv
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,15 +69,18 @@ class Frontier:
         pts = []
         with open(path, newline="") as f:
             reader = csv.reader(f)
-            if next(reader, None) != ["alpha", "supported_acc", "patching_acc"]:
-                raise ValueError(f"bad frontier CSV header in {path}")
-            for row in reader:
-                try:
-                    alpha, supported, patching = map(float, row)
-                except ValueError:
-                    raise ValueError(f"{path}:{reader.line_num}: expected 3 numbers, "
-                                     f"got {','.join(row)!r}") from None
-                pts.append(FrontierPoint(alpha, supported, patching))
+            try:
+                if next(reader, None) != ["alpha", "supported_acc", "patching_acc"]:
+                    raise ValueError(f"bad frontier CSV header in {path}")
+                for row in reader:
+                    try:
+                        alpha, supported, patching = map(float, row)
+                    except ValueError:
+                        raise ValueError(f"{path}:{reader.line_num}: expected 3 numbers, "
+                                         f"got {','.join(row)!r}") from None
+                    pts.append(FrontierPoint(alpha, supported, patching))
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}: {exc}") from None
         try:
             return cls(pts, unit)
         except ValueError as exc:
@@ -180,21 +182,6 @@ def cka(a, b) -> float:
         raise ValueError("degenerate matrix (all-zero after centering)")
     num = np.linalg.norm(b.T @ a) ** 2
     return float(num / (denom_a * denom_b))
-
-
-def rep_matrix_from_csv(path):
-    """Load a representation matrix from CSV, one sample per row. A ragged,
-    non-numeric or empty file is a ValueError naming it."""
-    try:
-        with warnings.catch_warnings():
-            # An empty file is reported below, by name.
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            rows = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    if rows.size == 0:
-        raise ValueError(f"{path}: no rows")
-    return rows
 
 
 def sweep_to_frontier(records, supported_ids, patching_ids, unit="percent") -> Frontier:

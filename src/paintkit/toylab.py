@@ -105,29 +105,32 @@ class TaskDataset:
         inputs, labels, row_splits = [], [], []
         with open(path, newline="") as f:
             reader = csv.reader(f)
-            header = next(reader, [])
-            if header[:3] != ["id", "split", "label"]:
-                raise ValueError(f"{path}: task CSV header must start with id,split,label")
-            if len(header) == 3:
-                raise ValueError(f"{path}: no feature columns")
-            for row in reader:
-                if len(row) != len(header):
-                    raise ValueError(
-                        f"{path}:{reader.line_num}: expected {len(header)} fields, "
-                        f"got {len(row)}"
-                    )
-                try:
-                    i, split, label = int(row[0]), row[1], int(row[2])
-                    features = [float(v) for v in row[3:]]
-                    if not (i == len(labels) and 0 <= label <= _INT64_MAX
-                            and all(map(math.isfinite, features))):
-                        raise ValueError
-                except ValueError:
-                    raise ValueError(
-                        _bad_cell(path, reader.line_num, header, row, len(labels))) from None
-                inputs.append(features)
-                labels.append(label)
-                row_splits.append(split)
+            try:
+                header = next(reader, [])
+                if header[:3] != ["id", "split", "label"]:
+                    raise ValueError(f"{path}: task CSV header must start with id,split,label")
+                if len(header) == 3:
+                    raise ValueError(f"{path}: no feature columns")
+                for row in reader:
+                    if len(row) != len(header):
+                        raise ValueError(
+                            f"{path}:{reader.line_num}: expected {len(header)} fields, "
+                            f"got {len(row)}"
+                        )
+                    try:
+                        i, split, label = int(row[0]), row[1], int(row[2])
+                        features = [float(v) for v in row[3:]]
+                        if not (i == len(labels) and 0 <= label <= _INT64_MAX
+                                and all(map(math.isfinite, features))):
+                            raise ValueError
+                    except ValueError:
+                        raise ValueError(
+                            _bad_cell(path, reader.line_num, header, row, len(labels))) from None
+                    inputs.append(features)
+                    labels.append(label)
+                    row_splits.append(split)
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}: {exc}") from None
         labels = np.asarray(labels, dtype=np.int64)
         class_ids = tuple(sorted(set(labels.tolist())))
         return cls(

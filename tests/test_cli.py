@@ -4,7 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from paintkit import Checkpoint, TaskDataset, lerp, load_checkpoint, save_checkpoint
+from paintkit import (Checkpoint, TaskDataset, ToyModel, cka, lerp, load_checkpoint,
+                      save_checkpoint)
 from paintkit.cli import (
     KEYS,
     ConfigError,
@@ -45,6 +46,16 @@ class TestConfigParsing:
     def test_missing_file(self):
         with pytest.raises(ConfigError):
             parse_config("/nonexistent/run.cfg")
+
+    @pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+    def test_unreadable_file_names_it(self, tmp_path, kind):
+        if kind == "directory":
+            path = tmp_path
+        else:
+            path = tmp_path / "bad.cfg"
+            path.write_bytes(b"seed = 1\n\xff\xfe = 2\n")
+        with pytest.raises(ConfigError, match=f"cannot read config file {path}: "):
+            parse_config(str(path))
 
     def test_malformed_line_has_lineno(self, tmp_path):
         cfg_path = tmp_path / "bad.cfg"
@@ -94,7 +105,8 @@ class TestExitCodes:
     # Besides a made-up key, the keys no command reads: a config that still
     # sets one fails rather than having it silently ignored.
     @pytest.mark.parametrize("key", ["mystery", "pretrain", "pretrain_iterations",
-                                     "ema_decay", "snapshot_every", "split_seed"])
+                                     "ema_decay", "snapshot_every", "split_seed",
+                                     "rep_a", "rep_b"])
     def test_unknown_key_is_usage_error(self, tmp_path, capsys, key):
         out = tmp_path / "out"
         assert main(["metrics", "--frontier", MNIST_FIXTURE, "--out_dir", str(out),
@@ -109,6 +121,12 @@ class TestExitCodes:
     def test_missing_data_is_runtime_error(self, tmp_path, capsys):
         code = main(["metrics", "--frontier", str(tmp_path / "missing.csv")])
         assert code == 2
+
+    def test_unreadable_config_file_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["patch", "--config", str(tmp_path), "--out_dir", str(out)]) == 1
+        assert f"error: cannot read config file {tmp_path}: " in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [["bogus"], [], ["patch", "--config"]],
                              ids=["unknown_command", "no_command", "config_without_path"])
@@ -358,15 +376,18 @@ class TestPretrainFinetunePatch:
         (alpha,) = result["coefficients"]
         assert lerp(zs32, ft, alpha).equal(patched)
 
-    def test_two_tasks_with_one_name_is_runtime_error(self, workspace, tmp_path, capsys):
-        other = tmp_path / "other"
-        other.mkdir()
-        (other / "task0.csv").write_text((workspace / "task2.csv").read_text())
+    @pytest.mark.parametrize("role", ["supported", "patching"])
+    def test_two_tasks_with_one_name_is_usage_error(self, workspace, tmp_path, capsys, role):
+        # The second file is never read: task names come from file names.
+        first, second = workspace / "task0.csv", tmp_path / "other" / "task0.csv"
+        if role == "patching":
+            first = second = workspace / "task1.csv"
         args = patch_args(workspace, tmp_path / "out")
-        args[args.index("--supported_tasks") + 1] = ",".join(
-            [str(workspace / "task0.csv"), str(other / "task0.csv")])
-        assert main(args) == 2
-        assert "two tasks are named 'task0'" in capsys.readouterr().err
+        args[args.index(f"--{role}_tasks") + 1] = f"{first},{second}"
+        assert main(args) == 1
+        name = first.stem
+        assert f"two tasks are named '{name}': {first} and {second}" in (
+            capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning would fail the run
@@ -640,7 +661,7 @@ class TestPretrainFinetunePatch:
         assert f"{path}: no feature columns" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["patch", "finetune", "pretrain"])
+    @pytest.mark.parametrize("command", ["patch", "finetune", "pretrain", "metrics"])
     def test_task_of_another_input_width_is_runtime_error(self, workspace, tmp_path,
                                                           capsys, command):
         # The workspace tasks have 6 features; drop the last feature column.
@@ -654,6 +675,10 @@ class TestPretrainFinetunePatch:
         elif command == "finetune":
             args = ["finetune", "--zs_checkpoint", str(workspace / "zero_shot.ckpt"),
                     "--task", str(path), "--out_dir", str(out)]
+        elif command == "metrics":
+            zs = str(workspace / "zero_shot.ckpt")
+            args = ["metrics", "--ckpt_a", zs, "--ckpt_b", zs, "--task", str(path),
+                    "--out_dir", str(out)]
         else:
             args = ["pretrain", "--pretrain_tasks", f"{workspace / 'task0.csv'},{path}",
                     "--out_dir", str(out), "--iterations", "20", "--warmup", "5"]
@@ -684,13 +709,51 @@ class TestMetricsCommand:
         assert "cosine_similarity 1.000000" in out
         assert "l1_mean_distance 0.000000" in out
 
-    def test_rep_cka(self, tmp_path, rng, capsys):
-        a = rng.standard_normal((12, 4))
-        np.savetxt(tmp_path / "a.csv", a, delimiter=",")
-        np.savetxt(tmp_path / "b.csv", a, delimiter=",")
-        assert main(["metrics", "--rep_a", str(tmp_path / "a.csv"),
-                     "--rep_b", str(tmp_path / "b.csv")]) == 0
+    def test_task_cka_of_a_checkpoint_with_itself(self, workspace, capsys):
+        zs = str(workspace / "zero_shot.ckpt")
+        assert main(["metrics", "--ckpt_a", zs, "--ckpt_b", zs,
+                     "--task", str(workspace / "task1.csv")]) == 0
         assert "cka 1.000000" in capsys.readouterr().out
+
+    def test_task_cka_is_library_cka_on_the_test_split(self, workspace, tmp_path, capsys):
+        task = workspace / "task1.csv"
+        assert main(["finetune", "--zs_checkpoint", str(workspace / "zero_shot.ckpt"),
+                     "--task", str(task), "--out_dir", str(tmp_path),
+                     "--iterations", "60", "--warmup", "5"]) == 0
+        tuned = tmp_path / "finetuned_task1.ckpt"
+        assert main(["metrics", "--ckpt_a", str(workspace / "zero_shot.ckpt"),
+                     "--ckpt_b", str(tuned), "--task", str(task),
+                     "--out_dir", str(tmp_path / "m")]) == 0
+        x, _ = TaskDataset.from_csv(task).split_arrays("test")
+        zs = ToyModel(load_checkpoint(workspace / "zero_shot.ckpt"))
+        expected = cka(zs.encode(x), ToyModel(load_checkpoint(tuned)).encode(x))
+        assert expected < 1.0
+        assert json.loads((tmp_path / "m" / "metrics.json").read_text())["cka"] == expected
+        assert f"cka {expected:.6f}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("given, missing", [
+        (["--ckpt_a"], "ckpt_b"), (["--ckpt_b"], "ckpt_a"), ([], "ckpt_a"),
+    ], ids=["only_ckpt_a", "only_ckpt_b", "neither"])
+    def test_task_without_both_checkpoints_is_usage_error(self, workspace, capsys,
+                                                          given, missing):
+        args = ["metrics", "--task", str(workspace / "task1.csv")]
+        for flag in given:
+            args += [flag, str(workspace / "zero_shot.ckpt")]
+        assert main(args) == 1
+        assert f"missing required key: {missing}" in capsys.readouterr().err
+
+    def test_task_cka_of_checkpoint_without_model_metadata_is_runtime_error(
+            self, workspace, tmp_path, capsys):
+        zs = load_checkpoint(workspace / "zero_shot.ckpt")
+        path = tmp_path / "no_scale.ckpt"
+        save_checkpoint(zs.with_meta({k: v for k, v in zs.meta.items() if k != "logit_scale"}),
+                        path)
+        out = tmp_path / "out"
+        assert main(["metrics", "--ckpt_a", str(workspace / "zero_shot.ckpt"),
+                     "--ckpt_b", str(path), "--task", str(workspace / "task1.csv"),
+                     "--out_dir", str(out)]) == 2
+        assert "metadata has no 'logit_scale'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_writes_metrics_json(self, tmp_path):
         assert main(["metrics", "--frontier", MNIST_FIXTURE,
@@ -757,9 +820,6 @@ def result_json(points):
      ":3: expected 3 numbers, got '0.5,0.7'"),
     ("frontier", "f.csv", FRONTIER_HEADER + "0.5,x,0.3\n1.0,0.5,0.8\n",
      ":3: expected 3 numbers, got '0.5,x,0.3'"),
-    ("rep_a", "a.csv", "1,2,3\n4,5\n", ": the number of columns changed from 3 to 2"),
-    ("rep_b", "b.csv", "1,2,3\n4,x,6\n", ": could not convert string 'x' to float64"),
-    ("rep_a", "a.csv", "", ": no rows"),
     ("results_dir", "patch_result.json", "{bad", ": not valid JSON"),
     ("results_dir", "patch_result.json", '{"strategy": "single"}',
      ": no frontier points (KeyError: 'frontier')"),
@@ -778,8 +838,8 @@ def result_json(points):
      ": frontier must contain alpha=0 and alpha=1"),
     ("results_dir", "baseline_x.csv", FRONTIER_HEADER,
      ": frontier must contain alpha=0 and alpha=1"),
-], ids=["frontier_short_row", "frontier_non_numeric", "rep_a_ragged", "rep_b_non_numeric",
-        "rep_a_empty", "result_not_json", "result_without_frontier",
+], ids=["frontier_short_row", "frontier_non_numeric", "result_not_json",
+        "result_without_frontier",
         "result_non_numeric_alpha", "result_nan_accuracy", "result_out_of_range",
         "result_duplicate_alpha", "result_without_endpoint", "baseline_without_endpoint"])
 @pytest.mark.filterwarnings("error")  # a message names the file; no library warning
@@ -791,11 +851,30 @@ def test_malformed_metrics_or_report_input_names_the_file(tmp_path, capsys, key,
     if key == "results_dir":
         args = ["report", "--results_dir", str(tmp_path), "--out_dir", str(out)]
     else:
-        good = tmp_path / "good.csv"
-        good.write_text("1,2,3\n4,5,6\n")
-        # The malformed file overrides one of two good representation files.
-        args = ["metrics", "--rep_a", str(good), "--rep_b", str(good), f"--{key}", str(path),
-                "--out_dir", str(out)]
+        args = ["metrics", f"--{key}", str(path), "--out_dir", str(out)]
     assert main(args) == 2
     assert f"{path}{message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["metrics", "finetune", "pretrain", "patch", "report"])
+def test_input_file_that_is_not_utf8_names_it(workspace, tmp_path, capsys, command):
+    bad = tmp_path / "results" / ("patch_result.json" if command == "report" else "t2.csv")
+    bad.parent.mkdir()
+    bad.write_bytes(b"\xff\xfe")
+    out = tmp_path / "out"
+    args = {
+        "metrics": ["metrics", "--frontier", str(bad)],
+        "finetune": ["finetune", "--zs_checkpoint", str(workspace / "zero_shot.ckpt"),
+                     "--task", str(bad)],
+        "pretrain": ["pretrain", "--pretrain_tasks", str(bad)],
+        "patch": patch_args(workspace, out),
+        "report": ["report", "--results_dir", str(bad.parent)],
+    }[command]
+    if command == "patch":
+        args[args.index("--patching_tasks") + 1] = str(bad)
+    assert main([*args, "--out_dir", str(out)]) == 2
+    # `report` reads a result as JSON and says so.
+    prefix = f"{bad}: not valid JSON: " if command == "report" else f"{bad}: "
+    assert f"{prefix}'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
     assert not out.exists()

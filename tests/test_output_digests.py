@@ -29,7 +29,7 @@ def test_digests_are_deterministic():
     assert run(module, argv) == first
     digests = json.loads(first)
     assert set(digests) == {"cli_single", "pipeline", "training", "baselines", "tasks"}
-    assert digests["cli_single"]["exit_codes"] == [0] * 6
+    assert digests["cli_single"]["exit_codes"] == [0] * 7
     assert all(r["reconstruct_equal"] for r in digests["pipeline"].values())
     assert len(digests["pipeline"]["sequential"]["per_seed"]) == 3
     assert set(digests["training"]["l2_init_ema"]) == {"final", "losses"}

@@ -10,12 +10,15 @@ change, for the paintkit sources beside this script.
 Sections (ROADMAP's outputs that must not change):
 
 - ``cli_single``: ``paintkit gen-tasks``, ``pretrain``, ``finetune``, ``patch
-  --strategy single``, ``gen-tasks --split_source`` and ``report`` on the
-  patch output, on the criterion-7 toy, seed 0 (split seed 7): the bytes of
-  every task CSV and checkpoint, each checkpoint as loaded, ``frontier.csv``
-  and ``scatter.csv``, ``patch_result.json`` without its timestamp and with
-  its input paths relative to the lab's root, and the ``experiments`` of
-  ``report.json`` (its ``scatter_csv`` is a temporary path).
+  --strategy single``, ``gen-tasks --split_source``, ``report`` on the patch
+  output, and ``metrics`` on its ``frontier.csv`` and on the zero-shot and
+  patched checkpoints, on the criterion-7 toy, seed 0 (split seed 7): the
+  bytes of every task CSV and checkpoint, each checkpoint as loaded,
+  ``frontier.csv`` and ``scatter.csv``, ``patch_result.json`` without its
+  timestamp and with its input paths relative to the lab's root, the
+  ``experiments`` of ``report.json`` (its ``scatter_csv`` is a temporary
+  path), and ``metrics.json`` with its frontier path relative to the lab's
+  root.
 - ``sequential_dense``: ``patch_sequential`` on the 60-class supported task,
   two patching tasks and a 51-point grid, seeds 0-2.
 - ``pipeline``: every strategy on a small lab: single, joint, sequential over
@@ -148,6 +151,7 @@ def cli_single(pk):
         tuned = os.path.join(root, "finetune")
         splits = os.path.join(root, "splits")
         report = os.path.join(root, "report")
+        metrics = os.path.join(root, "metrics")
         common = ["--lr", "0.01", "--hidden", "32,32", "--seed", "0"]
         commands = [
             ["gen-tasks", "--out_dir", tasks, "--tasks", CLI_PARTITION,
@@ -165,6 +169,9 @@ def cli_single(pk):
             ["gen-tasks", "--split_source", os.path.join(tasks, "task0.csv"),
              "--out_dir", splits, "--seed", "7"],
             ["report", "--results_dir", patch, "--out_dir", report],
+            ["metrics", "--frontier", os.path.join(patch, "frontier.csv"),
+             "--ckpt_a", os.path.join(root, "zero_shot.ckpt"),
+             "--ckpt_b", os.path.join(patch, "patched.ckpt"), "--out_dir", metrics],
         ]
         with redirect_stdout(io.StringIO()):
             codes = [pk.cli.main(argv) for argv in commands]
@@ -188,6 +195,11 @@ def cli_single(pk):
         out["patch/patch_result.json"] = _json_sha(result)
         with open(os.path.join(report, "report.json")) as f:
             out["report/report.json:experiments"] = json.load(f)["experiments"]
+        with open(os.path.join(metrics, "metrics.json")) as f:
+            # Keyed by each frontier's path, which names this temporary lab.
+            result = {os.path.relpath(k, root) if os.path.isabs(k) else k: v
+                      for k, v in json.load(f).items()}
+        out["metrics/metrics.json"] = _json_sha(result)
     return out
 
 
