@@ -16,7 +16,6 @@ from .pipeline import (
     PatchResult,
     PatchSpec,
     SplitProtocol,
-    broad_transfer_eval,
     patch_joint,
     patch_parallel,
     patch_sequential,
@@ -24,7 +23,6 @@ from .pipeline import (
     reconstruct,
     run_patch,
     split_task,
-    write_broad_transfer_csv,
 )
 from .search import (
     SearchObjective,

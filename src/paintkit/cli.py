@@ -30,7 +30,8 @@ from .tensors import (
     load_checkpoint,
     save_checkpoint,
 )
-from .toylab import TaskDataset, ToyModel, TrainConfig, finetune, generate_tasks, pretrain
+from .toylab import (TaskDataset, ToyModel, TrainConfig, evaluate, finetune, generate_tasks,
+                     pretrain)
 
 USAGE_ERROR = 1
 RUNTIME_ERROR = 2
@@ -115,17 +116,16 @@ def parse_grid(text):
 
 
 def parse_partition(text):
-    """Class partition like '0-9|10-14|15-19' or '0,1,2|3,4,5'."""
+    """Class partition like '0-9|10-14|15-19' or '0,1,2|3,4,5': per group, a
+    list of ranges of class ids. The ranges stay unexpanded, so that gen-tasks
+    can check them against num_classes before it builds any list of ids."""
     groups = []
     for part in text.split("|"):
-        ids = []
+        spans = []
         for item in part.split(","):
-            if "-" in item:
-                lo, hi = item.split("-")
-                ids.extend(range(int(lo), int(hi) + 1))
-            else:
-                ids.append(int(item))
-        groups.append(ids)
+            lo, hi = item.split("-") if "-" in item else (item, item)
+            spans.append(range(int(lo), int(hi) + 1))
+        groups.append(spans)
     return groups
 
 
@@ -284,9 +284,15 @@ def cmd_gen_tasks(cfg):
             sub.to_csv(os.path.join(out_dir, f"{sub.name}.csv"))
             print(f"wrote {os.path.join(out_dir, sub.name + '.csv')}")
         return 0
-    args = require(cfg, "seed", "num_classes", "dim", "samples_per_class", "noise_scale",
-                   "tasks")
-    tasks = _as_usage_error(generate_tasks, *args)
+    seed, num_classes, dim, samples, noise, spans = require(
+        cfg, "seed", "num_classes", "dim", "samples_per_class", "noise_scale", "tasks")
+    # A range may name 10**12 ids: each is checked by its bounds, unexpanded.
+    for group in spans:
+        outside = [max(r.start, num_classes) for r in group if r and r[-1] >= num_classes]
+        if outside:
+            raise ConfigError(f"class id {min(outside)} outside [0, {num_classes})")
+    partition = [[c for r in group for c in r] for group in spans]
+    tasks = _as_usage_error(generate_tasks, seed, num_classes, dim, samples, noise, partition)
     os.makedirs(out_dir, exist_ok=True)
     for task in tasks:
         path = os.path.join(out_dir, f"{task.name}.csv")
@@ -380,37 +386,44 @@ def cmd_patch(cfg):
 
 
 def cmd_metrics(cfg):
-    report = {}
-    if "frontier" in cfg:
-        for path in cfg["frontier"].split(","):
-            f = Frontier.from_csv(path)
-            entry = {
-                "distance_to_endpoints": metrics_mod.distance_to_endpoints(f),
-                "distance_to_optimal": metrics_mod.distance_to_optimal(f),
-                "path_correction_cost": metrics_mod.path_correction_cost(f),
-            }
-            report[path] = entry
-            for name, value in entry.items():
-                print(f"{path} {name} {value:.6f}")
-    if "ckpt_a" in cfg or "ckpt_b" in cfg or "task" in cfg:
+    # Every key is checked before any file is read, and every metric computed
+    # before the first line is printed: a run that fails prints nothing.
+    pair = "ckpt_a" in cfg or "ckpt_b" in cfg or "task" in cfg
+    if pair:
         a_path, b_path = require(cfg, "ckpt_a", "ckpt_b")
         task_path = one_path(cfg, "task") if "task" in cfg else None
+    elif "frontier" not in cfg:
+        raise ConfigError("missing required key: frontier (or ckpt_a/ckpt_b)")
+    report, lines = {}, []
+    for path in cfg["frontier"].split(",") if "frontier" in cfg else ():
+        f = Frontier.from_csv(path)
+        report[path] = {
+            "distance_to_endpoints": metrics_mod.distance_to_endpoints(f),
+            "distance_to_optimal": metrics_mod.distance_to_optimal(f),
+            "path_correction_cost": metrics_mod.path_correction_cost(f),
+        }
+        lines += [f"{path} {name} {value:.6f}" for name, value in report[path].items()]
+    if pair:
         a, b = load_checkpoint(a_path), load_checkpoint(b_path)
         report["weights"] = {
             "cosine_similarity": cosine_similarity(a, b),
             "l1_mean_distance": l1_mean_distance(a, b),
         }
-        for name, value in report["weights"].items():
-            print(f"{name} {value:.6f}")
-        if task_path:
-            # How far the encoder's features moved, on the split `patch` reports on.
-            model_a, model_b = ToyModel(a), ToyModel(b)
-            (task,) = load_tasks(task_path, model_a.in_dim)
-            x, _ = task.split_arrays("test")
-            report["cka"] = metrics_mod.cka(model_a.encode(x), model_b.encode(x))
-            print(f"cka {report['cka']:.6f}")
-    if not report:
-        raise ConfigError("missing required key: frontier (or ckpt_a/ckpt_b)")
+        lines += [f"{name} {value:.6f}" for name, value in report["weights"].items()]
+    if "task" in cfg:
+        # How far the encoder's features moved, and each model's accuracy, on
+        # the split `patch` reports on. With a zero-shot ckpt_a and a ckpt_b
+        # patched on classes disjoint from the task's, this is broad transfer.
+        model_a, model_b = ToyModel(a), ToyModel(b)
+        (task,) = load_tasks(task_path, model_a.in_dim)
+        x, _ = task.split_arrays("test")
+        report["cka"] = metrics_mod.cka(model_a.encode(x), model_b.encode(x))
+        report["test_accuracy"] = {"ckpt_a": evaluate(model_a, task, "test"),
+                                   "ckpt_b": evaluate(model_b, task, "test")}
+        lines.append(f"cka {report['cka']:.6f}")
+        lines += [f"test_accuracy_{key[-1]} {value:.6f}"
+                  for key, value in report["test_accuracy"].items()]
+    print("\n".join(lines))
     if "out_dir" in cfg:
         os.makedirs(cfg["out_dir"], exist_ok=True)
         atomic_write_json(os.path.join(cfg["out_dir"], "metrics.json"), report)
@@ -436,8 +449,8 @@ def _result_frontier(path):
 def cmd_report(cfg):
     (results_dir,) = require(cfg, "results_dir")
     out_dir = cfg.get("out_dir", results_dir)
-    # (label, Frontier) pairs: patch results, then named baselines passed through.
-    series, baselines = [], []
+    # (label, Frontier) pairs of the patch results.
+    series = []
     for root, _, files in os.walk(results_dir):
         # A sequential run's patch_result.json repeats its first order seed's
         # frontier, so the per-seed files beside it stand in for it.
@@ -449,9 +462,6 @@ def cmd_report(cfg):
             if name.startswith("patch_result") and name.endswith(".json"):
                 label = os.path.splitext(os.path.relpath(path, results_dir))[0]
                 series.append((label.replace(os.sep, "/"), _result_frontier(path)))
-            elif name.startswith("baseline_") and name.endswith(".csv"):
-                baselines.append((os.path.splitext(name)[0],
-                                  Frontier.from_csv(path, unit="fraction")))
     if not series:
         print(f"no patch results found in {results_dir}", file=sys.stderr)
         return RUNTIME_ERROR
@@ -469,7 +479,7 @@ def cmd_report(cfg):
     ], unit="fraction")
 
     rows = [["series", "alpha", "supported_acc", "patching_acc"]]
-    for label, f in [*series, ("average", average), *baselines]:
+    for label, f in [*series, ("average", average)]:
         rows.extend([label, p.alpha, p.supported_acc, p.patching_acc] for p in f.points)
     scatter_path = os.path.join(out_dir, "scatter.csv")
     with atomic_open(scatter_path) as f:

@@ -1,5 +1,5 @@
 """End-to-end patching procedures: single, joint, sequential, and parallel
-strategies, disjoint-class task splitting, and the broad-transfer protocol."""
+strategies, and disjoint-class task splitting."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._atomic import atomic_open
 from .metrics import Frontier, mean_accuracy, sweep_to_frontier
 from .search import (
     SearchObjective,
@@ -322,36 +321,3 @@ def split_task(task: TaskDataset, seed: int) -> SplitProtocol:
         task_a=_subset_task(task, set_a, f"{task.name}_A"),
         task_b=_subset_task(task, set_b, f"{task.name}_B"),
     )
-
-
-def write_broad_transfer_csv(rows, path):
-    """Broad-transfer report: one row per held-out task."""
-    with atomic_open(path) as f:
-        f.write("task,unpatched_B,patched_B,delta\n")
-        for row in rows:
-            f.write(f"{row['task']},{row['unpatched_B']!r},"
-                    f"{row['patched_B']!r},{row['delta']!r}\n")
-
-
-def broad_transfer_eval(model, task_a, task_b, supported_tasks, spec_kwargs=None):
-    """Patch on task A only (B never touches training or alpha selection),
-    then measure the patched model on B's test split."""
-    spec = PatchSpec(
-        model=model,
-        patching_tasks=[task_a],
-        supported_tasks=supported_tasks,
-        strategy="single",
-        **(spec_kwargs or {}),
-    )
-    result = patch_single(spec)
-    stack = np.stack([model.ckpt.flat(), result.patched.flat()])
-    zs_on_b, patched_on_b = evaluate_stack(model, stack, task_b, "test")
-    return {
-        "task": task_b.name,
-        "patched_on": task_a.name,
-        "alpha": result.coefficients[0],
-        "unpatched_B": zs_on_b,
-        "patched_B": patched_on_b,
-        "delta": patched_on_b - zs_on_b,
-        "result": result,
-    }

@@ -4,8 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from paintkit import (Checkpoint, TaskDataset, ToyModel, cka, lerp, load_checkpoint,
-                      save_checkpoint)
+from paintkit import (Checkpoint, PatchSpec, TaskDataset, ToyModel, TrainConfig, cka,
+                      evaluate, lerp, load_checkpoint, patch_single, save_checkpoint)
 from paintkit.cli import (
     KEYS,
     ConfigError,
@@ -88,8 +88,9 @@ class TestConfigParsing:
                 parse_grid(text)
 
     def test_parse_partition(self):
-        assert parse_partition("0-2|3,4") == [[0, 1, 2], [3, 4]]
-        assert parse_partition("0-9|10-14") == [list(range(10)), [10, 11, 12, 13, 14]]
+        # Per group, a list of ranges: gen-tasks checks them before expanding.
+        assert parse_partition("0-2|3,4") == [[range(0, 3)], [range(3, 4), range(4, 5)]]
+        assert parse_partition("0-9|10-14") == [[range(0, 10)], [range(10, 15)]]
 
     def test_truthy_is_strict(self):
         for text in ("1", "true", "TRUE", "Yes"):
@@ -185,6 +186,21 @@ class TestGenTasks:
         b = TaskDataset.from_csv(out / "task0_B.csv", name="b")
         assert set(a.class_ids).isdisjoint(b.class_ids)
         assert set(a.class_ids) | set(b.class_ids) == set(range(6))
+
+    @pytest.mark.parametrize("tasks, outside", [
+        ("0-1|2-4", 4),
+        ("0-1|2-1000000000000", 4),
+        ("0,1|2,3,1000000000000-1000000000001", 1000000000000),
+    ], ids=["range_end", "range_end_1e12", "range_start_1e12"])
+    def test_class_id_outside_num_classes_is_usage_error_before_expanding(
+            self, tmp_path, capsys, tasks, outside):
+        # A range is checked by its bounds: a list of 10**12 ids could not be built.
+        out = tmp_path / "out"
+        assert main(["gen-tasks", "--out_dir", str(out), "--seed", "0", "--num_classes", "4",
+                     "--dim", "3", "--samples_per_class", "20", "--noise_scale", "0.1",
+                     "--tasks", tasks]) == 1
+        assert capsys.readouterr().err == f"error: class id {outside} outside [0, 4)\n"
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -709,11 +725,54 @@ class TestMetricsCommand:
         assert "cosine_similarity 1.000000" in out
         assert "l1_mean_distance 0.000000" in out
 
-    def test_task_cka_of_a_checkpoint_with_itself(self, workspace, capsys):
+    def test_task_cka_of_a_checkpoint_with_itself(self, workspace, tmp_path, capsys):
         zs = str(workspace / "zero_shot.ckpt")
         assert main(["metrics", "--ckpt_a", zs, "--ckpt_b", zs,
-                     "--task", str(workspace / "task1.csv")]) == 0
-        assert "cka 1.000000" in capsys.readouterr().out
+                     "--task", str(workspace / "task1.csv"), "--out_dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "cka 1.000000" in out
+        accuracy = json.loads((tmp_path / "metrics.json").read_text())["test_accuracy"]
+        assert accuracy["ckpt_a"] == accuracy["ckpt_b"]
+        assert f"test_accuracy_a {accuracy['ckpt_a']:.6f}" in out
+        assert f"test_accuracy_b {accuracy['ckpt_a']:.6f}" in out
+
+    def test_broad_transfer_chain(self, workspace, tmp_path, capsys):
+        # Split a task's classes into halves A and B, patch on A alone, then
+        # score the zero-shot and patched models on B's test split.
+        splits, patched = tmp_path / "splits", tmp_path / "patch"
+        assert main(["gen-tasks", "--split_source", str(workspace / "task0.csv"),
+                     "--seed", "7", "--out_dir", str(splits)]) == 0
+        args = patch_args(workspace, patched)
+        args[args.index("--patching_tasks") + 1] = str(splits / "task0_A.csv")
+        args[args.index("--supported_tasks") + 1] = str(workspace / "task1.csv")
+        assert main(args) == 0
+        zs_path, patched_path = workspace / "zero_shot.ckpt", patched / "patched.ckpt"
+        assert main(["metrics", "--ckpt_a", str(zs_path), "--ckpt_b", str(patched_path),
+                     "--task", str(splits / "task0_B.csv"),
+                     "--out_dir", str(tmp_path / "m")]) == 0
+        accuracy = json.loads((tmp_path / "m" / "metrics.json").read_text())["test_accuracy"]
+        b = TaskDataset.from_csv(splits / "task0_B.csv")
+        # Bit for bit the accuracies `evaluate` gives each loaded checkpoint.
+        assert accuracy == {key: evaluate(ToyModel(load_checkpoint(path)), b, "test")
+                            for key, path in (("ckpt_a", zs_path), ("ckpt_b", patched_path))}
+        printed = capsys.readouterr().out
+        assert f"test_accuracy_a {accuracy['ckpt_a']:.6f}" in printed
+        assert f"test_accuracy_b {accuracy['ckpt_b']:.6f}" in printed
+        # And those of the in-library protocol: patch_single on A, evaluate on B.
+        zs = ToyModel(load_checkpoint(zs_path))
+        result = patch_single(PatchSpec(
+            model=zs, patching_tasks=[TaskDataset.from_csv(splits / "task0_A.csv", "task0_A")],
+            supported_tasks=[TaskDataset.from_csv(workspace / "task1.csv", "task1")],
+            alpha_grid=parse_grid("0:1:0.05"),
+            train=TrainConfig(iterations=60, batch_size=32, lr=0.01, warmup=5, hidden=(16,),
+                              embed_dim=8)))
+        assert result.patched.equal(load_checkpoint(patched_path))
+        assert [evaluate(zs, b, "test"), evaluate(zs.with_weights(result.patched), b, "test")
+                ] == [accuracy["ckpt_a"], accuracy["ckpt_b"]]
+        # B took no part in the patch: neither selection nor the run's inputs name it.
+        record = json.loads((patched / "patch_result.json").read_text())
+        assert "task0_B" not in record["val_accuracies"]
+        assert not any("task0_B" in paths for paths in record["inputs"].values())
 
     def test_task_cka_is_library_cka_on_the_test_split(self, workspace, tmp_path, capsys):
         task = workspace / "task1.csv"
@@ -765,6 +824,21 @@ class TestMetricsCommand:
     def test_no_inputs_is_usage_error(self, capsys):
         assert main(["metrics"]) == 1
 
+    @pytest.mark.parametrize("case, code", [("frontier_then_missing_ckpt_b", 1),
+                                            ("missing_task", 2)])
+    def test_failing_run_prints_nothing(self, workspace, tmp_path, capsys, case, code):
+        zs = str(workspace / "zero_shot.ckpt")
+        args = {
+            "frontier_then_missing_ckpt_b": ["--frontier", MNIST_FIXTURE, "--ckpt_a", zs,
+                                             "--task", str(workspace / "task1.csv")],
+            "missing_task": ["--ckpt_a", zs, "--ckpt_b", zs,
+                             "--task", str(tmp_path / "missing.csv")],
+        }[case]
+        out = tmp_path / "out"
+        assert main(["metrics", *args, "--out_dir", str(out)]) == code
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
+
 
 class TestReportCommand:
     def test_scatter_and_average(self, workspace, tmp_path):
@@ -790,14 +864,6 @@ class TestReportCommand:
                      "--out_dir", str(tmp_path / "out")]) == 0
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["experiments"] == [f"seq/patch_result_seed{i}" for i in range(3)]
-
-    def test_baseline_csv_passthrough(self, workspace, tmp_path):
-        main(patch_args(workspace, tmp_path))
-        (tmp_path / "baseline_early_stopping.csv").write_text(
-            "alpha,supported_acc,patching_acc\n0.0,0.9,0.1\n1.0,0.5,0.8\n")
-        assert main(["report", "--results_dir", str(tmp_path)]) == 0
-        text = (tmp_path / "scatter.csv").read_text()
-        assert "baseline_early_stopping" in text
 
     def test_empty_dir_is_runtime_error(self, tmp_path, capsys):
         assert main(["report", "--results_dir", str(tmp_path)]) == 2
@@ -836,12 +902,10 @@ def result_json(points):
     ("results_dir", "patch_result.json", json.dumps({"frontier": {"points": [
         {"alpha": 0.0, "supported_acc": 0.9, "patching_acc": 0.1}]}}),
      ": frontier must contain alpha=0 and alpha=1"),
-    ("results_dir", "baseline_x.csv", FRONTIER_HEADER,
-     ": frontier must contain alpha=0 and alpha=1"),
 ], ids=["frontier_short_row", "frontier_non_numeric", "result_not_json",
         "result_without_frontier",
         "result_non_numeric_alpha", "result_nan_accuracy", "result_out_of_range",
-        "result_duplicate_alpha", "result_without_endpoint", "baseline_without_endpoint"])
+        "result_duplicate_alpha", "result_without_endpoint"])
 @pytest.mark.filterwarnings("error")  # a message names the file; no library warning
 def test_malformed_metrics_or_report_input_names_the_file(tmp_path, capsys, key, name,
                                                           text, message):

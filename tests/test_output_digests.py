@@ -24,12 +24,19 @@ def test_digests_are_deterministic():
     spec.loader.exec_module(module)
     # cli_single runs in a new temporary directory each time.
     argv = ["--section", "cli_single", "--section", "pipeline", "--section", "training",
-            "--section", "baselines", "--section", "tasks"]
+            "--section", "baselines", "--section", "tasks", "--section", "broad_transfer"]
     first = run(module, argv)
     assert run(module, argv) == first
     digests = json.loads(first)
-    assert set(digests) == {"cli_single", "pipeline", "training", "baselines", "tasks"}
+    assert set(digests) == {"cli_single", "pipeline", "training", "baselines", "tasks",
+                            "broad_transfer"}
     assert digests["cli_single"]["exit_codes"] == [0] * 7
+    # gen-tasks, pretrain, the split, patch on one half, metrics on the other.
+    broad = digests["broad_transfer"]
+    assert broad["exit_codes"] == [0] * 5
+    assert {"splits/task1_A.csv", "splits/task1_B.csv", "patch/patch_result.json"} <= set(broad)
+    assert {key for key in broad if key.startswith("metrics/")} == {
+        f"metrics/metrics.json:{key}" for key in ("weights", "cka", "test_accuracy")}
     assert all(r["reconstruct_equal"] for r in digests["pipeline"].values())
     assert len(digests["pipeline"]["sequential"]["per_seed"]) == 3
     assert set(digests["training"]["l2_init_ema"]) == {"final", "losses"}

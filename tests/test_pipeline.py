@@ -3,7 +3,6 @@ import pytest
 
 from paintkit import (
     PatchSpec,
-    broad_transfer_eval,
     evaluate,
     generate_tasks,
     lerp,
@@ -345,38 +344,3 @@ class TestSplitTask:
         proto = split_task(tasks[1], 0)
         with pytest.raises(ValueError):
             split_task(proto.task_a, 0)
-
-
-class TestBroadTransfer:
-    def test_b_never_in_selection(self, env):
-        model, tasks, _ = env
-        proto = split_task(tasks[0], 0)
-        out = broad_transfer_eval(model, proto.task_a, proto.task_b, [tasks[1]],
-                                  {"train": quick_train(),
-                                   "alpha_grid": [i / 10 for i in range(11)]})
-        names = {n for n, _ in out["result"].access_log["selection"]}
-        assert proto.task_b.name not in names
-
-    def test_csv_report(self, env, tmp_path):
-        model, tasks, _ = env
-        proto = split_task(tasks[0], 0)
-        out = broad_transfer_eval(model, proto.task_a, proto.task_b, [tasks[1]],
-                                  {"train": quick_train(),
-                                   "alpha_grid": [i / 10 for i in range(11)]})
-        from paintkit import write_broad_transfer_csv
-        path = tmp_path / "broad.csv"
-        write_broad_transfer_csv([out], path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "task,unpatched_B,patched_B,delta"
-        cells = lines[1].split(",")
-        assert cells[0] == proto.task_b.name
-        assert float(cells[3]) == pytest.approx(out["delta"])
-
-    def test_reports_delta(self, env):
-        model, tasks, _ = env
-        proto = split_task(tasks[0], 0)
-        out = broad_transfer_eval(model, proto.task_a, proto.task_b, [tasks[1]],
-                                  {"train": quick_train(),
-                                   "alpha_grid": [i / 10 for i in range(11)]})
-        assert out["delta"] == pytest.approx(out["patched_B"] - out["unpatched_B"])
-        assert 0.0 <= out["patched_B"] <= 1.0

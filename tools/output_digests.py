@@ -19,6 +19,13 @@ Sections (ROADMAP's outputs that must not change):
   ``experiments`` of ``report.json`` (its ``scatter_csv`` is a temporary
   path), and ``metrics.json`` with its frontier path relative to the lab's
   root.
+- ``broad_transfer``: the CLI chain of the broad-transfer experiment on the
+  ``cli_single`` lab: ``gen-tasks --split_source`` on task1 (seed 7),
+  ``patch`` on its half ``task1_A`` with task0 supported, and ``metrics`` of
+  the zero-shot and patched checkpoints on the other half, ``task1_B``: the
+  bytes of both halves, of ``patched.ckpt`` (and the checkpoint as loaded) and
+  of ``frontier.csv``, ``patch_result.json`` as in ``cli_single``, and each
+  key of ``metrics.json`` apart.
 - ``sequential_dense``: ``patch_sequential`` on the 60-class supported task,
   two patching tasks and a 51-point grid, seeds 0-2.
 - ``pipeline``: every strategy on a small lab: single, joint, sequential over
@@ -138,10 +145,61 @@ def _task(task):
 
 
 # The generate_tasks arguments of ``cli_single``'s lab, and its partition as
-# gen-tasks reads it.
+# gen-tasks reads it and as the class ids that reading gives.
 CLI_LAB = {"seed": 0, "num_classes": 25, "dim": 16, "samples_per_class": 20,
            "noise_scale": 0.5}
 CLI_PARTITION = "0-19|20-24"
+CLI_GROUPS = [list(range(20)), list(range(20, 25))]
+CLI_COMMON = ["--lr", "0.01", "--hidden", "32,32", "--seed", "0"]
+
+
+def _cli_lab(root):
+    """The commands that write the ``cli_single`` lab's tasks under
+    `root`/tasks and its ``zero_shot.ckpt`` in `root`."""
+    return [
+        ["gen-tasks", "--out_dir", os.path.join(root, "tasks"), "--tasks", CLI_PARTITION,
+         *[arg for key, value in CLI_LAB.items() for arg in (f"--{key}", str(value))]],
+        ["pretrain", "--pretrain_tasks", os.path.join(root, "tasks", "task0.csv"),
+         "--out_dir", root, "--iterations", "300", "--warmup", "20", *CLI_COMMON],
+    ]
+
+
+def _cli_patch(root, patching, out_dir):
+    """The ``cli_single`` lab's single-strategy patch on the task CSV
+    `patching`, with task0 supported."""
+    return ["patch", "--zs_checkpoint", os.path.join(root, "zero_shot.ckpt"),
+            "--patching_tasks", patching,
+            "--supported_tasks", os.path.join(root, "tasks", "task0.csv"), "--out_dir", out_dir,
+            "--strategy", "single", "--alpha_grid", "0:1:0.05", "--iterations", "200",
+            "--warmup", "10", *CLI_COMMON]
+
+
+def _run_cli(pk, commands):
+    with redirect_stdout(io.StringIO()):
+        return [pk.cli.main(argv) for argv in commands]
+
+
+def _files(pk, root, paths):
+    """Digests of the files at `paths`, keyed by their path relative to
+    `root`; a checkpoint also as loaded."""
+    out = {}
+    for path in paths:
+        name = os.path.relpath(path, root)
+        with open(path, "rb") as f:
+            out[name] = _sha(f.read())
+        if path.endswith(".ckpt"):
+            out[name + ":loaded"] = _ckpt(pk.load_checkpoint(path))
+    return out
+
+
+def _patch_result(root, path):
+    with open(path) as f:
+        result = json.load(f)
+    result.pop("timestamp")
+    # The inputs name files of this temporary lab: digest them relative to it.
+    for key, paths in result.get("inputs", {}).items():
+        result["inputs"][key] = ",".join(os.path.relpath(p, root) for p in paths.split(","))
+    return _json_sha(result)
 
 
 def cli_single(pk):
@@ -152,47 +210,29 @@ def cli_single(pk):
         splits = os.path.join(root, "splits")
         report = os.path.join(root, "report")
         metrics = os.path.join(root, "metrics")
-        common = ["--lr", "0.01", "--hidden", "32,32", "--seed", "0"]
-        commands = [
-            ["gen-tasks", "--out_dir", tasks, "--tasks", CLI_PARTITION,
-             *[arg for key, value in CLI_LAB.items() for arg in (f"--{key}", str(value))]],
-            ["pretrain", "--pretrain_tasks", os.path.join(tasks, "task0.csv"),
-             "--out_dir", root, "--iterations", "300", "--warmup", "20", *common],
-            ["patch", "--zs_checkpoint", os.path.join(root, "zero_shot.ckpt"),
-             "--patching_tasks", os.path.join(tasks, "task1.csv"),
-             "--supported_tasks", os.path.join(tasks, "task0.csv"), "--out_dir", patch,
-             "--strategy", "single", "--alpha_grid", "0:1:0.05", "--iterations", "200",
-             "--warmup", "10", *common],
+        codes = _run_cli(pk, [
+            *_cli_lab(root),
+            _cli_patch(root, os.path.join(tasks, "task1.csv"), patch),
             ["finetune", "--zs_checkpoint", os.path.join(root, "zero_shot.ckpt"),
              "--task", os.path.join(tasks, "task1.csv"), "--out_dir", tuned,
-             "--iterations", "200", "--warmup", "10", *common],
+             "--iterations", "200", "--warmup", "10", *CLI_COMMON],
             ["gen-tasks", "--split_source", os.path.join(tasks, "task0.csv"),
              "--out_dir", splits, "--seed", "7"],
             ["report", "--results_dir", patch, "--out_dir", report],
             ["metrics", "--frontier", os.path.join(patch, "frontier.csv"),
              "--ckpt_a", os.path.join(root, "zero_shot.ckpt"),
              "--ckpt_b", os.path.join(patch, "patched.ckpt"), "--out_dir", metrics],
-        ]
-        with redirect_stdout(io.StringIO()):
-            codes = [pk.cli.main(argv) for argv in commands]
+        ])
         out = {"exit_codes": codes}
-        for path in (os.path.join(tasks, "task0.csv"), os.path.join(tasks, "task1.csv"),
-                     os.path.join(root, "zero_shot.ckpt"),
-                     os.path.join(patch, "patched.ckpt"), os.path.join(patch, "frontier.csv"),
-                     os.path.join(tuned, "finetuned_task1.ckpt"),
-                     os.path.join(splits, "task0_A.csv"), os.path.join(splits, "task0_B.csv"),
-                     os.path.join(report, "scatter.csv")):
-            with open(path, "rb") as f:
-                out[os.path.relpath(path, root)] = _sha(f.read())
-            if path.endswith(".ckpt"):
-                out[os.path.relpath(path, root) + ":loaded"] = _ckpt(pk.load_checkpoint(path))
-        with open(os.path.join(patch, "patch_result.json")) as f:
-            result = json.load(f)
-        result.pop("timestamp")
-        # The inputs name files of this temporary lab: digest them relative to it.
-        for key, paths in result.get("inputs", {}).items():
-            result["inputs"][key] = ",".join(os.path.relpath(p, root) for p in paths.split(","))
-        out["patch/patch_result.json"] = _json_sha(result)
+        out.update(_files(pk, root, (
+            os.path.join(tasks, "task0.csv"), os.path.join(tasks, "task1.csv"),
+            os.path.join(root, "zero_shot.ckpt"),
+            os.path.join(patch, "patched.ckpt"), os.path.join(patch, "frontier.csv"),
+            os.path.join(tuned, "finetuned_task1.ckpt"),
+            os.path.join(splits, "task0_A.csv"), os.path.join(splits, "task0_B.csv"),
+            os.path.join(report, "scatter.csv"))))
+        out["patch/patch_result.json"] = _patch_result(root,
+                                                       os.path.join(patch, "patch_result.json"))
         with open(os.path.join(report, "report.json")) as f:
             out["report/report.json:experiments"] = json.load(f)["experiments"]
         with open(os.path.join(metrics, "metrics.json")) as f:
@@ -200,6 +240,32 @@ def cli_single(pk):
             result = {os.path.relpath(k, root) if os.path.isabs(k) else k: v
                       for k, v in json.load(f).items()}
         out["metrics/metrics.json"] = _json_sha(result)
+    return out
+
+
+def broad_transfer(pk):
+    with tempfile.TemporaryDirectory() as root:
+        splits = os.path.join(root, "splits")
+        patch = os.path.join(root, "patch")
+        metrics = os.path.join(root, "metrics")
+        codes = _run_cli(pk, [
+            *_cli_lab(root),
+            ["gen-tasks", "--split_source", os.path.join(root, "tasks", "task1.csv"),
+             "--out_dir", splits, "--seed", "7"],
+            _cli_patch(root, os.path.join(splits, "task1_A.csv"), patch),
+            ["metrics", "--ckpt_a", os.path.join(root, "zero_shot.ckpt"),
+             "--ckpt_b", os.path.join(patch, "patched.ckpt"),
+             "--task", os.path.join(splits, "task1_B.csv"), "--out_dir", metrics],
+        ])
+        out = {"exit_codes": codes}
+        out.update(_files(pk, root, (
+            os.path.join(splits, "task1_A.csv"), os.path.join(splits, "task1_B.csv"),
+            os.path.join(patch, "patched.ckpt"), os.path.join(patch, "frontier.csv"))))
+        out["patch/patch_result.json"] = _patch_result(root,
+                                                       os.path.join(patch, "patch_result.json"))
+        with open(os.path.join(metrics, "metrics.json")) as f:
+            for key, value in json.load(f).items():
+                out[f"metrics/metrics.json:{key}"] = _json_sha(value)
     return out
 
 
@@ -299,8 +365,7 @@ def baselines(pk):
 
 def tasks(pk):
     labs = {
-        "cli_single": pk.generate_tasks(
-            **CLI_LAB, partition=pk.cli.parse_partition(CLI_PARTITION)),
+        "cli_single": pk.generate_tasks(**CLI_LAB, partition=CLI_GROUPS),
         **{f"sequential_dense_seed{seed}": _sequential_tasks(pk, seed) for seed in (0, 1, 2)},
         "pipeline": _pipeline_tasks(pk),
         "training": _training_tasks(pk, 20, 0.4),
@@ -324,7 +389,7 @@ def tasks(pk):
 
 SECTIONS = {"cli_single": cli_single, "sequential_dense": sequential_dense,
             "pipeline": pipeline, "training": training, "baselines": baselines,
-            "tasks": tasks}
+            "tasks": tasks, "broad_transfer": broad_transfer}
 
 
 def main(argv=None):
