@@ -158,19 +158,32 @@ def _select(spec, model, patching, fts, log):
     return search, frontier, coeffs, records[search.best], multi_combine(zs, fts, coeffs)
 
 
-def _result(spec, patched, coefficients, frontier, val_accs, selection_log,
-            provenance, fine_tuned):
-    """Package a selection already scored on val; only the test report is new."""
+def _patch(spec, steps, provenance):
+    """Run `steps` from spec.model and package the patched model. A step is a
+    pair (jobs, seen): every (task, TrainConfig) job is fine-tuned from the
+    current model, and _select's patch toward them, scored on the val
+    accuracy of the supported tasks and the patching tasks `seen`, becomes
+    the current model. `provenance(search, alphas)` gives the provenance from
+    the last step's search and every step's coefficients in order."""
+    current, alphas, fine_tuned, selection_log = spec.model, [], [], []
+    for jobs, seen in steps:
+        fts = [finetune(current, task, train).final for task, train in jobs]
+        search, frontier, coeffs, val_accs, patched = _select(spec, current, seen, fts,
+                                                              selection_log)
+        alphas.extend(coeffs)
+        fine_tuned.extend(fts)
+        current = current.with_weights(patched)
+    # The last step scored every task on val, so its record at the selected
+    # coefficients is the patched model's val report; only the test report is new.
     report_log = []
-    m = spec.model.with_weights(patched)
     return PatchResult(
-        patched=patched,
-        coefficients=tuple(coefficients),
+        patched=current.ckpt,
+        coefficients=tuple(alphas),
         frontier=frontier,
         val_accuracies=val_accs,
-        test_accuracies={t.name: evaluate(m, t, "test", report_log)
+        test_accuracies={t.name: evaluate(current, t, "test", report_log)
                          for t in spec.supported_tasks + spec.patching_tasks},
-        provenance=provenance,
+        provenance=provenance(search, alphas),
         fine_tuned=fine_tuned,
         zero_shot=spec.model.ckpt,
         access_log={"selection": selection_log, "report": report_log},
@@ -179,16 +192,13 @@ def _result(spec, patched, coefficients, frontier, val_accs, selection_log,
 
 def _patch_one(spec, task):
     """Fine-tune on `task` and return the selected lerp(zs, ft, alpha)."""
-    ft, log = finetune(spec.model, task, spec.train).final, []
-    search, frontier, coeffs, val_accs, patched = _select(spec, spec.model,
-                                                          spec.patching_tasks, [ft], log)
-    provenance = {
-        "strategy": spec.strategy,
-        "fine_tuned_on": task.name,
-        "alphas": list(coeffs),
-        "search_evaluations": search.evaluations,
-    }
-    return _result(spec, patched, coeffs, frontier, val_accs, log, provenance, [ft])
+    return _patch(spec, [([(task, spec.train)], spec.patching_tasks)],
+                  lambda search, alphas: {
+                      "strategy": spec.strategy,
+                      "fine_tuned_on": task.name,
+                      "alphas": alphas,
+                      "search_evaluations": search.evaluations,
+                  })
 
 
 def patch_single(spec: PatchSpec) -> PatchResult:
@@ -213,30 +223,15 @@ def patch_sequential(spec: PatchSpec) -> PatchResult:
     validation sets of the supported tasks and the tasks seen so far."""
     per_seed = []
     for seed in spec.order_seeds:
-        order = list(np.random.default_rng(seed).permutation(len(spec.patching_tasks)))
-        current = spec.model
-        seen = []
-        alphas = []
-        fts = []
-        selection_log = []
-        for task_idx in order:
-            seen.append(spec.patching_tasks[task_idx])
-            ft = finetune(current, seen[-1], spec.train).final
-            _, frontier, coeffs, val_accs, patched = _select(spec, current, seen, [ft],
-                                                             selection_log)
-            alphas.extend(coeffs)
-            fts.append(ft)
-            current = current.with_weights(patched)
-        provenance = {
+        perm = np.random.default_rng(seed).permutation(len(spec.patching_tasks))
+        order = [spec.patching_tasks[i] for i in perm]
+        steps = [([(task, spec.train)], order[: i + 1]) for i, task in enumerate(order)]
+        per_seed.append(_patch(spec, steps, lambda search, alphas: {
             "strategy": "sequential",
             "order_seed": seed,
-            "task_order": [t.name for t in seen],
+            "task_order": [t.name for t in order],
             "alphas": alphas,
-        }
-        # The last step scored every task on val, so its record at the
-        # selected alpha is the final model's val report.
-        per_seed.append(_result(spec, current.ckpt, alphas, frontier, val_accs,
-                                selection_log, provenance, fts))
+        }))
     names = list(per_seed[0].test_accuracies)
     avg_val = {n: float(np.mean([r.val_accuracies[n] for r in per_seed])) for n in names}
     avg_test = {n: float(np.mean([r.test_accuracies[n] for r in per_seed])) for n in names}
@@ -254,19 +249,15 @@ def patch_parallel(spec: PatchSpec) -> PatchResult:
     then pick mixing coefficients by uniform or black-box search."""
     if len(spec.patching_tasks) == 1:
         return patch_single(replace(spec, strategy="single"))
-    fts = [finetune(spec.model, task, replace(spec.train, seed=spec.train.seed + i)).final
-           for i, task in enumerate(spec.patching_tasks)]
-    selection_log = []
-    search, frontier, coeffs, val_accs, patched = _select(
-        spec, spec.model, spec.patching_tasks, fts, selection_log)
-    provenance = {
+    jobs = [(task, replace(spec.train, seed=spec.train.seed + i))
+            for i, task in enumerate(spec.patching_tasks)]
+    return _patch(spec, [(jobs, spec.patching_tasks)], lambda search, alphas: {
         "strategy": "parallel",
         "search": spec.search,
-        "alphas": list(coeffs),
+        "alphas": alphas,
         "search_evaluations": search.evaluations,
         "best_value": search.best_value,
-    }
-    return _result(spec, patched, coeffs, frontier, val_accs, selection_log, provenance, fts)
+    })
 
 
 def run_patch(spec: PatchSpec) -> PatchResult:

@@ -24,12 +24,12 @@ def test_digests_are_deterministic():
     spec.loader.exec_module(module)
     # cli_single runs in a new temporary directory each time.
     argv = ["--section", "cli_single", "--section", "pipeline", "--section", "training",
-            "--section", "baselines", "--section", "tasks", "--section", "broad_transfer"]
+            "--section", "baselines", "--section", "tasks", "--section", "broad_transfer",
+            "--section", "sequential_dense"]
     first = run(module, argv)
     assert run(module, argv) == first
     digests = json.loads(first)
-    assert set(digests) == {"cli_single", "pipeline", "training", "baselines", "tasks",
-                            "broad_transfer"}
+    assert set(digests) == set(module.SECTIONS)
     assert digests["cli_single"]["exit_codes"] == [0] * 7
     # gen-tasks, pretrain, the split, patch on one half, metrics on the other.
     broad = digests["broad_transfer"]
@@ -37,6 +37,9 @@ def test_digests_are_deterministic():
     assert {"splits/task1_A.csv", "splits/task1_B.csv", "patch/patch_result.json"} <= set(broad)
     assert {key for key in broad if key.startswith("metrics/")} == {
         f"metrics/metrics.json:{key}" for key in ("weights", "cka", "test_accuracy")}
+    # The patch on A moves the model, so metrics on B compare two models.
+    assert all(c > 0 for c in broad["patch/patch_result.json:coefficients"])
+    assert set(digests["sequential_dense"]) == {"seed0", "seed1", "seed2"}
     assert all(r["reconstruct_equal"] for r in digests["pipeline"].values())
     assert len(digests["pipeline"]["sequential"]["per_seed"]) == 3
     assert set(digests["training"]["l2_init_ema"]) == {"final", "losses"}

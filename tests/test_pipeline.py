@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,9 +23,10 @@ from paintkit.search import uniform_ray_rows
 from paintkit.toylab import evaluate_stack
 
 
-def lab(seed=0, partition=((0, 1, 2, 3), (4, 5), (6, 7), (8, 9)), noise=0.3):
+def lab(seed=0, partition=((0, 1, 2, 3), (4, 5), (6, 7), (8, 9)), noise=0.3,
+        num_classes=10):
     """A pretrained model plus [supported, patch1, patch2, patch3] tasks."""
-    tasks = generate_tasks(seed, num_classes=10, dim=8, samples_per_class=20,
+    tasks = generate_tasks(seed, num_classes=num_classes, dim=8, samples_per_class=20,
                            noise_scale=noise, partition=partition)
     cfg = TrainConfig(iterations=150, batch_size=32, lr=1e-2, warmup=10,
                       hidden=(16,), embed_dim=8, seed=seed)
@@ -163,6 +166,23 @@ class TestPatchSequential:
             manual = np.mean([r.test_accuracies[n] for r in result.per_seed])
             assert result.averaged_test_accuracies[n] == pytest.approx(manual)
 
+    def test_seeds_share_no_state(self, env):
+        # Seeds 0 and 2 give the same order of tasks 1-3; each seed's result
+        # is the one a run of that seed alone gives.
+        spec = spec_for(env, "sequential", patch_idx=(1, 2, 3), order_seeds=(0, 1, 2))
+        result = patch_sequential(spec)
+        orders = [r.provenance["task_order"] for r in result.per_seed]
+        assert orders[0] == orders[2] != orders[1]
+        for seed, r in zip(spec.order_seeds, result.per_seed):
+            alone = patch_sequential(replace(spec, order_seeds=(seed,)))
+            assert r.patched.flat().tobytes() == alone.patched.flat().tobytes()
+            assert r.coefficients == alone.coefficients
+            assert r.frontier.points == alone.frontier.points
+            assert r.provenance == alone.provenance
+            assert r.val_accuracies == alone.val_accuracies
+            assert r.test_accuracies == alone.test_accuracies
+            assert r.access_log == alone.access_log
+
     def test_orders_differ_across_seeds(self, env):
         result = patch_sequential(spec_for(env, "sequential", patch_idx=(1, 2, 3),
                                            order_seeds=tuple(range(8))))
@@ -221,6 +241,20 @@ class TestPatchParallel:
         assert sum(coeffs) <= 1.0 + 1e-9
         assert blackbox.provenance["best_value"] >= (
             uniform.provenance["best_value"] - 1e-6)
+
+    def test_blackbox_with_six_tasks_stays_in_the_coefficient_bound(self):
+        # The search's first point is 1/6 each; rounded to nearest at 12
+        # decimals it sums to 1.000000000002, over combine_rows' bound.
+        model, tasks, _ = lab(partition=((0, 1), (2, 3), (4, 5), (6, 7), (8, 9),
+                                         (10, 11), (12, 13)), num_classes=14)
+        spec = PatchSpec(model=model, patching_tasks=tasks[1:], supported_tasks=[tasks[0]],
+                         strategy="parallel", search="blackbox", budget=20,
+                         alpha_grid=[0.0, 0.5, 1.0],
+                         train=replace(quick_train(), iterations=10))
+        result = patch_parallel(spec)
+        assert len(result.coefficients) == 6
+        assert sum(result.coefficients) <= 1.0 + 1e-12
+        assert np.array_equal(reconstruct(result).flat(), result.patched.flat())
 
     def test_uniform_scores_each_grid_point_once(self, env):
         # The uniform ray is both the search and the frontier: one val

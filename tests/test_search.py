@@ -13,10 +13,11 @@ from paintkit import (
     uniform_search_parallel,
 )
 from paintkit.search import project_capped_simplex
+from paintkit.tensors import combine_rows
 
 
 def feasible(point):
-    return all(0.0 <= c <= 1.0 for c in point) and sum(point) <= 1.0 + 1e-9
+    return all(0.0 <= c <= 1.0 for c in point) and sum(point) <= 1.0 + 1e-12
 
 
 class TestGridSearch1d:
@@ -134,6 +135,30 @@ class TestBlackBoxSearch:
         assert feasible(result.best)
         # 3 * 0.5 > 1 projects onto the simplex: equal thirds
         assert result.best == pytest.approx((1 / 3, 1 / 3, 1 / 3), abs=1e-12)
+
+    @pytest.mark.parametrize("k", range(2, 21))
+    def test_first_point_passes_combine_rows(self, k):
+        # 1/k rounded to 12 decimals can sum over combine_rows' bound (k = 6).
+        visited = []
+        black_box_search(SearchObjective(lambda c: visited.append(c) or 0.0), k=k, budget=1)
+        zs = Checkpoint({"w": np.zeros(2)})
+        combine_rows(zs, [zs] * k, visited)
+        assert all(feasible(c) for c in visited)
+
+    def test_every_point_passes_combine_rows(self, rng):
+        zs = Checkpoint({"w": np.zeros(2)})
+        for seed in range(40):
+            k = int(rng.integers(2, 11))
+            target = rng.dirichlet(np.ones(k)) * rng.uniform(0.5, 1.2)
+            visited = []
+
+            def f(c):
+                visited.append(c)
+                return -float(np.sum((np.asarray(c) - target) ** 2))
+
+            result = black_box_search(SearchObjective(f), k=k, budget=60, seed=seed)
+            combine_rows(zs, [zs] * k, [*visited, result.best])
+            assert all(feasible(c) for c in visited)
 
     def test_concave_2d_near_grid_optimum(self):
         def f(c):

@@ -19,13 +19,16 @@ Sections (ROADMAP's outputs that must not change):
   ``experiments`` of ``report.json`` (its ``scatter_csv`` is a temporary
   path), and ``metrics.json`` with its frontier path relative to the lab's
   root.
-- ``broad_transfer``: the CLI chain of the broad-transfer experiment on the
-  ``cli_single`` lab: ``gen-tasks --split_source`` on task1 (seed 7),
-  ``patch`` on its half ``task1_A`` with task0 supported, and ``metrics`` of
+- ``broad_transfer``: the CLI chain of the broad-transfer experiment on
+  README's lab (``cli_single``'s, with ``--tasks "0-9|10-24"`` and
+  ``--noise_scale 1.0``, where the patch moves the model): ``gen-tasks
+  --split_source`` on task1 (seed 7), ``patch`` on its half ``task1_A`` with
+  task0 supported and ``cli_single``'s patch settings, and ``metrics`` of
   the zero-shot and patched checkpoints on the other half, ``task1_B``: the
   bytes of both halves, of ``patched.ckpt`` (and the checkpoint as loaded) and
-  of ``frontier.csv``, ``patch_result.json`` as in ``cli_single``, and each
-  key of ``metrics.json`` apart.
+  of ``frontier.csv``, ``patch_result.json`` as in ``cli_single`` and its
+  selected coefficients in plain text, and each key of ``metrics.json``
+  apart.
 - ``sequential_dense``: ``patch_sequential`` on the 60-class supported task,
   two patching tasks and a 51-point grid, seeds 0-2.
 - ``pipeline``: every strategy on a small lab: single, joint, sequential over
@@ -149,16 +152,20 @@ def _task(task):
 CLI_LAB = {"seed": 0, "num_classes": 25, "dim": 16, "samples_per_class": 20,
            "noise_scale": 0.5}
 CLI_PARTITION = "0-19|20-24"
+# README's broad-transfer lab: more held-out classes, noisier examples.
+BROAD_LAB = {**CLI_LAB, "noise_scale": 1.0}
+BROAD_PARTITION = "0-9|10-24"
 CLI_GROUPS = [list(range(20)), list(range(20, 25))]
 CLI_COMMON = ["--lr", "0.01", "--hidden", "32,32", "--seed", "0"]
 
 
-def _cli_lab(root):
-    """The commands that write the ``cli_single`` lab's tasks under
-    `root`/tasks and its ``zero_shot.ckpt`` in `root`."""
+def _cli_lab(root, lab=CLI_LAB, partition=CLI_PARTITION):
+    """The commands that write the tasks of `lab` and `partition` (by
+    default ``cli_single``'s) under `root`/tasks and the ``zero_shot.ckpt``
+    pretrained on its task0 in `root`."""
     return [
-        ["gen-tasks", "--out_dir", os.path.join(root, "tasks"), "--tasks", CLI_PARTITION,
-         *[arg for key, value in CLI_LAB.items() for arg in (f"--{key}", str(value))]],
+        ["gen-tasks", "--out_dir", os.path.join(root, "tasks"), "--tasks", partition,
+         *[arg for key, value in lab.items() for arg in (f"--{key}", str(value))]],
         ["pretrain", "--pretrain_tasks", os.path.join(root, "tasks", "task0.csv"),
          "--out_dir", root, "--iterations", "300", "--warmup", "20", *CLI_COMMON],
     ]
@@ -249,7 +256,7 @@ def broad_transfer(pk):
         patch = os.path.join(root, "patch")
         metrics = os.path.join(root, "metrics")
         codes = _run_cli(pk, [
-            *_cli_lab(root),
+            *_cli_lab(root, BROAD_LAB, BROAD_PARTITION),
             ["gen-tasks", "--split_source", os.path.join(root, "tasks", "task1.csv"),
              "--out_dir", splits, "--seed", "7"],
             _cli_patch(root, os.path.join(splits, "task1_A.csv"), patch),
@@ -263,6 +270,8 @@ def broad_transfer(pk):
             os.path.join(patch, "patched.ckpt"), os.path.join(patch, "frontier.csv"))))
         out["patch/patch_result.json"] = _patch_result(root,
                                                        os.path.join(patch, "patch_result.json"))
+        with open(os.path.join(patch, "patch_result.json")) as f:
+            out["patch/patch_result.json:coefficients"] = json.load(f)["coefficients"]
         with open(os.path.join(metrics, "metrics.json")) as f:
             for key, value in json.load(f).items():
                 out[f"metrics/metrics.json:{key}"] = _json_sha(value)
