@@ -107,12 +107,17 @@ def parse_grid(text):
         raise ConfigError(f"alpha_grid step must be positive: {text!r}")
     if not (0.0 <= start <= 1.0 and 0.0 <= stop <= 1.0):
         raise ConfigError(f"alpha_grid range must lie in [0, 1]: {text!r}")
+    if start > stop:
+        raise ConfigError(f"alpha_grid range start is above its stop: {text!r}")
     # Bounded before the list is built: a tiny step would otherwise ask for
     # billions of points.
     if (stop - start) / step + 1 > MAX_GRID_POINTS:
         raise ConfigError(f"alpha_grid has more than {MAX_GRID_POINTS} points: {text!r}")
-    n = int(round((stop - start) / step))
-    return [round(start + i * step, 10) for i in range(n + 1)]
+    # No point passes stop: the tolerance absorbs the float error of a step
+    # that divides the range, as 0.1 does [0, 1], and a point it lets past
+    # stop is stop.
+    n = math.floor((stop - start) / step + 1e-9)
+    return [min(round(start + i * step, 10), stop) for i in range(n + 1)]
 
 
 def parse_partition(text):
@@ -238,9 +243,11 @@ def one_path(cfg, key):
 
 
 def check_out_dir(out_dir):
-    """Reject an out_dir that cannot be a directory: the path, or the
-    nearest of its ancestors that exists, is a file. Checked before any
-    command runs, so a command never trains only to fail at its first write."""
+    """Reject an out_dir that cannot be a directory: the path is empty, or
+    it or the nearest of its ancestors that exists is a file. Checked before
+    any command runs, so a command never trains only to fail at its first write."""
+    if not out_dir:
+        raise ConfigError("out_dir is empty")
     head = out_dir
     while head and not os.path.exists(head):
         head = os.path.dirname(head)
@@ -522,6 +529,10 @@ def main(argv=None):
         return USAGE_ERROR
     except (CheckpointError, ValueError, OSError, RuntimeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return RUNTIME_ERROR
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return RUNTIME_ERROR
 
 

@@ -16,7 +16,7 @@ from .search import (
     grid_search_1d,
     uniform_ray_rows,
 )
-from .tensors import Checkpoint, combine_rows, lerp, multi_combine
+from .tensors import Checkpoint, combine_rows, multi_combine
 from .toylab import (
     TaskDataset,
     ToyModel,
@@ -90,17 +90,24 @@ class PatchSpec:
 @dataclass
 class PatchResult:
     patched: Checkpoint
-    coefficients: tuple
+    steps: list  # (fine-tuned checkpoints, coefficients) of each step, in order
     frontier: Frontier
     val_accuracies: dict
     test_accuracies: dict
     provenance: dict
-    fine_tuned: list
     zero_shot: Checkpoint
     access_log: dict
     per_seed: list = field(default_factory=list)
     averaged_val_accuracies: dict = field(default_factory=dict)
     averaged_test_accuracies: dict = field(default_factory=dict)
+
+    @property
+    def coefficients(self):
+        return tuple(a for _, coeffs in self.steps for a in coeffs)
+
+    @property
+    def fine_tuned(self):
+        return [ft for fts, _ in self.steps for ft in fts]
 
 
 def _objective_value(spec, patching, accs):
@@ -120,12 +127,12 @@ def _score(spec, model, patching, rows, log):
 
 
 def _select(spec, model, patching, fts, log):
-    """Patch model.ckpt toward the k fine-tuned `fts`, selecting on the val
-    accuracy of the supported tasks and `patching`. The alpha grid is swept
-    as beta along uniform_ray_rows (with one model, the lerp grid) in blocks
-    of _ALPHA_BLOCK points, task by task; the sweep gives the frontier and,
-    unless k > 1 and spec.search is blackbox, the coefficients beta/k each.
-    Returns the search, frontier, coefficients, val accuracies and patch."""
+    """Select the coefficients that patch model.ckpt toward the k fine-tuned
+    `fts`, on the val accuracy of the supported tasks and `patching`. The alpha
+    grid is swept as beta along uniform_ray_rows (with one model, the lerp
+    grid) in blocks of _ALPHA_BLOCK points, task by task; the sweep gives the
+    frontier and, unless k > 1 and spec.search is blackbox, the coefficients
+    beta/k each. Returns the search, frontier, coefficients, val accuracies."""
     zs, k = model.ckpt, len(fts)
     grid = check_grid(spec.alpha_grid)
     # Val accuracies keyed by coefficients: (beta,) on the ray, k-tuples off it.
@@ -155,36 +162,33 @@ def _select(spec, model, patching, fts, log):
     else:
         (beta,) = search.best
         coeffs = (beta / k,) * k
-    return search, frontier, coeffs, records[search.best], multi_combine(zs, fts, coeffs)
+    return search, frontier, coeffs, records[search.best]
 
 
 def _patch(spec, steps, provenance):
     """Run `steps` from spec.model and package the patched model. A step is a
     pair (jobs, seen): every (task, TrainConfig) job is fine-tuned from the
-    current model, and _select's patch toward them, scored on the val
-    accuracy of the supported tasks and the patching tasks `seen`, becomes
-    the current model. `provenance(search, alphas)` gives the provenance from
-    the last step's search and every step's coefficients in order."""
-    current, alphas, fine_tuned, selection_log = spec.model, [], [], []
+    current model; the step (fine-tuned checkpoints, _select's coefficients
+    on the val accuracy of the supported tasks and `seen`) is recorded and its
+    multi_combine becomes the current model. `provenance(search, alphas)`
+    gives the provenance from the last step's search and all coefficients."""
+    current, applied, selection_log = spec.model, [], []
     for jobs, seen in steps:
         fts = [finetune(current, task, train).final for task, train in jobs]
-        search, frontier, coeffs, val_accs, patched = _select(spec, current, seen, fts,
-                                                              selection_log)
-        alphas.extend(coeffs)
-        fine_tuned.extend(fts)
-        current = current.with_weights(patched)
+        search, frontier, coeffs, val_accs = _select(spec, current, seen, fts, selection_log)
+        applied.append((fts, coeffs))
+        current = current.with_weights(multi_combine(current.ckpt, fts, coeffs))
     # The last step scored every task on val, so its record at the selected
     # coefficients is the patched model's val report; only the test report is new.
     report_log = []
     return PatchResult(
         patched=current.ckpt,
-        coefficients=tuple(alphas),
+        steps=applied,
         frontier=frontier,
         val_accuracies=val_accs,
         test_accuracies={t.name: evaluate(current, t, "test", report_log)
                          for t in spec.supported_tasks + spec.patching_tasks},
-        provenance=provenance(search, alphas),
-        fine_tuned=fine_tuned,
+        provenance=provenance(search, [a for _, coeffs in applied for a in coeffs]),
         zero_shot=spec.model.ckpt,
         access_log={"selection": selection_log, "report": report_log},
     )
@@ -272,13 +276,11 @@ def run_patch(spec: PatchSpec) -> PatchResult:
 
 
 def reconstruct(result: PatchResult) -> Checkpoint:
-    """Rebuild the patched checkpoint from its provenance; bit-exact."""
-    if result.provenance["strategy"] == "parallel":
-        return multi_combine(result.zero_shot, result.fine_tuned,
-                             result.provenance["alphas"])
+    """Rebuild the patched checkpoint by replaying result.steps from the
+    zero-shot checkpoint; bit-exact."""
     current = result.zero_shot
-    for ft, alpha in zip(result.fine_tuned, result.provenance["alphas"]):
-        current = lerp(current, ft, alpha)
+    for fts, coeffs in result.steps:
+        current = multi_combine(current, fts, coeffs)
     return current
 
 

@@ -1,5 +1,8 @@
 import json
 import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -86,6 +89,28 @@ class TestConfigParsing:
         for text in ("0:1:1e-9", "0:1:5e-324", "-0.5:1:0.5", "0:1.5:0.5"):
             with pytest.raises(ConfigError):
                 parse_grid(text)
+
+    def test_parse_grid_never_passes_stop(self):
+        assert parse_grid("0:1:0.6") == [0.0, 0.6]
+        assert parse_grid("0:0.9:0.5") == [0.0, 0.5]
+        assert parse_grid("0.2:0.2:0.5") == [0.2]
+        # Within the tolerance of dividing the range, the last point is stop.
+        assert parse_grid("0:1:0.50000000012") == [0.0, 0.5000000001, 1.0]
+        with pytest.raises(ConfigError, match="start is above its stop: '0.5:0.2:0.1'"):
+            parse_grid("0.5:0.2:0.1")
+
+    def test_parse_grid_expands_grids_within_stop_as_before(self):
+        def rounded_expansion(text):  # the expansion that rounded the point count
+            start, stop, step = map(float, text.split(":"))
+            n = int(round((stop - start) / step))
+            return [round(start + i * step, 10) for i in range(n + 1)]
+
+        # Every n up to 200, then a stride up to 10000: every n to 10000 takes
+        # over a minute.
+        ns = [*range(1, 201), *range(201, 10001, 97), 9999, 10000]
+        for text in ["0:1:0.05", "0:1:0.02", "0:1:0.25", "0:1:0.0001", "0.1:0.9:0.1",
+                     *(f"0:1:{1 / n!r}" for n in ns)]:
+            assert parse_grid(text) == rounded_expansion(text), text
 
     def test_parse_partition(self):
         # Per group, a list of ranges: gen-tasks checks them before expanding.
@@ -482,6 +507,36 @@ class TestPretrainFinetunePatch:
         assert capsys.readouterr().err == f"error: out_dir {out}{where} is not a directory\n"
         assert [p.name for p in tmp_path.iterdir()] == ["afile"]
         assert (tmp_path / "afile").read_bytes() == b"kept"
+
+    @pytest.mark.parametrize("command", ["gen-tasks", "pretrain", "finetune", "patch",
+                                         "metrics", "report"])
+    def test_empty_out_dir_is_usage_error_before_any_work(self, workspace, tmp_path,
+                                                          monkeypatch, capsys, command):
+        results = tmp_path / "results"
+        results.mkdir()
+        (results / "patch_result.json").write_text(result_json([(0.0, 0.9, 0.1)]))
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        zs = str(workspace / "zero_shot.ckpt")
+        train = ["--iterations", "60", "--batch_size", "32", "--lr", "0.01", "--warmup", "5"]
+        args = {
+            "gen-tasks": ["gen-tasks", "--seed", "0", "--num_classes", "4", "--dim", "3",
+                          "--samples_per_class", "20", "--noise_scale", "0.1",
+                          "--tasks", "0,1|2,3"],
+            "pretrain": ["pretrain", "--pretrain_tasks", str(workspace / "task0.csv"),
+                         "--hidden", "16", "--embed_dim", "8", *train],
+            "finetune": ["finetune", "--zs_checkpoint", zs,
+                         "--task", str(workspace / "task1.csv"), *train],
+            "patch": patch_args(workspace, ""),
+            "metrics": ["metrics", "--ckpt_a", zs, "--ckpt_b", zs],
+            "report": ["report", "--results_dir", str(results)],
+        }[command]
+        assert main([*args, "--out_dir", ""]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: out_dir is empty\n")
+        assert list(cwd.iterdir()) == []
+        assert [p.name for p in results.iterdir()] == ["patch_result.json"]
 
     def test_parallel_strategy(self, workspace, tmp_path):
         args = patch_args(workspace, tmp_path,
@@ -918,6 +973,37 @@ def test_malformed_metrics_or_report_input_names_the_file(tmp_path, capsys, key,
         args = ["metrics", f"--{key}", str(path), "--out_dir", str(out)]
     assert main(args) == 2
     assert f"{path}{message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# Sizes that cannot fit under the cap. Never run them without it.
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="needs an enforced RLIMIT_AS address-space cap")
+@pytest.mark.parametrize("sizes, message", [
+    (["--num_classes", "100000000", "--dim", "16", "--samples_per_class", "20"],
+     r"error: out of memory: Unable to allocate .+\n"),
+    (["--num_classes", "4", "--dim", "100000000", "--samples_per_class", "20"],
+     r"error: out of memory: Unable to allocate .+\n"),
+    (["--num_classes", "4", "--dim", "16", "--samples_per_class", "100000000"],
+     r"error: out of memory\n"),
+], ids=["num_classes", "dim", "samples_per_class"])
+def test_out_of_memory_is_runtime_error(tmp_path, sizes, message):
+    # The child caps its own address space at 1 GiB before numpy is imported.
+    child = ("import resource, sys\n"
+             "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, hard))\n"
+             "from paintkit.cli import main\n"
+             "sys.exit(main(sys.argv[1:]))\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = tmp_path / "tasks"
+    proc = subprocess.run([sys.executable, "-c", child, "gen-tasks", "--out_dir", str(out),
+                           "--seed", "0", *sizes, "--noise_scale", "0.5", "--tasks", "0-1|2-3"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert re.fullmatch(message, proc.stderr), proc.stderr
     assert not out.exists()
 
 

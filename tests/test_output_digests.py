@@ -40,7 +40,13 @@ def test_digests_are_deterministic():
     # The patch on A moves the model, so metrics on B compare two models.
     assert all(c > 0 for c in broad["patch/patch_result.json:coefficients"])
     assert set(digests["sequential_dense"]) == {"seed0", "seed1", "seed2"}
-    assert all(r["reconstruct_equal"] for r in digests["pipeline"].values())
+    # Every digested result, and each of its per-seed results, reconstructs.
+    results = [*digests["pipeline"].values(),
+               *(seed["result"] for seed in digests["sequential_dense"].values())]
+    results += [r for result in results for r in result.get("per_seed", [])]
+    # 12 pipeline runs, 3 dense seeds, and per seed 3 + 1 (pipeline) + 3 (dense).
+    assert len(results) == 22
+    assert all(r["reconstruct_equal"] for r in results)
     assert len(digests["pipeline"]["sequential"]["per_seed"]) == 3
     assert set(digests["training"]["l2_init_ema"]) == {"final", "losses"}
     # A checkpoint's weights and meta are digested apart.

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from paintkit import (
+    Checkpoint,
+    PatchResult,
     PatchSpec,
     evaluate,
     generate_tasks,
@@ -341,6 +343,24 @@ class TestRunPatch:
             assert a.frontier.points == b.frontier.points
             assert a.provenance == b.provenance
             assert a.access_log == b.access_log
+
+
+def test_reconstruct_replays_steps_of_any_shape(env):
+    # A k = 2 step and then a k = 1 step, a shape no strategy makes, and no
+    # provenance: reconstruct reads only zero_shot and steps.
+    model, _, _ = env
+    rng = np.random.default_rng(0)
+    fts = [Checkpoint({n: a + rng.normal(size=a.shape) for n, a in model.ckpt.items()})
+           for _ in range(3)]
+    steps = [(fts[:2], (0.3, 0.2)), (fts[2:], (0.6,))]
+    result = PatchResult(patched=None, steps=steps, frontier=None, val_accuracies={},
+                         test_accuracies={}, provenance={}, zero_shot=model.ckpt,
+                         access_log={})
+    expected = multi_combine(multi_combine(model.ckpt, fts[:2], (0.3, 0.2)), fts[2:], (0.6,))
+    rebuilt = reconstruct(result)
+    assert rebuilt.equal(expected) and rebuilt.meta == model.ckpt.meta
+    assert result.coefficients == (0.3, 0.2, 0.6)
+    assert result.fine_tuned == fts
 
 
 class TestSplitTask:

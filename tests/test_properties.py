@@ -323,8 +323,14 @@ def test_every_strategy_selects_on_val_and_reconstructs(strategy, search, k, ord
                                        hidden=(4,), embed_dim=4))
     result = run_patch(spec)
     assert len(result.per_seed) == (len(order_seeds) if strategy == "sequential" else 0)
+    # Sequential patches one task per step; parallel mixes its k models in one.
+    shape = {"sequential": [1] * k, "parallel": [k]}.get(strategy, [1])
     for r in [result, *result.per_seed]:
         assert same_bits(reconstruct(r), r.patched)
+        assert [len(fts) for fts, _ in r.steps] == shape
+        assert [len(coeffs) for _, coeffs in r.steps] == shape
+        assert r.coefficients == tuple(r.provenance["alphas"])
+        assert r.fine_tuned == [ft for fts, _ in r.steps for ft in fts]
         assert {split for _, split in r.access_log["selection"]} == {"val"}
         assert {split for _, split in r.access_log["report"]} == {"test"}
         coeffs = r.coefficients
