@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import glob
+import itertools
 import json
 import math
 import os
@@ -38,6 +39,9 @@ RUNTIME_ERROR = 2
 
 # A start:stop:step alpha_grid may expand to at most this many points.
 MAX_GRID_POINTS = 10_001
+# gen-tasks may draw at most this many float64 values (1 GiB) for the class
+# means, and as many again for the examples.
+MAX_TASK_VALUES = 2**27
 
 class ConfigError(Exception):
     pass
@@ -170,25 +174,32 @@ def non_negative_ints(text):
     return tuple(non_negative_int(v) for v in text.split(","))
 
 
+def paths(text):
+    """Comma-separated paths, none of them empty; kept as the text."""
+    if "" in text.split(","):
+        raise ValueError(f"empty path in {text!r}")
+    return text
+
+
 # Every config key, with the cast from its text to the value commands read.
 KEYS = {
     # general
     "seed": non_negative_int, "out_dir": str,
     # task generation
     "num_classes": int, "dim": int, "samples_per_class": int, "noise_scale": finite_float,
-    "tasks": parse_partition, "split_source": str,
+    "tasks": parse_partition, "split_source": paths,
     # training: the TrainConfig fields a command's output depends on
     "iterations": int, "batch_size": int, "lr": finite_float, "warmup": int,
     "weight_decay": finite_float, "l2_init": finite_float, "constant_lr": truthy,
     "hidden": int_list, "embed_dim": int, "logit_scale": finite_float,
     # patching
     "strategy": str, "alpha_grid": parse_grid, "search": str, "order_seeds": non_negative_ints,
-    "budget": int, "group_weighting": truthy, "zs_checkpoint": str,
-    "patching_tasks": str, "supported_tasks": str, "pretrain_tasks": str, "task": str,
+    "budget": int, "group_weighting": truthy, "zs_checkpoint": paths,
+    "patching_tasks": paths, "supported_tasks": paths, "pretrain_tasks": paths, "task": paths,
     # metrics
-    "frontier": str, "ckpt_a": str, "ckpt_b": str,
+    "frontier": paths, "ckpt_a": paths, "ckpt_b": paths,
     # report
-    "results_dir": str,
+    "results_dir": paths,
 }
 TRAIN_KEYS = {f.name for f in fields(TrainConfig)}
 # The PatchSpec settings a config may set; PatchSpec's defaults fill the rest.
@@ -298,7 +309,15 @@ def cmd_gen_tasks(cfg):
         outside = [max(r.start, num_classes) for r in group if r and r[-1] >= num_classes]
         if outside:
             raise ConfigError(f"class id {min(outside)} outside [0, {num_classes})")
-    partition = [[c for r in group for c in r] for group in spans]
+    # Bounded before anything is allocated, as the alpha grid is.
+    classes = sum(len(r) for group in spans for r in group)
+    for count, what in ((num_classes * dim, "num_classes x dim"),
+                        (classes * samples * dim, "task classes x samples_per_class x dim")):
+        if count > MAX_TASK_VALUES:
+            raise ConfigError(f"gen-tasks would draw {count} values ({what}), "
+                              f"more than {MAX_TASK_VALUES}")
+    # Expanded lazily, after generate_tasks has checked its other arguments.
+    partition = [itertools.chain(*group) for group in spans]
     tasks = _as_usage_error(generate_tasks, seed, num_classes, dim, samples, noise, partition)
     os.makedirs(out_dir, exist_ok=True)
     for task in tasks:

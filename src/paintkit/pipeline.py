@@ -56,26 +56,29 @@ def check_selection(settings):
             raise ValueError(f"order seed {seed} is repeated in {tuple(seeds)}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PatchSpec:
+    """One patch run's settings, checked once when built; replace() makes a checked copy."""
     model: ToyModel
     patching_tasks: list
     supported_tasks: list
     strategy: str = "single"
-    alpha_grid: list = field(default_factory=default_grid)
+    alpha_grid: tuple = field(default_factory=default_grid)  # stored as a tuple of floats
     search: str = "grid"  # read by parallel with >= 2 tasks; grid and uniform sweep the ray
-    order_seeds: tuple = (0,)
+    order_seeds: tuple = (0,)  # the first also seeds the black-box search
     budget: int = 50
     group_weighting: bool = False
     train: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
+        object.__setattr__(self, "alpha_grid", tuple(check_grid(self.alpha_grid)))
+        object.__setattr__(self, "order_seeds", tuple(self.order_seeds))
         if not self.patching_tasks:
             raise ValueError("need at least one patching task")
         if not self.supported_tasks:
             raise ValueError("need at least one supported task")
-        if self.strategy == "sequential" and not self.order_seeds:
-            raise ValueError("sequential strategy needs at least one order seed")
+        if not self.order_seeds:
+            raise ValueError("need at least one order seed")
         names = set()
         for task in [*self.patching_tasks, *self.supported_tasks]:
             if task.name in names:
@@ -133,8 +136,7 @@ def _select(spec, model, patching, fts, log):
     grid) in blocks of _ALPHA_BLOCK points, task by task; the sweep gives the
     frontier and, unless k > 1 and spec.search is blackbox, the coefficients
     beta/k each. Returns the search, frontier, coefficients, val accuracies."""
-    zs, k = model.ckpt, len(fts)
-    grid = check_grid(spec.alpha_grid)
+    zs, k, grid = model.ckpt, len(fts), spec.alpha_grid
     # Val accuracies keyed by coefficients: (beta,) on the ray, k-tuples off it.
     records = {}
     for i in range(0, len(grid), _ALPHA_BLOCK):
@@ -194,11 +196,11 @@ def _patch(spec, steps, provenance):
     )
 
 
-def _patch_one(spec, task):
-    """Fine-tune on `task` and return the selected lerp(zs, ft, alpha)."""
+def _patch_one(spec, task, strategy):
+    """Fine-tune on `task` and return the selected lerp(zs, ft, alpha), named `strategy`."""
     return _patch(spec, [([(task, spec.train)], spec.patching_tasks)],
                   lambda search, alphas: {
-                      "strategy": spec.strategy,
+                      "strategy": strategy,
                       "fine_tuned_on": task.name,
                       "alphas": alphas,
                       "search_evaluations": search.evaluations,
@@ -210,15 +212,15 @@ def patch_single(spec: PatchSpec) -> PatchResult:
     validation accuracy on all tasks, and return the selected interpolation."""
     if len(spec.patching_tasks) != 1:
         raise ValueError("patch_single expects exactly one patching task")
-    return _patch_one(spec, spec.patching_tasks[0])
+    return _patch_one(spec, spec.patching_tasks[0], "single")
 
 
 def patch_joint(spec: PatchSpec) -> PatchResult:
     """Merge the patching tasks into one fine-tuning task (labels keep their
     global ids); accuracies stay reported per original task."""
     if len(spec.patching_tasks) == 1:
-        return patch_single(replace(spec, strategy="single"))
-    return _patch_one(spec, merge_tasks(spec.patching_tasks, name="joint"))
+        return patch_single(spec)
+    return _patch_one(spec, merge_tasks(spec.patching_tasks, name="joint"), "joint")
 
 
 def patch_sequential(spec: PatchSpec) -> PatchResult:
@@ -252,7 +254,7 @@ def patch_parallel(spec: PatchSpec) -> PatchResult:
     """Fine-tune every patching task independently from the zero-shot model,
     then pick mixing coefficients by uniform or black-box search."""
     if len(spec.patching_tasks) == 1:
-        return patch_single(replace(spec, strategy="single"))
+        return patch_single(spec)
     jobs = [(task, replace(spec.train, seed=spec.train.seed + i))
             for i, task in enumerate(spec.patching_tasks)]
     return _patch(spec, [(jobs, spec.patching_tasks)], lambda search, alphas: {
@@ -271,7 +273,6 @@ def run_patch(spec: PatchSpec) -> PatchResult:
         "sequential": patch_sequential,
         "parallel": patch_parallel,
     }
-    check_selection(vars(spec))
     return strategies[spec.strategy](spec)
 
 

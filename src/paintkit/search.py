@@ -4,6 +4,7 @@ simplex, and exhaustive 2-D search for task pairs."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -112,6 +113,14 @@ def project_capped_simplex(x):
     return np.maximum(x - theta, 0.0)
 
 
+def _rounded(point):
+    # To 12 decimals; down where rounding up lifts the sum over combine_rows' bound.
+    key = tuple(round(float(c), 12) for c in point)
+    if sum(key) > 1.0 + 1e-12:
+        key = tuple(math.floor(float(c) * 1e12) / 1e12 for c in point)
+    return key
+
+
 def black_box_search(obj, k, budget=50, init=0.5, seed=0) -> SearchResult:
     """Derivative-free coordinate pattern search with step halving, box- and
     simplex-constrained, starting from the all-`init` point.
@@ -124,46 +133,30 @@ def black_box_search(obj, k, budget=50, init=0.5, seed=0) -> SearchResult:
     if budget < 1:
         raise ValueError("budget must be >= 1")
     rng = np.random.default_rng(seed)
-    trace = []
-    cache = {}
-
-    def evaluate(point):
-        key = tuple(round(float(c), 12) for c in point)
-        if sum(key) > 1.0 + 1e-12:
-            # Rounding up lifted the sum over combine_rows' bound: round down.
-            key = tuple(math.floor(float(c) * 1e12) / 1e12 for c in point)
-        if key in cache:
-            return cache[key], False
-        if len(trace) >= budget:
-            return None, False
-        value = obj(key)
-        cache[key] = value
-        trace.append((key, value))
-        return value, True
-
     current = project_capped_simplex(np.full(k, float(init)))
-    current_value, _ = evaluate(current)
+    start = _rounded(current)
+    scored = {start: obj(start)}  # every point evaluated, rounded, in order: its value
+    current_value = scored[start]
     step = 0.25
-    while len(trace) < budget and step >= 1e-6:
+    while len(scored) < budget and step >= 1e-6:
         improved = False
-        order = rng.permutation(k)
-        for i in order:
-            for sign in (1.0, -1.0):
-                candidate = current.copy()
-                candidate[i] += sign * step
-                candidate = project_capped_simplex(candidate)
-                value, fresh = evaluate(candidate)
-                if value is None:
-                    break
-                if fresh and value > current_value:
+        for i, sign in itertools.product(rng.permutation(k), (1.0, -1.0)):
+            if len(scored) >= budget:
+                break
+            candidate = current.copy()
+            candidate[i] += sign * step
+            candidate = project_capped_simplex(candidate)
+            key = _rounded(candidate)
+            # The current value is the best so far: a point scored before never beats it.
+            if key not in scored:
+                scored[key] = value = obj(key)
+                if value > current_value:
                     current, current_value = candidate, value
                     improved = True
-            if len(trace) >= budget:
-                break
         if not improved:
             step /= 2.0
-    best, best_value = _argmax_smallest(trace)
-    return SearchResult(best, best_value, trace)
+    best, best_value = _argmax_smallest(scored.items())
+    return SearchResult(best, best_value, list(scored.items()))
 
 
 def exhaustive_search_2d(obj, grid) -> SearchResult:

@@ -20,6 +20,7 @@ from paintkit.cli import (
     parse_grid,
     parse_overrides,
     parse_partition,
+    paths,
     truthy,
 )
 
@@ -536,6 +537,44 @@ class TestPretrainFinetunePatch:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", "error: out_dir is empty\n")
         assert list(cwd.iterdir()) == []
+
+    @pytest.mark.parametrize("trailing_comma", [False, True], ids=["empty", "trailing_comma"])
+    @pytest.mark.parametrize("key", ["zs_checkpoint", "patching_tasks", "supported_tasks",
+                                     "pretrain_tasks", "task", "split_source", "frontier",
+                                     "ckpt_a", "ckpt_b", "results_dir"])
+    def test_empty_path_is_usage_error_before_any_work(self, workspace, tmp_path,
+                                                       monkeypatch, capsys, key,
+                                                       trailing_comma):
+        # Each command reads the key and would otherwise succeed, so only the
+        # empty path, alone or after a comma, fails it.
+        results = tmp_path / "results"
+        results.mkdir()
+        (results / "patch_result.json").write_text(result_json([(0.0, 0.9, 0.1)]))
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        out = tmp_path / "out"
+        zs = str(workspace / "zero_shot.ckpt")
+        train = ["--iterations", "60", "--batch_size", "32", "--lr", "0.01", "--warmup", "5"]
+        args = {
+            "pretrain_tasks": ["pretrain", "--pretrain_tasks", str(workspace / "task0.csv"),
+                               "--hidden", "16", "--embed_dim", "8", *train],
+            "task": ["finetune", "--zs_checkpoint", zs,
+                     "--task", str(workspace / "task1.csv"), *train],
+            "split_source": ["gen-tasks", "--split_source", str(workspace / "task1.csv")],
+            "frontier": ["metrics", "--frontier", MNIST_FIXTURE],
+            "ckpt_a": ["metrics", "--ckpt_a", zs, "--ckpt_b", zs],
+            "ckpt_b": ["metrics", "--ckpt_a", zs, "--ckpt_b", zs],
+            "results_dir": ["report", "--results_dir", str(results)],
+        }.get(key, patch_args(workspace, out))
+        i = args.index(f"--{key}") + 1
+        args[i] = f"{args[i]}," if trailing_comma else ""
+        assert main([*args, "--out_dir", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: invalid {key}: {args[i]!r}\n")
+        assert list(cwd.iterdir()) == []
+        assert not out.exists()
+        assert [p.name for p in results.iterdir()] == ["patch_result.json"]
         assert [p.name for p in results.iterdir()] == ["patch_result.json"]
 
     def test_parallel_strategy(self, workspace, tmp_path):
@@ -613,7 +652,8 @@ class TestPretrainFinetunePatch:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("key, value", [
-        *(pytest.param(k, "x", id=k) for k, cast in sorted(KEYS.items()) if cast is not str),
+        *(pytest.param(k, "x", id=k) for k, cast in sorted(KEYS.items())
+          if cast not in (str, paths)),
         *(pytest.param(k, v, id=f"{k}_{v}") for k, cast in sorted(KEYS.items())
           if cast is finite_float for v in ("nan", "inf")),
         *(pytest.param(k, "-1", id=f"{k}_-1") for k, cast in sorted(KEYS.items())
@@ -976,19 +1016,9 @@ def test_malformed_metrics_or_report_input_names_the_file(tmp_path, capsys, key,
     assert not out.exists()
 
 
-# Sizes that cannot fit under the cap. Never run them without it.
-@pytest.mark.skipif(not sys.platform.startswith("linux"),
-                    reason="needs an enforced RLIMIT_AS address-space cap")
-@pytest.mark.parametrize("sizes, message", [
-    (["--num_classes", "100000000", "--dim", "16", "--samples_per_class", "20"],
-     r"error: out of memory: Unable to allocate .+\n"),
-    (["--num_classes", "4", "--dim", "100000000", "--samples_per_class", "20"],
-     r"error: out of memory: Unable to allocate .+\n"),
-    (["--num_classes", "4", "--dim", "16", "--samples_per_class", "100000000"],
-     r"error: out of memory\n"),
-], ids=["num_classes", "dim", "samples_per_class"])
-def test_out_of_memory_is_runtime_error(tmp_path, sizes, message):
-    # The child caps its own address space at 1 GiB before numpy is imported.
+def gen_tasks_under_cap(tmp_path, sizes):
+    """gen-tasks at `sizes` in a child that caps its own address space at
+    1 GiB before numpy is imported; the finished process."""
     child = ("import resource, sys\n"
              "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
              "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, hard))\n"
@@ -997,14 +1027,55 @@ def test_out_of_memory_is_runtime_error(tmp_path, sizes, message):
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = tmp_path / "tasks"
-    proc = subprocess.run([sys.executable, "-c", child, "gen-tasks", "--out_dir", str(out),
-                           "--seed", "0", *sizes, "--noise_scale", "0.5", "--tasks", "0-1|2-3"],
+    args = ["gen-tasks", "--out_dir", str(tmp_path / "tasks"), "--seed", "0",
+            "--noise_scale", "0.5", "--tasks", "0-1|2-3", *sizes]
+    return subprocess.run([sys.executable, "-c", child, *args],
                           capture_output=True, text=True, env=env, timeout=120)
+
+
+# Sizes within MAX_TASK_VALUES that still cannot fit under the cap. Never run
+# them without it.
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="needs an enforced RLIMIT_AS address-space cap")
+@pytest.mark.parametrize("sizes", [
+    ["--num_classes", "8388608", "--dim", "16", "--samples_per_class", "20"],
+    ["--num_classes", "4", "--dim", "3355443", "--samples_per_class", "10"],
+    ["--num_classes", "4", "--dim", "16", "--samples_per_class", "2097152"],
+], ids=["num_classes", "dim", "samples_per_class"])
+def test_out_of_memory_is_runtime_error(tmp_path, sizes):
+    proc = gen_tasks_under_cap(tmp_path, sizes)
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert re.fullmatch(message, proc.stderr), proc.stderr
-    assert not out.exists()
+    assert re.fullmatch(r"error: out of memory: Unable to allocate .+\n", proc.stderr), \
+        proc.stderr
+    assert not (tmp_path / "tasks").exists()
+
+
+def too_many(count, what):
+    return f"error: gen-tasks would draw {count} values ({what}), more than {2**27}\n"
+
+
+# Sizes over MAX_TASK_VALUES, and class ranges that dim 0 leaves unbounded;
+# the cap keeps a failing check from allocating them.
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="needs an enforced RLIMIT_AS address-space cap")
+@pytest.mark.parametrize("sizes, error", [
+    (["--num_classes", "100000000", "--dim", "16", "--samples_per_class", "20"],
+     too_many(1_600_000_000, "num_classes x dim")),
+    (["--num_classes", "100000000000", "--dim", "16", "--samples_per_class", "20"],
+     too_many(1_600_000_000_000, "num_classes x dim")),
+    (["--num_classes", "4", "--dim", "100000000", "--samples_per_class", "20"],
+     too_many(400_000_000, "num_classes x dim")),
+    (["--num_classes", "4", "--dim", "16", "--samples_per_class", "100000000"],
+     too_many(6_400_000_000, "task classes x samples_per_class x dim")),
+    (["--num_classes", "100000000000", "--dim", "0", "--samples_per_class", "20",
+      "--tasks", "0-49999999999|50000000000-99999999999"],
+     "error: need num_classes >= 2, dim >= 1, samples_per_class >= 10\n"),
+], ids=["num_classes", "num_classes_1e11", "dim", "samples_per_class", "dim_0"])
+def test_oversized_gen_tasks_is_usage_error(tmp_path, sizes, error):
+    proc = gen_tasks_under_cap(tmp_path, sizes)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", error)
+    assert not (tmp_path / "tasks").exists()
 
 
 @pytest.mark.parametrize("command", ["metrics", "finetune", "pretrain", "patch", "report"])

@@ -64,3 +64,11 @@ def test_digests_are_deterministic():
         assert set(lab) == names | {f"{name}_csv" for name in names}
         # Every task reads back from its CSV with the same digest.
         assert all(lab[name] == lab[f"{name}_csv"] for name in names)
+
+
+def test_src_option_imports_paintkit_from_that_directory():
+    spec = importlib.util.spec_from_file_location("output_digests", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    default = run(module, ["--section", "tasks"])
+    assert run(module, ["--section", "tasks", "--src", module.SRC]) == default

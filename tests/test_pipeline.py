@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -110,6 +110,12 @@ class TestPatchJoint:
         assert tasks[1].name in result.test_accuracies
         assert tasks[2].name in result.test_accuracies
         assert len(result.coefficients) == 1
+
+    def test_records_joint_whatever_the_spec_strategy(self, env):
+        # Each entry point names its own strategy, so a merged-task run is
+        # "joint" even from a spec left at the default strategy.
+        result = patch_joint(spec_for(env, "single", patch_idx=(1, 2)))
+        assert result.provenance["strategy"] == "joint"
 
     def test_reconstruction(self, env):
         result = patch_joint(spec_for(env, "joint", patch_idx=(1, 2)))
@@ -312,6 +318,29 @@ class TestPatchSpecValidation:
                       supported_tasks=[tasks[0]], strategy="sequential",
                       order_seeds=(3, 1, 3))
 
+    @pytest.mark.parametrize("kw", [
+        {"strategy": "single"}, {"strategy": "sequential"},
+        {"strategy": "parallel", "search": "blackbox"}])
+    def test_rejects_no_order_seed(self, env, kw):
+        # Sequential orders and the black-box search are seeded by order_seeds.
+        model, tasks, _ = env
+        with pytest.raises(ValueError, match="need at least one order seed"):
+            PatchSpec(model=model, patching_tasks=[tasks[1], tasks[2]],
+                      supported_tasks=[tasks[0]], order_seeds=(), **kw)
+
+    def test_is_frozen_and_stores_tuples_of_its_settings(self, env):
+        model, tasks, _ = env
+        spec = PatchSpec(model=model, patching_tasks=[tasks[1]], supported_tasks=[tasks[0]],
+                         alpha_grid=[0, 1], order_seeds=[2, 1])
+        assert spec.alpha_grid == (0.0, 1.0)
+        assert all(type(a) is float for a in spec.alpha_grid)
+        assert spec.order_seeds == (2, 1)
+        with pytest.raises(FrozenInstanceError):
+            spec.budget = 3
+        # A changed copy is checked as it is built.
+        with pytest.raises(ValueError, match="budget must be >= 1"):
+            replace(spec, budget=0)
+
 
 class TestRunPatch:
     def test_dispatch(self, env):
@@ -320,10 +349,12 @@ class TestRunPatch:
             assert result.provenance["strategy"] in ("single", "joint", "sequential")
 
     def test_unknown_strategy(self, env):
+        # The strategy is checked when the spec is built, and it cannot change after.
         spec = spec_for(env, "single")
-        spec.strategy = "mystery"
-        with pytest.raises(ValueError):
-            run_patch(spec)
+        with pytest.raises(FrozenInstanceError):
+            spec.strategy = "mystery"
+        with pytest.raises(ValueError, match="unknown strategy 'mystery'"):
+            replace(spec, strategy="mystery")
 
     @pytest.mark.parametrize("strategy, patch_idx", [
         ("single", (1,)), ("joint", (1, 2)), ("sequential", (1, 2)), ("parallel", (1,))])

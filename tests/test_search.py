@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,97 @@ class TestProjection:
             assert feasible(tuple(p))
 
 
+def _quadratic(c):
+    return -sum((a - t) ** 2 for a, t in zip(c, (0.2, 0.35, 0.1)))
+
+
+def _plateau(c):
+    # Flat in steps of 0.1, so neighbours tie, the step halves and the search
+    # proposes points it scored before.
+    return -math.floor(10 * abs(c[0] - 0.3)) - math.floor(10 * abs(c[1] - 0.6))
+
+
+# The points black_box_search scored, in order, recorded from the search as
+# it was before its scored points were kept in one table.
+PINNED_TRACES = {
+    "concave_k3": ((_quadratic, 3, 40, 0), [
+        (0.333333333333, 0.333333333333, 0.333333333333),
+        (0.25, 0.25, 0.5),
+        (0.333333333333, 0.333333333333, 0.083333333333),
+        (0.583333333333, 0.333333333333, 0.083333333333),
+        (0.083333333333, 0.333333333333, 0.083333333333),
+        (0.083333333333, 0.583333333333, 0.083333333333),
+        (0.083333333333, 0.083333333333, 0.083333333333),
+        (0.083333333333, 0.333333333333, 0.333333333333),
+        (0.083333333333, 0.333333333333, 0.0),
+        (0.0, 0.333333333333, 0.083333333333),
+        (0.083333333333, 0.333333333333, 0.208333333333),
+        (0.208333333333, 0.333333333333, 0.083333333333),
+        (0.208333333333, 0.458333333333, 0.083333333333),
+        (0.208333333333, 0.208333333333, 0.083333333333),
+        (0.208333333333, 0.333333333333, 0.208333333333),
+        (0.208333333333, 0.333333333333, 0.0),
+        (0.270833333333, 0.333333333333, 0.083333333333),
+        (0.145833333333, 0.333333333333, 0.083333333333),
+        (0.208333333333, 0.333333333333, 0.145833333333),
+        (0.208333333333, 0.333333333333, 0.020833333333),
+        (0.208333333333, 0.395833333333, 0.083333333333),
+        (0.208333333333, 0.270833333333, 0.083333333333),
+        (0.239583333333, 0.333333333333, 0.083333333333),
+        (0.177083333333, 0.333333333333, 0.083333333333),
+        (0.208333333333, 0.333333333333, 0.114583333333),
+        (0.208333333333, 0.364583333333, 0.114583333333),
+        (0.239583333333, 0.364583333333, 0.114583333333),
+        (0.177083333333, 0.364583333333, 0.114583333333),
+        (0.208333333333, 0.364583333333, 0.145833333333),
+        (0.208333333333, 0.364583333333, 0.083333333333),
+        (0.208333333333, 0.395833333333, 0.114583333333),
+        (0.208333333333, 0.364583333333, 0.130208333333),
+        (0.208333333333, 0.364583333333, 0.098958333333),
+        (0.208333333333, 0.380208333333, 0.098958333333),
+        (0.208333333333, 0.348958333333, 0.098958333333),
+        (0.223958333333, 0.348958333333, 0.098958333333),
+        (0.192708333333, 0.348958333333, 0.098958333333),
+        (0.192708333333, 0.364583333333, 0.098958333333),
+        (0.192708333333, 0.333333333333, 0.098958333333),
+        (0.192708333333, 0.348958333333, 0.114583333333),
+    ]),
+    "plateau_k2": ((_plateau, 2, 25, 5), [
+        (0.5, 0.5),
+        (0.375, 0.625),
+        (0.375, 0.375),
+        (0.125, 0.625),
+        (0.25, 0.75),
+        (0.4375, 0.5625),
+        (0.25, 0.625),
+        (0.3125, 0.6875),
+        (0.375, 0.5),
+        (0.40625, 0.59375),
+        (0.3125, 0.625),
+        (0.34375, 0.65625),
+        (0.375, 0.5625),
+        (0.359375, 0.640625),
+        (0.375, 0.59375),
+        (0.390625, 0.609375),
+        (0.34375, 0.625),
+        (0.3828125, 0.6171875),
+        (0.359375, 0.625),
+        (0.3671875, 0.6328125),
+        (0.375, 0.609375),
+        (0.37109375, 0.62890625),
+        (0.375, 0.6171875),
+        (0.37890625, 0.62109375),
+        (0.3671875, 0.625),
+    ]),
+    "budget_ends_mid_round": ((_quadratic, 3, 4, 0), [
+        (0.333333333333, 0.333333333333, 0.333333333333),
+        (0.25, 0.25, 0.5),
+        (0.333333333333, 0.333333333333, 0.083333333333),
+        (0.583333333333, 0.333333333333, 0.083333333333),
+    ]),
+}
+
+
 class TestBlackBoxSearch:
     def test_budget_one_returns_projected_init(self):
         obj = SearchObjective(lambda c: -sum(c))
@@ -197,6 +290,14 @@ class TestBlackBoxSearch:
         a = black_box_search(SearchObjective(f), k=2, budget=40, seed=7)
         b = black_box_search(SearchObjective(f), k=2, budget=40, seed=7)
         assert a.trace == b.trace
+
+    @pytest.mark.parametrize("case", list(PINNED_TRACES))
+    def test_evaluation_order_is_pinned(self, case):
+        (f, k, budget, seed), points = PINNED_TRACES[case]
+        obj = SearchObjective(f)
+        result = black_box_search(obj, k=k, budget=budget, seed=seed)
+        assert result.trace == [(p, f(p)) for p in points]
+        assert obj.evaluations == len(points)
 
     def test_best_so_far_nondecreasing(self):
         def f(c):

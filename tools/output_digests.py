@@ -1,8 +1,9 @@
 """Print JSON digests of the outputs that a refactor or optimization must not
-change, for the paintkit sources beside this script.
+change, for the paintkit sources beside this script or in ``--src DIR``.
 
-    python3 tools/output_digests.py > before.json      # on one revision
-    python3 tools/output_digests.py > after.json       # on another
+    d=$(mktemp -d) && git archive REV src | tar -x -C "$d"
+    python3 tools/output_digests.py --src "$d/src" > before.json  # REV's paintkit
+    python3 tools/output_digests.py > after.json       # this checkout's src/
     diff before.json after.json                        # no output: same bits
 
     python3 tools/output_digests.py --section training # one section only
@@ -78,13 +79,18 @@ from dataclasses import replace
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
-def _import_paintkit():
+def _import_paintkit(src):
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
-    sys.path.insert(0, SRC)
+    sys.path.insert(0, src)
     import paintkit
     import paintkit.cli
 
+    # A paintkit imported earlier in this process, or none under src, means
+    # another tree would be digested.
+    where = os.path.dirname(os.path.dirname(os.path.abspath(paintkit.__file__)))
+    if os.path.realpath(where) != os.path.realpath(src):
+        raise SystemExit(f"error: imported paintkit from {where}, not from {src}")
     return paintkit
 
 
@@ -405,8 +411,10 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--section", action="append", choices=sorted(SECTIONS),
                         help="run only this section (repeatable); default: all")
+    parser.add_argument("--src", default=SRC,
+                        help="the directory to import paintkit from; default: %(default)s")
     args = parser.parse_args(argv)
-    pk = _import_paintkit()
+    pk = _import_paintkit(args.src)
     names = args.section or list(SECTIONS)
     print(json.dumps({name: SECTIONS[name](pk) for name in names}, indent=1, sort_keys=True))
     return 0
