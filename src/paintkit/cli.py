@@ -310,7 +310,8 @@ def cmd_gen_tasks(cfg):
         if outside:
             raise ConfigError(f"class id {min(outside)} outside [0, {num_classes})")
     # Bounded before anything is allocated, as the alpha grid is.
-    classes = sum(len(r) for group in spans for r in group)
+    # Counted from the bounds: len() fails on a range longer than sys.maxsize.
+    classes = sum(max(0, r.stop - r.start) for group in spans for r in group)
     for count, what in ((num_classes * dim, "num_classes x dim"),
                         (classes * samples * dim, "task classes x samples_per_class x dim")):
         if count > MAX_TASK_VALUES:

@@ -63,7 +63,7 @@ class PatchSpec:
     patching_tasks: list
     supported_tasks: list
     strategy: str = "single"
-    alpha_grid: tuple = field(default_factory=default_grid)  # stored as a tuple of floats
+    alpha_grid: tuple = field(default_factory=default_grid)  # floats; check_selection checks them
     search: str = "grid"  # read by parallel with >= 2 tasks; grid and uniform sweep the ray
     order_seeds: tuple = (0,)  # the first also seeds the black-box search
     budget: int = 50
@@ -71,7 +71,7 @@ class PatchSpec:
     train: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha_grid", tuple(check_grid(self.alpha_grid)))
+        object.__setattr__(self, "alpha_grid", tuple(float(a) for a in self.alpha_grid))
         object.__setattr__(self, "order_seeds", tuple(self.order_seeds))
         if not self.patching_tasks:
             raise ValueError("need at least one patching task")

@@ -537,6 +537,7 @@ class TestPretrainFinetunePatch:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", "error: out_dir is empty\n")
         assert list(cwd.iterdir()) == []
+        assert [p.name for p in results.iterdir()] == ["patch_result.json"]
 
     @pytest.mark.parametrize("trailing_comma", [False, True], ids=["empty", "trailing_comma"])
     @pytest.mark.parametrize("key", ["zs_checkpoint", "patching_tasks", "supported_tasks",
@@ -574,7 +575,6 @@ class TestPretrainFinetunePatch:
         assert (captured.out, captured.err) == ("", f"error: invalid {key}: {args[i]!r}\n")
         assert list(cwd.iterdir()) == []
         assert not out.exists()
-        assert [p.name for p in results.iterdir()] == ["patch_result.json"]
         assert [p.name for p in results.iterdir()] == ["patch_result.json"]
 
     def test_parallel_strategy(self, workspace, tmp_path):
@@ -1051,6 +1051,20 @@ def test_out_of_memory_is_runtime_error(tmp_path, sizes):
     assert not (tmp_path / "tasks").exists()
 
 
+def test_bare_out_of_memory_is_runtime_error(tmp_path, monkeypatch, capsys):
+    # A MemoryError raised without a message, as some allocations raise it.
+    def generate_tasks(*args):
+        raise MemoryError()
+    monkeypatch.setattr("paintkit.cli.generate_tasks", generate_tasks)
+    out = tmp_path / "tasks"
+    assert main(["gen-tasks", "--out_dir", str(out), "--seed", "0", "--num_classes", "4",
+                 "--dim", "3", "--samples_per_class", "20", "--noise_scale", "0.1",
+                 "--tasks", "0-1|2-3"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: out of memory\n")
+    assert not out.exists()
+
+
 def too_many(count, what):
     return f"error: gen-tasks would draw {count} values ({what}), more than {2**27}\n"
 
@@ -1071,7 +1085,11 @@ def too_many(count, what):
     (["--num_classes", "100000000000", "--dim", "0", "--samples_per_class", "20",
       "--tasks", "0-49999999999|50000000000-99999999999"],
      "error: need num_classes >= 2, dim >= 1, samples_per_class >= 10\n"),
-], ids=["num_classes", "num_classes_1e11", "dim", "samples_per_class", "dim_0"])
+    (["--num_classes", "100000000000000000000", "--dim", "16", "--samples_per_class", "20",
+      "--tasks", "0-1|2-99999999999999999999"],
+     too_many(1_600_000_000_000_000_000_000, "num_classes x dim")),
+], ids=["num_classes", "num_classes_1e11", "dim", "samples_per_class", "dim_0",
+        "range_over_maxsize"])
 def test_oversized_gen_tasks_is_usage_error(tmp_path, sizes, error):
     proc = gen_tasks_under_cap(tmp_path, sizes)
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", error)
