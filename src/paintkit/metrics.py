@@ -117,7 +117,7 @@ def combined_accuracy(supported_accs, patching_accs) -> float:
     patching_accs = list(patching_accs)
     if not supported_accs or not patching_accs:
         raise ValueError("empty accuracy list")
-    return (float(np.mean(supported_accs)) + float(np.mean(patching_accs))) / 2.0
+    return (mean_accuracy(supported_accs) + mean_accuracy(patching_accs)) / 2.0
 
 
 def distance_to_endpoints(f: Frontier) -> float:

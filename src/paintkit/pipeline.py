@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .metrics import Frontier, mean_accuracy, sweep_to_frontier
+from .metrics import Frontier, combined_accuracy, mean_accuracy, sweep_to_frontier
 from .search import (
     SearchObjective,
     black_box_search,
@@ -60,8 +60,8 @@ def check_selection(settings):
 class PatchSpec:
     """One patch run's settings, checked once when built; replace() makes a checked copy."""
     model: ToyModel
-    patching_tasks: list
-    supported_tasks: list
+    patching_tasks: tuple
+    supported_tasks: tuple
     strategy: str = "single"
     alpha_grid: tuple = field(default_factory=default_grid)  # floats; check_selection checks them
     search: str = "grid"  # read by parallel with >= 2 tasks; grid and uniform sweep the ray
@@ -71,6 +71,8 @@ class PatchSpec:
     train: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
+        object.__setattr__(self, "patching_tasks", tuple(self.patching_tasks))
+        object.__setattr__(self, "supported_tasks", tuple(self.supported_tasks))
         object.__setattr__(self, "alpha_grid", tuple(float(a) for a in self.alpha_grid))
         object.__setattr__(self, "order_seeds", tuple(self.order_seeds))
         if not self.patching_tasks:
@@ -115,9 +117,8 @@ class PatchResult:
 
 def _objective_value(spec, patching, accs):
     if spec.group_weighting:
-        sup = mean_accuracy([accs[t.name] for t in spec.supported_tasks])
-        pat = mean_accuracy([accs[t.name] for t in patching])
-        return (sup + pat) / 2.0
+        return combined_accuracy([accs[t.name] for t in spec.supported_tasks],
+                                 [accs[t.name] for t in patching])
     return mean_accuracy([accs[t.name] for t in spec.supported_tasks + patching])
 
 
@@ -230,7 +231,7 @@ def patch_sequential(spec: PatchSpec) -> PatchResult:
     per_seed = []
     for seed in spec.order_seeds:
         perm = np.random.default_rng(seed).permutation(len(spec.patching_tasks))
-        order = [spec.patching_tasks[i] for i in perm]
+        order = tuple(spec.patching_tasks[i] for i in perm)
         steps = [([(task, spec.train)], order[: i + 1]) for i, task in enumerate(order)]
         per_seed.append(_patch(spec, steps, lambda search, alphas: {
             "strategy": "sequential",

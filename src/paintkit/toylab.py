@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
+import types
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -49,26 +50,29 @@ def _frozen_head(class_ids, dim):
     return head
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class TaskDataset:
     """Labeled examples in a global class-id space. `row_splits` names each
     row's split (train, val, test or any other name; "" for none), as the
     task CSV's split column does; `splits` maps each named split to its
-    ascending row indices."""
+    ascending row indices. Checked once and frozen: the task takes the arrays
+    it is given and makes them read-only in place, `splits` is a read-only
+    mapping, and tasks compare by identity."""
 
     name: str
     inputs: np.ndarray
     labels: np.ndarray
     class_ids: tuple
     row_splits: np.ndarray
-    splits: dict = field(init=False, repr=False)
+    splits: types.MappingProxyType = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.inputs = np.asarray(self.inputs, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        self.class_ids = tuple(int(c) for c in self.class_ids)
+        own = functools.partial(object.__setattr__, self)
+        own("inputs", np.asarray(self.inputs, dtype=np.float64))
+        own("labels", np.asarray(self.labels, dtype=np.int64))
+        own("class_ids", tuple(int(c) for c in self.class_ids))
         # Python strings: a fixed-width numpy str array drops trailing NULs.
-        self.row_splits = np.asarray(self.row_splits, dtype=object)
+        own("row_splits", np.asarray(self.row_splits, dtype=object))
         if not set(self.labels.tolist()) <= set(self.class_ids):
             raise ValueError(f"task {self.name!r}: label outside class_ids")
         if min(self.class_ids, default=0) < 0:
@@ -83,7 +87,10 @@ class TaskDataset:
         rows = {}
         for i, split in enumerate(self.row_splits.tolist()):
             rows.setdefault(split, []).append(i)
-        self.splits = {s: np.array(idx, dtype=np.int64) for s, idx in rows.items() if s}
+        splits = {s: np.array(idx, dtype=np.int64) for s, idx in rows.items() if s}
+        for array in (self.inputs, self.labels, self.row_splits, *splits.values()):
+            array.flags.writeable = False
+        own("splits", types.MappingProxyType(splits))
 
     @property
     def dim(self):
@@ -227,8 +234,9 @@ def merge_tasks(tasks, name="merged"):
     return TaskDataset(name, inputs, labels, class_ids, row_splits)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
+    """Fine-tuning settings, checked once when built; replace() makes a checked copy."""
     iterations: int = 500
     batch_size: int = 64
     lr: float = 1e-3

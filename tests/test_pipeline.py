@@ -341,6 +341,22 @@ class TestPatchSpecValidation:
         with pytest.raises(ValueError, match="budget must be >= 1"):
             replace(spec, budget=0)
 
+    @pytest.mark.parametrize("write, error", [
+        (lambda spec, tasks: spec.supported_tasks.append(tasks[1]), AttributeError),
+        (lambda spec, tasks: spec.patching_tasks.extend(tasks[2:]), AttributeError),
+        (lambda spec, tasks: setattr(spec.train, "iterations", -3), FrozenInstanceError),
+    ], ids=["append_supported", "extend_patching", "train_iterations"])
+    def test_nothing_it_checked_can_change(self, env, write, error):
+        # The spec's checks run once, when it is built, so a later write would
+        # skip them: here the one-name check and the training checks.
+        _, tasks, _ = env
+        spec = spec_for(env, "single")
+        with pytest.raises(error):
+            write(spec, tasks)
+        assert spec.supported_tasks == (tasks[0],)
+        assert spec.patching_tasks == (tasks[1],)
+        assert spec.train == quick_train()
+
 
 class TestRunPatch:
     def test_dispatch(self, env):

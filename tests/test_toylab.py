@@ -1,6 +1,7 @@
 import math
 import re
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
+from operator import setitem
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from paintkit import (
     lr_schedule,
     merge_tasks,
     pretrain,
+    split_task,
 )
 from paintkit import toylab
 from paintkit.toylab import _frozen_head, _trajectory
@@ -334,6 +336,52 @@ class TestGenerateTasks:
         assert list(t.row_splits) == list(u.row_splits)
         for s in ("train", "val", "test"):
             assert np.array_equal(t.splits[s], u.splits[s])
+
+
+def _built_tasks(tmp_path):
+    """A task from each way the library builds one."""
+    a, b = small_tasks()
+    a.to_csv(tmp_path / "a.csv")
+    return [a, TaskDataset.from_csv(tmp_path / "a.csv"), merge_tasks([a, b]),
+            split_task(a, 7).task_a]
+
+
+class TestFrozenTask:
+    @pytest.mark.parametrize("write, error", [
+        (lambda t: setitem(t.inputs, (0, 0), 1.0), ValueError),
+        (lambda t: setitem(t.labels, 0, 1), ValueError),
+        (lambda t: setitem(t.row_splits, 0, "test"), ValueError),
+        (lambda t: setitem(t.splits["train"], 0, 1), ValueError),
+        (lambda t: setitem(t.splits, "train", np.arange(3)), TypeError),
+        (lambda t: setattr(t, "splits", {}), FrozenInstanceError),
+        (lambda t: setattr(t, "row_splits", np.array(["test"] * len(t.labels))),
+         FrozenInstanceError),
+    ], ids=["inputs", "labels", "row_splits", "split_index", "splits_entry", "splits",
+            "set_row_splits"])
+    def test_writes_raise(self, tmp_path, write, error):
+        # `splits` is derived from `row_splits` once, so a write to either
+        # would make training and to_csv disagree about a row's split.
+        for t in _built_tasks(tmp_path):
+            before = (t.inputs.copy(), t.labels.copy(), list(t.row_splits),
+                      {s: idx.copy() for s, idx in t.splits.items()})
+            with pytest.raises(error):
+                write(t)
+            assert np.array_equal(t.inputs, before[0])
+            assert np.array_equal(t.labels, before[1])
+            assert list(t.row_splits) == before[2]
+            assert t.splits.keys() == before[3].keys()
+            for s, idx in before[3].items():
+                assert np.array_equal(t.splits[s], idx)
+
+    def test_takes_the_arrays_it_is_given_without_a_copy(self):
+        (t, _) = small_tasks()
+        inputs, labels = t.inputs.copy(), t.labels.copy()
+        u = TaskDataset("u", inputs, labels, t.class_ids, t.row_splits)
+        assert u.inputs is inputs and u.labels is labels and u.row_splits is t.row_splits
+        assert not inputs.flags.writeable and not labels.flags.writeable
+        # Tasks compare by identity, so a task can key a dict.
+        v = TaskDataset("u", inputs, labels, t.class_ids, t.row_splits)
+        assert u == u and u != v and {u: 1, v: 2}[u] == 1
 
 
 class TestMergeTasks:
