@@ -68,11 +68,11 @@ class TaskDataset:
 
     def __post_init__(self):
         own = functools.partial(object.__setattr__, self)
-        own("inputs", np.asarray(self.inputs, dtype=np.float64))
-        own("labels", np.asarray(self.labels, dtype=np.int64))
+        own("inputs", _owned(self.inputs, np.float64))
+        own("labels", _owned(self.labels, np.int64))
         own("class_ids", tuple(int(c) for c in self.class_ids))
         # Python strings: a fixed-width numpy str array drops trailing NULs.
-        own("row_splits", np.asarray(self.row_splits, dtype=object))
+        own("row_splits", _owned(self.row_splits, object))
         if not set(self.labels.tolist()) <= set(self.class_ids):
             raise ValueError(f"task {self.name!r}: label outside class_ids")
         if min(self.class_ids, default=0) < 0:
@@ -140,13 +140,18 @@ class TaskDataset:
                 raise ValueError(f"{path}: {exc}") from None
         labels = np.asarray(labels, dtype=np.int64)
         class_ids = tuple(sorted(set(labels.tolist())))
-        return cls(
-            name or str(path),
-            np.asarray(inputs, dtype=np.float64).reshape(len(labels), len(header) - 3),
-            labels,
-            class_ids,
-            row_splits,
-        )
+        # An owning array: a reshaped one would be a view, which the task copies.
+        inputs = (np.asarray(inputs, dtype=np.float64) if inputs
+                  else np.empty((0, len(header) - 3)))
+        return cls(name or str(path), inputs, labels, class_ids, row_splits)
+
+
+def _owned(values, dtype):
+    """`values` as an array of `dtype` that owns its data: the array itself
+    when it already is one, else a new array. A view is copied, because
+    making a view read-only leaves its base writable."""
+    array = np.asarray(values, dtype=dtype)
+    return array if array.flags.owndata else array.copy()
 
 
 def _bad_cell(path, line, header, row, position):
@@ -222,16 +227,38 @@ def merge_tasks(tasks, name="merged"):
     """
     inputs = np.concatenate([t.inputs for t in tasks])
     labels = np.concatenate([t.labels for t in tasks])
-    rows = set()
-    for t in tasks:
-        own = {tuple(x) + (int(y),) for x, y in zip(t.inputs, t.labels)}
-        shared = rows & own
-        if shared:
-            raise ValueError(f"duplicate example across tasks (label {min(shared)[-1]})")
-        rows |= own
+    if len(tasks) > 1:
+        _check_disjoint(inputs, labels, [len(t.labels) for t in tasks])
     class_ids = tuple(sorted({c for t in tasks for c in t.class_ids}))
     row_splits = np.concatenate([t.row_splits for t in tasks])
     return TaskDataset(name, inputs, labels, class_ids, row_splits)
+
+
+def _check_disjoint(inputs, labels, sizes):
+    """Raise if two tasks, holding consecutive runs of `sizes` rows of
+    `inputs` and `labels`, share an example (features and label): name the
+    first task, in order, that repeats an earlier task's example, by the
+    label of the smallest such example.
+
+    Sorts one structured row (features..., label, task index) per example.
+    Its fields compare one by one as numbers, so rows sort as Python tuples
+    do, -0.0 == 0.0 included, and equal examples end up next to each other
+    in ascending task order."""
+    dim = inputs.shape[1]
+    example = [f"x{i}" for i in range(dim)] + ["label"]
+    rows = np.empty(len(labels), [*((name, np.float64) for name in example[:-1]),
+                                  ("label", np.int64), ("task", np.int64)])
+    rows.view(np.float64).reshape(len(labels), dim + 2)[:, :dim] = inputs
+    rows["label"] = labels
+    rows["task"] = np.repeat(np.arange(len(sizes)), sizes)
+    rows.sort()
+    task = rows["task"]
+    # A row that repeats the example before it, from another task, repeats an
+    # earlier task's example; the first with the smallest task raises.
+    clash = (rows[example][1:] == rows[example][:-1]) & (task[1:] != task[:-1])
+    if clash.any():
+        at = np.flatnonzero(clash)[task[1:][clash].argmin()]
+        raise ValueError(f"duplicate example across tasks (label {int(rows['label'][at + 1])})")
 
 
 @dataclass(frozen=True)
@@ -263,6 +290,7 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        object.__setattr__(self, "hidden", tuple(self.hidden))
         if min(self.hidden, default=1) < 1:
             raise ValueError(f"hidden widths must be >= 1, got {self.hidden}")
         if self.embed_dim < 1:
@@ -355,22 +383,26 @@ class ToyModel:
             ckpt = self.ckpt
         return [(ckpt[w], ckpt[b]) for w, b in self._names]
 
-    def _forward(self, x, layers):
-        """The input of every layer ([x, h1, ...]), the output norms, and the
-        unit-normalized output features. Weights with a leading stack axis
-        (see Checkpoint.views) give every output that axis too."""
-        acts = [np.asarray(x, dtype=np.float64)]
-        for w, b in layers[:-1]:
-            z = _affine(acts[-1], w, b)
-            acts.append(np.tanh(z, out=z))
-        z = _affine(acts[-1], *layers[-1])
+    def _forward(self, x, layers, acts=None):
+        """The output norms and the unit-normalized output features. Given a
+        list `acts`, appends the input of every layer ([x, h1, ...]) to it for
+        backprop; otherwise each layer's input is dropped as soon as the next
+        layer is computed. Weights with a leading stack axis (see
+        Checkpoint.views) give every output that axis too."""
+        z = np.asarray(x, dtype=np.float64)
+        for i, (w, b) in enumerate(layers):
+            if acts is not None:
+                acts.append(z)
+            z = _affine(z, w, b)
+            if i < len(layers) - 1:
+                np.tanh(z, out=z)
         norms = np.sqrt(np.add.reduce(z * z, axis=-1, keepdims=True))  # np.linalg.norm
         z /= norms
-        return acts, norms, z
+        return norms, z
 
     def encode(self, x, ckpt=None):
         """Unit-normalized encoder features for a batch of inputs."""
-        return self._forward(x, self._layers(ckpt))[2]
+        return self._forward(x, self._layers(ckpt))[1]
 
     def logits(self, x, class_ids, ckpt=None):
         head = head_matrix(class_ids, self.embed_dim)
@@ -385,7 +417,8 @@ class ToyModel:
         that tensor's shape, receives the gradients and is returned as grads."""
         head = head_matrix(class_ids, self.embed_dim)
         layers = self._layers(ckpt)
-        acts, norms, u = self._forward(x, layers)
+        acts = []
+        norms, u = self._forward(x, layers, acts)
         n = u.shape[0]
         rows = np.arange(n)
         shifted = self.logit_scale * u @ head.T

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 from operator import setitem
 
@@ -24,7 +25,7 @@ from paintkit import (
     split_task,
 )
 from paintkit import toylab
-from paintkit.toylab import _frozen_head, _trajectory
+from paintkit.toylab import _frozen_head, _trajectory, evaluate_stack
 
 
 def small_tasks(seed=0, partition=((0, 1, 2), (3, 4)), noise=0.3, spc=20):
@@ -383,6 +384,20 @@ class TestFrozenTask:
         v = TaskDataset("u", inputs, labels, t.class_ids, t.row_splits)
         assert u == u and u != v and {u: 1, v: 2}[u] == 1
 
+    def test_copies_a_view_it_is_given(self, tmp_path):
+        # Freezing a view would leave its base writable, and a write through
+        # the base would put a NaN into a task that rejects one when built.
+        (t, _) = small_tasks()
+        big = np.hstack([t.inputs, np.zeros((len(t.labels), 2))])
+        u = TaskDataset("u", big[:, :6], t.labels, t.class_ids, t.row_splits)
+        big[7, 2] = np.nan
+        assert np.array_equal(u.inputs, t.inputs)
+        assert big.flags.writeable and not u.inputs.flags.writeable
+        # Every task the library builds owns its arrays, so none is copied.
+        for task in _built_tasks(tmp_path):
+            for array in (task.inputs, task.labels, task.row_splits):
+                assert array.flags.owndata
+
 
 class TestMergeTasks:
     def test_sizes_and_ids(self):
@@ -483,6 +498,13 @@ class TestLrSchedule:
     def test_out_of_range_setting_rejected(self, settings, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             TrainConfig(**settings)
+
+    def test_hidden_is_stored_as_a_tuple(self):
+        # A list would let a width skip its check after construction.
+        cfg = TrainConfig(hidden=[4])
+        assert cfg.hidden == (4,) and hash(cfg) == hash(TrainConfig(hidden=(4,)))
+        with pytest.raises(AttributeError):
+            cfg.hidden.append(0)
 
 
 class TestTraining:
@@ -664,6 +686,33 @@ class TestEvaluate:
         model = ToyModel.init(0, t.dim, (16,), 8)
         feats = model.encode(t.inputs[:10])
         assert np.allclose(np.linalg.norm(feats, axis=1), 1.0, atol=1e-12)
+
+
+def traced_peak(call):
+    """The most memory tracemalloc, which sees numpy's buffers, traced at
+    once while `call()` ran."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    def test_merging_one_task_copies_it_once(self):
+        (t,) = generate_tasks(0, 2, 64, 500, 0.5, [(0, 1)])
+        size = t.inputs.nbytes + t.labels.nbytes + t.row_splits.nbytes
+        assert traced_peak(lambda: merge_tasks([t])) < 2 * size
+
+    def test_scoring_holds_at_most_two_layers(self):
+        (t,) = generate_tasks(0, 2, 4, 2500, 0.5, [(0, 1)])
+        hidden = (64, 64, 64, 64)
+        model = ToyModel.init(0, t.dim, hidden, 4)
+        stack = np.stack([model.ckpt.flat()] * 8)
+        evaluate_stack(model, stack, t, "test")  # builds and caches the head
+        activations = len(stack) * len(t.splits["test"]) * sum(hidden) * 8
+        assert traced_peak(lambda: evaluate_stack(model, stack, t, "test")) < activations
 
 
 class TestPretrain:
