@@ -227,38 +227,17 @@ def merge_tasks(tasks, name="merged"):
     """
     inputs = np.concatenate([t.inputs for t in tasks])
     labels = np.concatenate([t.labels for t in tasks])
-    if len(tasks) > 1:
-        _check_disjoint(inputs, labels, [len(t.labels) for t in tasks])
+    if len(tasks) > 1:  # a single task shares nothing with another
+        rows = set()
+        for t in tasks:
+            own = {tuple(x) + (int(y),) for x, y in zip(t.inputs, t.labels)}
+            shared = rows & own
+            if shared:
+                raise ValueError(f"duplicate example across tasks (label {min(shared)[-1]})")
+            rows |= own
     class_ids = tuple(sorted({c for t in tasks for c in t.class_ids}))
     row_splits = np.concatenate([t.row_splits for t in tasks])
     return TaskDataset(name, inputs, labels, class_ids, row_splits)
-
-
-def _check_disjoint(inputs, labels, sizes):
-    """Raise if two tasks, holding consecutive runs of `sizes` rows of
-    `inputs` and `labels`, share an example (features and label): name the
-    first task, in order, that repeats an earlier task's example, by the
-    label of the smallest such example.
-
-    Sorts one structured row (features..., label, task index) per example.
-    Its fields compare one by one as numbers, so rows sort as Python tuples
-    do, -0.0 == 0.0 included, and equal examples end up next to each other
-    in ascending task order."""
-    dim = inputs.shape[1]
-    example = [f"x{i}" for i in range(dim)] + ["label"]
-    rows = np.empty(len(labels), [*((name, np.float64) for name in example[:-1]),
-                                  ("label", np.int64), ("task", np.int64)])
-    rows.view(np.float64).reshape(len(labels), dim + 2)[:, :dim] = inputs
-    rows["label"] = labels
-    rows["task"] = np.repeat(np.arange(len(sizes)), sizes)
-    rows.sort()
-    task = rows["task"]
-    # A row that repeats the example before it, from another task, repeats an
-    # earlier task's example; the first with the smallest task raises.
-    clash = (rows[example][1:] == rows[example][:-1]) & (task[1:] != task[:-1])
-    if clash.any():
-        at = np.flatnonzero(clash)[task[1:][clash].argmin()]
-        raise ValueError(f"duplicate example across tasks (label {int(rows['label'][at + 1])})")
 
 
 @dataclass(frozen=True)

@@ -418,56 +418,6 @@ def test_split_column_survives_csv_merge_and_split_task(path, col_a, col_b, seed
         assert TaskDataset.from_csv(path).row_splits.tolist() == column
 
 
-def merge_oracle(tasks):
-    """The check merge_tasks made with a set of per-example tuples: the
-    message it raised, or None when no two tasks share an example."""
-    rows = set()
-    for t in tasks:
-        own = {tuple(x) + (int(y),) for x, y in zip(t.inputs, t.labels)}
-        shared = rows & own
-        if shared:
-            return f"duplicate example across tasks (label {min(shared)[-1]})"
-        rows |= own
-    return None
-
-
-LABEL_POOL = (0, 1, 2**63 - 1)  # the largest a float64 cannot hold
-
-
-@st.composite
-def overlapping_tasks(draw):
-    """1 to 4 small tasks drawn from a tiny pool of features (0.0 and -0.0
-    among them) and labels, so that examples repeat within and across tasks."""
-    dim = draw(st.integers(1, 3))
-    example = st.tuples(st.lists(st.sampled_from([0.0, -0.0, 1.0, -2.5]),
-                                 min_size=dim, max_size=dim),
-                        st.sampled_from(LABEL_POOL))
-    tasks = []
-    for i, rows in enumerate(draw(st.lists(st.lists(example, max_size=6),
-                                           min_size=1, max_size=4))):
-        inputs = np.array([x for x, _ in rows], dtype=np.float64).reshape(len(rows), dim)
-        tasks.append(TaskDataset(f"t{i}", inputs, [y for _, y in rows], LABEL_POOL,
-                                 ["train"] * len(rows)))
-    return tasks
-
-
-@settings(PROPERTY, max_examples=300)
-@given(overlapping_tasks())
-@example(tasks=[TaskDataset("a", [[0.0, 1.0], [-2.5, 0.0]], [1, 0], LABEL_POOL, ["", ""]),
-                TaskDataset("b", [[1.0, 1.0]], [1], LABEL_POOL, [""]),
-                TaskDataset("c", [[-0.0, 1.0], [-2.5, -0.0]], [1, 0], LABEL_POOL, ["", ""])])
-def test_merge_tasks_rejects_what_the_tuple_set_check_rejects(tasks):
-    expected = merge_oracle(tasks)
-    if expected is not None:
-        with pytest.raises(ValueError) as exc:
-            merge_tasks(tasks)
-        assert str(exc.value) == expected
-        return
-    merged = merge_tasks(tasks)
-    assert merged.inputs.tobytes() == np.concatenate([t.inputs for t in tasks]).tobytes()
-    assert merged.labels.tolist() == [y for t in tasks for y in t.labels.tolist()]
-
-
 vectors = st.lists(st.floats(-2.0, 3.0), min_size=1, max_size=8).map(np.array)
 # Dyadic gaps between sorted cut points in [0, 2^20]: every coordinate in
 # [0, 1] and an exact sum <= 1, including the faces and vertices.
