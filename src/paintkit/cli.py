@@ -9,7 +9,6 @@ error, 2 runtime/data error.
 from __future__ import annotations
 
 import csv
-import glob
 import itertools
 import json
 import math
@@ -369,6 +368,16 @@ def _result_json(result, strategy, inputs):
     }
 
 
+def patch_results(directory):
+    """The sorted names of the patch results (patch_result*.json) in
+    `directory`; none when it is absent or cannot be listed."""
+    try:
+        names = os.listdir(directory)
+    except OSError:
+        return []
+    return sorted(n for n in names if n.startswith("patch_result") and n.endswith(".json"))
+
+
 def cmd_patch(cfg):
     ckpt_path, patching_text, supported_text, out_dir = require(
         cfg, "zs_checkpoint", "patching_tasks", "supported_tasks", "out_dir"
@@ -376,9 +385,10 @@ def cmd_patch(cfg):
     selection = {k: cfg[k] for k in SELECTION_KEYS if k in cfg}
     # Every usage error is reported before anything is written, loaded or trained.
     # `report` reads every patch result in a directory, so one run owns it.
-    earlier = sorted(glob.glob(os.path.join(glob.escape(out_dir), "patch_result*.json")))
+    earlier = patch_results(out_dir)
     if earlier:
-        raise ConfigError(f"{earlier[0]} exists: out_dir holds an earlier patch run")
+        raise ConfigError(f"{os.path.join(out_dir, earlier[0])} exists: "
+                          "out_dir holds an earlier patch run")
     _as_usage_error(check_selection, selection)
     first = {}
     for path in [*patching_text.split(","), *supported_text.split(",")]:
@@ -478,17 +488,16 @@ def cmd_report(cfg):
     out_dir = cfg.get("out_dir", results_dir)
     # (label, Frontier) pairs of the patch results.
     series = []
-    for root, _, files in os.walk(results_dir):
+    for root, _, _ in os.walk(results_dir):
+        names = patch_results(root)
         # A sequential run's patch_result.json repeats its first order seed's
         # frontier, so the per-seed files beside it stand in for it.
-        per_seed = any(name.startswith("patch_result_seed") for name in files)
-        for name in sorted(files):
+        if any(name.startswith("patch_result_seed") for name in names):
+            names = [name for name in names if name != "patch_result.json"]
+        for name in names:
             path = os.path.join(root, name)
-            if per_seed and name == "patch_result.json":
-                continue
-            if name.startswith("patch_result") and name.endswith(".json"):
-                label = os.path.splitext(os.path.relpath(path, results_dir))[0]
-                series.append((label.replace(os.sep, "/"), _result_frontier(path)))
+            label = os.path.splitext(os.path.relpath(path, results_dir))[0]
+            series.append((label.replace(os.sep, "/"), _result_frontier(path)))
     if not series:
         print(f"no patch results found in {results_dir}", file=sys.stderr)
         return RUNTIME_ERROR
@@ -509,8 +518,8 @@ def cmd_report(cfg):
     for label, f in [*series, ("average", average)]:
         rows.extend([label, p.alpha, p.supported_acc, p.patching_acc] for p in f.points)
     scatter_path = os.path.join(out_dir, "scatter.csv")
-    with atomic_open(scatter_path) as f:
-        f.write("".join(",".join(str(v) for v in row) + "\n" for row in rows))
+    with atomic_open(scatter_path, newline="") as f:
+        csv.writer(f, lineterminator="\n").writerows(rows)
     atomic_write_json(
         os.path.join(out_dir, "report.json"),
         {"experiments": [label for label, _ in series], "scatter_csv": scatter_path},

@@ -79,7 +79,7 @@ class Frontier:
                         raise ValueError(f"{path}:{reader.line_num}: expected 3 numbers, "
                                          f"got {','.join(row)!r}") from None
                     pts.append(FrontierPoint(alpha, supported, patching))
-            except UnicodeDecodeError as exc:
+            except (UnicodeDecodeError, csv.Error) as exc:
                 raise ValueError(f"{path}: {exc}") from None
         try:
             return cls(pts, unit)

@@ -134,24 +134,17 @@ def _select(spec, model, patching, fts, log):
     """Select the coefficients that patch model.ckpt toward the k fine-tuned
     `fts`, on the val accuracy of the supported tasks and `patching`. The alpha
     grid is swept as beta along uniform_ray_rows (with one model, the lerp
-    grid) in blocks of _ALPHA_BLOCK points, task by task; the sweep gives the
-    frontier and, unless k > 1 and spec.search is blackbox, the coefficients
-    beta/k each. Returns the search, frontier, coefficients, val accuracies."""
+    grid) in blocks of _ALPHA_BLOCK points, task by task. When k > 1 and
+    spec.search is blackbox, the black-box search selects; otherwise the grid
+    search over the sweep does, and the coefficients are beta/k each. Returns
+    the search that selected, the coefficients, and the val accuracies of every
+    scored point, keyed by (beta,) on the ray and by coefficients off it."""
     zs, k, grid = model.ckpt, len(fts), spec.alpha_grid
-    # Val accuracies keyed by coefficients: (beta,) on the ray, k-tuples off it.
     records = {}
     for i in range(0, len(grid), _ALPHA_BLOCK):
         block = grid[i : i + _ALPHA_BLOCK]
         scored = _score(spec, model, patching, uniform_ray_rows(zs, fts, block), log)
         records.update(((beta,), accs) for beta, accs in zip(block, scored))
-    obj = SearchObjective(lambda coeffs: _objective_value(spec, patching, records[coeffs]))
-    search = grid_search_1d(obj, grid)
-    frontier = sweep_to_frontier(
-        [(beta, accs) for (beta,), accs in sorted(records.items())],
-        [t.name for t in spec.supported_tasks],
-        [t.name for t in patching],
-        unit="fraction",
-    )
     if spec.search == "blackbox" and k > 1:
         # Each black-box point depends on the ones before it, so it is scored alone.
         def score_point(coeffs):
@@ -161,11 +154,11 @@ def _select(spec, model, patching, fts, log):
 
         search = black_box_search(SearchObjective(score_point), k=k, budget=spec.budget,
                                   init=0.5, seed=spec.order_seeds[0])
-        coeffs = search.best
-    else:
-        (beta,) = search.best
-        coeffs = (beta / k,) * k
-    return search, frontier, coeffs, records[search.best]
+        return search, search.best, records
+    search = grid_search_1d(
+        SearchObjective(lambda coeffs: _objective_value(spec, patching, records[coeffs])), grid)
+    (beta,) = search.best
+    return search, (beta / k,) * k, records
 
 
 def _patch(spec, steps, provenance):
@@ -173,12 +166,13 @@ def _patch(spec, steps, provenance):
     pair (jobs, seen): every (task, TrainConfig) job is fine-tuned from the
     current model; the step (fine-tuned checkpoints, _select's coefficients
     on the val accuracy of the supported tasks and `seen`) is recorded and its
-    multi_combine becomes the current model. `provenance(search, alphas)`
-    gives the provenance from the last step's search and all coefficients."""
+    multi_combine becomes the current model. The frontier is the last step's
+    ray sweep. `provenance(search, alphas)` gives the provenance from the last
+    step's search and all coefficients."""
     current, applied, selection_log = spec.model, [], []
     for jobs, seen in steps:
         fts = [finetune(current, task, train).final for task, train in jobs]
-        search, frontier, coeffs, val_accs = _select(spec, current, seen, fts, selection_log)
+        search, coeffs, records = _select(spec, current, seen, fts, selection_log)
         applied.append((fts, coeffs))
         current = current.with_weights(multi_combine(current.ckpt, fts, coeffs))
     # The last step scored every task on val, so its record at the selected
@@ -187,8 +181,10 @@ def _patch(spec, steps, provenance):
     return PatchResult(
         patched=current.ckpt,
         steps=applied,
-        frontier=frontier,
-        val_accuracies=val_accs,
+        frontier=sweep_to_frontier(
+            sorted((key[0], accs) for key, accs in records.items() if len(key) == 1),
+            [t.name for t in spec.supported_tasks], [t.name for t in seen], unit="fraction"),
+        val_accuracies=records[search.best],
         test_accuracies={t.name: evaluate(current, t, "test", report_log)
                          for t in spec.supported_tasks + spec.patching_tasks},
         provenance=provenance(search, [a for _, coeffs in applied for a in coeffs]),

@@ -136,7 +136,7 @@ class TaskDataset:
                     inputs.append(features)
                     labels.append(label)
                     row_splits.append(split)
-            except UnicodeDecodeError as exc:
+            except (UnicodeDecodeError, csv.Error) as exc:
                 raise ValueError(f"{path}: {exc}") from None
         labels = np.asarray(labels, dtype=np.int64)
         class_ids = tuple(sorted(set(labels.tolist())))

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -949,6 +950,16 @@ class TestReportCommand:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert len(report["experiments"]) == 2
 
+    def test_scatter_quotes_a_label_with_a_comma(self, workspace, tmp_path):
+        assert main(patch_args(workspace, tmp_path / "lab,v2")) == 0
+        assert main(["report", "--results_dir", str(tmp_path),
+                     "--out_dir", str(tmp_path / "out")]) == 0
+        with open(tmp_path / "out" / "scatter.csv", newline="") as f:
+            header, *rows = list(csv.reader(f))
+        assert header == ["series", "alpha", "supported_acc", "patching_acc"]
+        assert all(len(row) == 4 for row in rows)
+        assert {row[0] for row in rows} == {"lab,v2/patch_result", "average"}
+
     def test_sequential_run_counts_each_order_seed_once(self, workspace, tmp_path):
         args = patch_args(workspace, tmp_path / "seq",
                           ["--strategy", "sequential", "--order_seeds", "0,1,2"])
@@ -1116,4 +1127,31 @@ def test_input_file_that_is_not_utf8_names_it(workspace, tmp_path, capsys, comma
     # `report` reads a result as JSON and says so.
     prefix = f"{bad}: not valid JSON: " if command == "report" else f"{bad}: "
     assert f"{prefix}'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cell", ["9" * 200_000, "0.\x005"], ids=["long_field", "nul_byte"])
+@pytest.mark.parametrize("command", ["pretrain", "metrics_task", "metrics_frontier"])
+def test_csv_the_csv_module_rejects_is_runtime_error(workspace, tmp_path, capsys, command,
+                                                      cell):
+    # A field over the csv module's 131,072-character limit, or (on Python
+    # 3.10) a NUL byte, is a csv.Error; on 3.11+ the NUL cell is a bad float.
+    bad = tmp_path / "bad.csv"
+    if command == "metrics_frontier":
+        bad.write_text(f"alpha,supported_acc,patching_acc\n0.0,{cell},0.1\n1.0,0.5,0.8\n")
+    else:
+        header, first, *rest = (workspace / "task1.csv").read_text().splitlines()
+        bad.write_text("\n".join([header, ",".join([*first.split(",")[:3], cell]
+                                                   + first.split(",")[4:]), *rest]) + "\n")
+    zs = str(workspace / "zero_shot.ckpt")
+    args = {
+        "pretrain": ["pretrain", "--pretrain_tasks", str(bad)],
+        "metrics_task": ["metrics", "--ckpt_a", zs, "--ckpt_b", zs, "--task", str(bad)],
+        "metrics_frontier": ["metrics", "--frontier", str(bad)],
+    }[command]
+    out = tmp_path / "out"
+    assert main([*args, "--out_dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {bad}:")
+    assert captured.out == ""
     assert not out.exists()

@@ -21,6 +21,7 @@ from paintkit import (
     split_task,
     TrainConfig,
 )
+from paintkit import pipeline
 from paintkit.search import uniform_ray_rows
 from paintkit.toylab import evaluate_stack
 
@@ -57,6 +58,18 @@ def spec_for(env, strategy, patch_idx=(1,), **kw):
         train=quick_train(),
         **kw,
     )
+
+
+def count_calls(monkeypatch, name):
+    """Count the calls of pipeline's binding `name`; returns the count's list."""
+    calls, real = [], getattr(pipeline, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, name, counted)
+    return calls
 
 
 class TestPatchSingle:
@@ -165,6 +178,14 @@ class TestPatchSequential:
         assert len(result.access_log["selection"]) == expected
         assert set(result.val_accuracies) == set(result.test_accuracies)
 
+    def test_builds_only_the_frontier_it_ships(self, env, monkeypatch):
+        # Each step sweeps the ray; only the last step's sweep becomes the frontier.
+        calls = count_calls(monkeypatch, "sweep_to_frontier")
+        spec = spec_for(env, "sequential", patch_idx=(1, 2), order_seeds=(0,))
+        result = patch_sequential(spec)
+        assert len(calls) == 1
+        assert [p.alpha for p in result.frontier.points] == list(spec.alpha_grid)
+
     def test_multiple_seeds_averaged(self, env):
         result = patch_sequential(spec_for(env, "sequential", patch_idx=(1, 2),
                                            order_seeds=(0, 1, 2)))
@@ -249,6 +270,17 @@ class TestPatchParallel:
         assert sum(coeffs) <= 1.0 + 1e-9
         assert blackbox.provenance["best_value"] >= (
             uniform.provenance["best_value"] - 1e-6)
+
+    def test_blackbox_alone_selects(self, env, monkeypatch):
+        calls = count_calls(monkeypatch, "grid_search_1d")
+        spec = spec_for(env, "parallel", patch_idx=(1, 2), search="blackbox", budget=10)
+        result = patch_parallel(spec)
+        assert calls == []
+        assert result.provenance["search_evaluations"] <= spec.budget
+        # The val report is the black-box search's record of the point it shipped.
+        assert result.val_accuracies == {
+            t.name: evaluate_stack(spec.model, result.patched.flat()[None], t, "val")[0]
+            for t in spec.supported_tasks + spec.patching_tasks}
 
     def test_blackbox_with_six_tasks_stays_in_the_coefficient_bound(self):
         # The search's first point is 1/6 each; rounded to nearest at 12

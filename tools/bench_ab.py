@@ -1,0 +1,187 @@
+"""Interleaved A/B runs of the benchmark: this checkout against a base revision.
+
+    python3 tools/bench_ab.py --base REV --pairs 10
+
+Extracts REV's ``src``, ``perfbench`` and ``BENCHMARK.json`` with ``git
+archive`` into a temporary directory, as ``tools/output_digests.py --src``'s
+recipe does. Then, for each workload of this checkout's BENCHMARK.json, it
+runs ``perfbench/run.py --trace 0`` N times on each tree: pair i runs both
+trees on seed i for BENCHMARK.json's ``run_seconds``, the tree that goes first
+drawn at random. Around each run it reads
+``resource.getrusage(RUSAGE_CHILDREN).ru_minflt``, so the minor page faults
+per attempted operation show which heap mode a run was in: glibc trimming the
+heap costs about 1,400 faults per ``sequential_dense`` operation, against
+almost none without it. The count includes the run's start-up and its timed
+set-ups, tens of faults per operation in a full-length run.
+
+It writes ``BENCH_<short HEAD sha>.json`` at the repository root, rewritten
+after each workload. Per workload and tree: the median and IQR of each
+end-to-end metric, the faults per operation, and the operations attempted and
+failed. Per metric: the pairs the working tree won, the median of the
+pairwise ratios, and the change of the medians beside the metric's bound.
+With them go the seeds, the first tree of each pair, the versions and the
+base SHA. The tool only reads BENCHMARK.json and ``perfbench/``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import random
+import resource
+import statistics
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SIDES = ("base", "head")
+
+
+def git(*args):
+    """The exit code and stripped output of `git args` in this checkout."""
+    try:
+        proc = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True)
+    except OSError as exc:  # no git
+        return 1, str(exc)
+    return proc.returncode, proc.stdout.strip()
+
+
+def resolve(rev):
+    """The full SHA of the commit `rev` names; exits when it names none."""
+    code, sha = git("rev-parse", "--verify", "--quiet", f"{rev}^{{commit}}")
+    if code != 0 or not sha:
+        raise SystemExit(f"error: base {rev!r} does not resolve to a commit")
+    return sha
+
+
+def extract(sha, into):
+    """Extract the benchmark and the sources of commit `sha` into `into`/base."""
+    archive, tree = os.path.join(into, "base.tar"), os.path.join(into, "base")
+    os.makedirs(tree)
+    for command in (["git", "archive", "-o", archive, sha, "src", "perfbench", "BENCHMARK.json"],
+                    ["tar", "-x", "-f", archive, "-C", tree]):
+        proc = subprocess.run(command, cwd=ROOT, capture_output=True, text=True)
+        if proc.returncode != 0:
+            raise SystemExit(f"error: {' '.join(command)}: {proc.stderr.strip()}")
+    os.remove(archive)
+    return tree
+
+
+def run_once(tree, workload, seed, seconds):
+    """One benchmark run on `tree`: its result and run record, and the minor
+    page faults of the run and everything it waited for."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+    proc = subprocess.run(
+        [sys.executable, os.path.join(tree, "perfbench", "run.py"), "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, capture_output=True, text=True)
+    minflt = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
+    lines = proc.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1])
+        (record,) = [json.loads(line[len("run record: "):]) for line in lines
+                     if line.startswith("run record: ")]
+    except (IndexError, ValueError):
+        raise SystemExit(f"error: {workload} seed {seed} on {tree} printed no result "
+                         f"(exit {proc.returncode}):\n{proc.stderr[-2000:]}") from None
+    return {
+        "seed": seed,
+        "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+        "attempted": result["attempted"],
+        "failed": result["failed"],
+        "minflt_per_op": minflt / result["attempted"],
+        "versions": {key: record.get(key) for key in ("python", "numpy", "blas", "nproc")},
+        "source_sha256": record.get("source_sha256"),
+    }
+
+
+def spread(values):
+    """Median and interquartile range of `values`."""
+    if len(values) < 2:
+        return {"median": values[0], "iqr": 0.0}
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": statistics.median(values), "iqr": q3 - q1}
+
+
+def reduce_workload(pairs, end_to_end):
+    """Summarize one workload's pairs, each {"first": side, "base": run,
+    "head": run}, for the BENCHMARK.json `end_to_end` metrics."""
+    out = {"seeds": [p["base"]["seed"] for p in pairs], "first": [p["first"] for p in pairs]}
+    for side in SIDES:
+        runs = [p[side] for p in pairs]
+        out[side] = {
+            "metrics": {m["name"]: spread([r["metrics"][m["name"]] for r in runs])
+                        for m in end_to_end},
+            "minflt_per_op": spread([r["minflt_per_op"] for r in runs]),
+            "attempted": sum(r["attempted"] for r in runs),
+            "failed": sum(r["failed"] for r in runs),
+            "source_sha256": sorted({r["source_sha256"] for r in runs}),
+        }
+    compare = {}
+    for m in end_to_end:
+        name, lower = m["name"], m["better"] == "lower"
+        base = [p["base"]["metrics"][name] for p in pairs]
+        head = [p["head"]["metrics"][name] for p in pairs]
+        medians = [out[side]["metrics"][name]["median"] for side in SIDES]
+        change = medians[1] / medians[0] - 1
+        worse_by = change if lower else -change
+        compare[name] = {
+            "better": m["better"],
+            "bound": m["bound"],
+            "change": change,
+            "within_bound": worse_by <= m["bound"],
+            "median_pair_ratio": statistics.median(h / b for h, b in zip(head, base)),
+            "head_won": sum(h < b if lower else h > b for h, b in zip(head, base)),
+            "pairs": len(pairs),
+        }
+    out["compare"] = compare
+    return out
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", required=True, help="the revision to compare against")
+    parser.add_argument("--pairs", type=int, default=10, help="pairs per workload")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be >= 1")
+    base_sha = resolve(args.base)
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        bench = json.load(f)
+    code, head_sha = git("rev-parse", "HEAD")
+    head_sha = head_sha if code == 0 else None
+    _, dirty = git("status", "--porcelain", "--", "src", "perfbench", "BENCHMARK.json")
+    out_path = os.path.join(ROOT, f"BENCH_{(head_sha or 'worktree')[:7]}.json")
+    report = {
+        "base": {"rev": args.base, "sha": base_sha},
+        "head": {"sha": head_sha, "dirty": bool(dirty)},
+        "pairs": args.pairs,
+        "seconds": bench["run_seconds"],
+        "workloads": {},
+    }
+    with tempfile.TemporaryDirectory(prefix="bench_ab-") as tmp:
+        trees = {"base": extract(base_sha, tmp), "head": ROOT}
+        for workload in (w["name"] for w in bench["workloads"]):
+            pairs = []
+            for seed in range(args.pairs):
+                first = random.choice(SIDES)
+                pair = {"first": first}
+                for side in (first, *(s for s in SIDES if s != first)):
+                    pair[side] = run_once(trees[side], workload, seed, bench["run_seconds"])
+                    print(f"{workload} seed {seed} {side}: patch_s "
+                          f"{pair[side]['metrics']['patch_s']:.4f} minflt/op "
+                          f"{pair[side]['minflt_per_op']:.0f}", file=sys.stderr)
+                pairs.append(pair)
+            report["versions"] = pairs[0]["head"]["versions"]
+            report["workloads"][workload] = reduce_workload(pairs, bench["end_to_end"])
+            with open(out_path, "w") as f:
+                json.dump(report, f, indent=1, sort_keys=True)
+                f.write("\n")
+    print(f"wrote {out_path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
