@@ -1141,8 +1141,9 @@ def test_csv_the_csv_module_rejects_is_runtime_error(workspace, tmp_path, capsys
         bad.write_text(f"alpha,supported_acc,patching_acc\n0.0,{cell},0.1\n1.0,0.5,0.8\n")
     else:
         header, first, *rest = (workspace / "task1.csv").read_text().splitlines()
-        bad.write_text("\n".join([header, ",".join([*first.split(",")[:3], cell]
-                                                   + first.split(",")[4:]), *rest]) + "\n")
+        cells = first.split(",")
+        cells[3] = cell  # the first feature
+        bad.write_text("\n".join([header, ",".join(cells), *rest]) + "\n")
     zs = str(workspace / "zero_shot.ckpt")
     args = {
         "pretrain": ["pretrain", "--pretrain_tasks", str(bad)],

@@ -61,7 +61,7 @@ def spec_for(env, strategy, patch_idx=(1,), **kw):
 
 
 def count_calls(monkeypatch, name):
-    """Count the calls of pipeline's binding `name`; returns the count's list."""
+    """Wrap pipeline's binding `name`; the returned list gets one entry per call."""
     calls, real = [], getattr(pipeline, name)
 
     def counted(*args, **kwargs):
