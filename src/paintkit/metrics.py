@@ -184,27 +184,18 @@ def cka(a, b) -> float:
     return float(num / (denom_a * denom_b))
 
 
-def sweep_to_frontier(records, supported_ids, patching_ids, unit="percent") -> Frontier:
-    """Assemble a Frontier from (alpha, per-task accuracy map) records.
-
-    x is the mean over supported_ids, y the mean over patching_ids. Records
-    must cover alpha 0 and 1 (the Frontier checks it); duplicate alphas with
-    identical values are deduplicated, conflicting duplicates rejected.
-    """
+def sweep_to_frontier(records, supported_ids, patching_ids) -> Frontier:
+    """The fraction-unit Frontier with one point per (alpha, per-task accuracy
+    map) record: x the mean over supported_ids, y over patching_ids. The
+    Frontier rejects a repeated alpha and a sweep without alpha 0 and 1."""
     supported_ids = list(supported_ids)
     patching_ids = list(patching_ids)
-    seen = {}
+    pts = []
     for alpha, accs in records:
-        alpha = float(alpha)
         for tid in supported_ids + patching_ids:
             if tid not in accs:
-                raise ValueError(f"record at alpha={alpha} missing task {tid!r}")
+                raise ValueError(f"record at alpha={float(alpha)} missing task {tid!r}")
         x = mean_accuracy([accs[t] for t in supported_ids])
         y = mean_accuracy([accs[t] for t in patching_ids])
-        if alpha in seen:
-            if seen[alpha] != (x, y):
-                raise ValueError(f"conflicting duplicate records at alpha={alpha}")
-            continue
-        seen[alpha] = (x, y)
-    pts = [FrontierPoint(a, x, y) for a, (x, y) in seen.items()]
-    return Frontier(pts, unit)
+        pts.append(FrontierPoint(alpha, x, y))
+    return Frontier(pts, "fraction")

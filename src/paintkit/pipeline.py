@@ -3,6 +3,7 @@ strategies, and disjoint-class task splitting."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -50,10 +51,11 @@ def check_selection(settings):
                              f"expected one of {', '.join(allowed)}")
     if "budget" in settings and settings["budget"] < 1:
         raise ValueError(f"budget must be >= 1, got {settings['budget']}")
-    seeds = list(settings.get("order_seeds", ()))
+    seeds = tuple(settings.get("order_seeds", ()))
+    counts = Counter(seeds)
     for seed in seeds:
-        if seeds.count(seed) > 1:
-            raise ValueError(f"order seed {seed} is repeated in {tuple(seeds)}")
+        if counts[seed] > 1:
+            raise ValueError(f"order seed {seed} is repeated in {seeds}")
 
 
 @dataclass(frozen=True)
@@ -182,8 +184,8 @@ def _patch(spec, steps, provenance):
         patched=current.ckpt,
         steps=applied,
         frontier=sweep_to_frontier(
-            sorted((key[0], accs) for key, accs in records.items() if len(key) == 1),
-            [t.name for t in spec.supported_tasks], [t.name for t in seen], unit="fraction"),
+            [(key[0], accs) for key, accs in records.items() if len(key) == 1],
+            [t.name for t in spec.supported_tasks], [t.name for t in seen]),
         val_accuracies=records[search.best],
         test_accuracies={t.name: evaluate(current, t, "test", report_log)
                          for t in spec.supported_tasks + spec.patching_tasks},

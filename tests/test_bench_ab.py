@@ -1,8 +1,10 @@
-"""The reducer of tools/bench_ab.py on canned benchmark runs, and its refusal
-of a base revision that does not resolve."""
+"""The reducer of tools/bench_ab.py on canned benchmark runs, what it keeps of
+a run's output, and its refusal of a base revision that does not resolve."""
 
 import importlib.util
+import json
 import os
+import subprocess
 
 import pytest
 
@@ -50,6 +52,7 @@ def test_reducer_on_canned_runs(bench_ab):
     assert patch_s["change"] == pytest.approx(0.0253 / 0.023 - 1)
     assert patch_s["median_pair_ratio"] == pytest.approx(1.1)
     assert (patch_s["head_won"], patch_s["pairs"], patch_s["within_bound"]) == (1, 4, True)
+    assert patch_s["gain_rule_met"] is False
     # A higher-is-better metric: a fall counts against its bound.
     per_min = out["compare"]["patches_per_min"]
     assert per_min["head_won"] == 1
@@ -64,6 +67,45 @@ def test_change_beyond_a_bound_is_reported(bench_ab):
     assert out["compare"]["patch_s"]["change"] == pytest.approx(0.5)
     assert out["compare"]["patches_per_min"]["within_bound"] is False
     assert out["base"]["metrics"]["patch_s"] == {"median": 0.020, "iqr": 0.0}
+
+
+@pytest.mark.parametrize("head, met", [
+    # Faster in 10/10 pairs, by more than the base's IQR of 0.00075.
+    ([0.019] * 10, True),
+    # Faster in 10/10 pairs, by less than that IQR.
+    ([0.0248] * 10, False),
+    # Faster by far, but in only 8/10 pairs.
+    ([0.019] * 8 + [0.030] * 2, False),
+], ids=["clear_gain", "inside_iqr", "eight_of_ten"])
+def test_gain_rule(bench_ab, head, met):
+    base = [0.0245, 0.025, 0.0255, 0.025, 0.0245, 0.0255, 0.025, 0.025, 0.0245, 0.0255]
+    pairs = [{"first": "base", "base": canned_run(seed, b, 2.0),
+              "head": canned_run(seed, h, 2.0)}
+             for seed, (b, h) in enumerate(zip(base, head))]
+    out = bench_ab.reduce_workload(pairs, END_TO_END)
+    assert out["base"]["metrics"]["patch_s"]["iqr"] == pytest.approx(0.00075)
+    # The rule reads each metric in its own direction.
+    assert out["compare"]["patch_s"]["gain_rule_met"] is met
+    assert out["compare"]["patches_per_min"]["gain_rule_met"] is met
+
+
+def test_run_records_pins_and_heap_settings(bench_ab, monkeypatch):
+    record = {"python": "3.x", "numpy": "2.x", "blas": {"name": "openblas"}, "nproc": 2,
+              "affinity_cpus": 2, "blas_threads_pinned": 1, "source_sha256": "abc",
+              "process_threads": 1}
+    result = {"attempted": 4, "failed": 0,
+              "metrics": {"patch_s": {"value": 0.02, "unit": "s"}}}
+    stdout = f"run record: {json.dumps(record)}\n{json.dumps(result)}\n"
+    monkeypatch.setattr(bench_ab.subprocess, "run",
+                        lambda *a, **kw: subprocess.CompletedProcess(a, 0, stdout, ""))
+    for key in [k for k in os.environ if k.startswith("MALLOC_")]:
+        monkeypatch.delenv(key)
+    monkeypatch.setenv("MALLOC_TOP_PAD_", "2000000")
+    run = bench_ab.run_once("tree", "cli_single", 3, 1)
+    assert run["versions"] == {
+        "python": "3.x", "numpy": "2.x", "blas": {"name": "openblas"}, "nproc": 2,
+        "blas_threads_pinned": 1, "affinity_cpus": 2, "MALLOC_TOP_PAD_": "2000000"}
+    assert (run["seed"], run["metrics"], run["source_sha256"]) == (3, {"patch_s": 0.02}, "abc")
 
 
 def test_refuses_a_base_that_does_not_resolve(bench_ab):

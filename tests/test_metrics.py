@@ -248,31 +248,34 @@ class TestCka:
 class TestSweepToFrontier:
     def test_passthrough(self):
         records = [(0.0, {"s": 0.9, "p": 0.1}), (1.0, {"s": 0.1, "p": 0.8})]
-        f = sweep_to_frontier(records, ["s"], ["p"], unit="fraction")
+        f = sweep_to_frontier(records, ["s"], ["p"])
+        assert f.unit == "fraction"
         assert f.points[0].supported_acc == 0.9
         assert f.points[-1].patching_acc == 0.8
 
     def test_dedup_identical(self):
+        # A repeated alpha is the Frontier's one rule, even with equal values.
         records = [(0.0, {"s": 0.9, "p": 0.1}), (0.0, {"s": 0.9, "p": 0.1}),
                    (1.0, {"s": 0.1, "p": 0.8})]
-        assert len(sweep_to_frontier(records, ["s"], ["p"], "fraction").points) == 2
+        with pytest.raises(ValueError, match="duplicate alpha"):
+            sweep_to_frontier(records, ["s"], ["p"])
 
     def test_conflicting_duplicate_rejected(self):
         records = [(0.0, {"s": 0.9, "p": 0.1}), (0.0, {"s": 0.8, "p": 0.1}),
                    (1.0, {"s": 0.1, "p": 0.8})]
         with pytest.raises(ValueError):
-            sweep_to_frontier(records, ["s"], ["p"], "fraction")
+            sweep_to_frontier(records, ["s"], ["p"])
 
     def test_shuffled_input_sorted(self, rng):
         records = [(a, {"s": 0.5, "p": 0.5}) for a in [0.7, 0.0, 1.0, 0.3]]
-        f = sweep_to_frontier(records, ["s"], ["p"], "fraction")
+        f = sweep_to_frontier(records, ["s"], ["p"])
         assert f.alphas == [0.0, 0.3, 0.7, 1.0]
 
     def test_missing_endpoint_rejected(self):
         with pytest.raises(ValueError):
-            sweep_to_frontier([(0.5, {"s": 1, "p": 1})], ["s"], ["p"], "fraction")
+            sweep_to_frontier([(0.5, {"s": 1, "p": 1})], ["s"], ["p"])
 
     def test_missing_task_rejected(self):
         with pytest.raises(ValueError):
             sweep_to_frontier([(0.0, {"s": 1}), (1.0, {"s": 1, "p": 1})],
-                              ["s"], ["p"], "fraction")
+                              ["s"], ["p"])

@@ -1,3 +1,4 @@
+import time
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -349,6 +350,17 @@ class TestPatchSpecValidation:
             PatchSpec(model=model, patching_tasks=[tasks[1], tasks[2]],
                       supported_tasks=[tasks[0]], strategy="sequential",
                       order_seeds=(3, 1, 3))
+
+    def test_names_the_first_repeated_order_seed(self):
+        with pytest.raises(ValueError, match=r"order seed 1 is repeated in \(1, 2, 2, 1\)"):
+            pipeline.check_selection({"order_seeds": (1, 2, 2, 1)})
+
+    def test_order_seed_check_is_linear(self):
+        # `paintkit patch` runs the check twice before any work; a pairwise
+        # count took about 40 s on these seeds.
+        start = time.perf_counter()
+        pipeline.check_selection({"order_seeds": range(50_000)})
+        assert time.perf_counter() - start < 5.0
 
     @pytest.mark.parametrize("kw", [
         {"strategy": "single"}, {"strategy": "sequential"},

@@ -18,9 +18,13 @@ It writes ``BENCH_<short HEAD sha>.json`` at the repository root, rewritten
 after each workload. Per workload and tree: the median and IQR of each
 end-to-end metric, the faults per operation, and the operations attempted and
 failed. Per metric: the pairs the working tree won, the median of the
-pairwise ratios, and the change of the medians beside the metric's bound.
-With them go the seeds, the first tree of each pair, the versions and the
-base SHA. The tool only reads BENCHMARK.json and ``perfbench/``.
+pairwise ratios, the change of the medians beside the metric's bound, and
+``gain_rule_met``: the working tree won at least 9/10 of the pairs and its
+median is better than the base's by more than the base's IQR. With them go
+the seeds, the first tree of each pair, the base SHA and the versions: the
+run record's Python, numpy, BLAS, CPU count, BLAS thread pin and CPU
+affinity, and every ``MALLOC_*`` variable of this tool's environment, which
+the runs inherit. The tool only reads BENCHMARK.json and ``perfbench/``.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("base", "head")
+VERSION_KEYS = ("python", "numpy", "blas", "nproc", "blas_threads_pinned", "affinity_cpus")
 
 
 def git(*args):
@@ -92,7 +97,9 @@ def run_once(tree, workload, seed, seconds):
         "attempted": result["attempted"],
         "failed": result["failed"],
         "minflt_per_op": minflt / result["attempted"],
-        "versions": {key: record.get(key) for key in ("python", "numpy", "blas", "nproc")},
+        "versions": {**{key: record.get(key) for key in VERSION_KEYS},
+                     **{key: value for key, value in os.environ.items()
+                        if key.startswith("MALLOC_")}},
         "source_sha256": record.get("source_sha256"),
     }
 
@@ -127,14 +134,18 @@ def reduce_workload(pairs, end_to_end):
         medians = [out[side]["metrics"][name]["median"] for side in SIDES]
         change = medians[1] / medians[0] - 1
         worse_by = change if lower else -change
+        head_won = sum(h < b if lower else h > b for h, b in zip(head, base))
+        gain = medians[0] - medians[1] if lower else medians[1] - medians[0]
         compare[name] = {
             "better": m["better"],
             "bound": m["bound"],
             "change": change,
             "within_bound": worse_by <= m["bound"],
             "median_pair_ratio": statistics.median(h / b for h, b in zip(head, base)),
-            "head_won": sum(h < b if lower else h > b for h, b in zip(head, base)),
+            "head_won": head_won,
             "pairs": len(pairs),
+            "gain_rule_met": (10 * head_won >= 9 * len(pairs)
+                              and gain > out["base"]["metrics"][name]["iqr"]),
         }
     out["compare"] = compare
     return out
