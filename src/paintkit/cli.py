@@ -234,8 +234,12 @@ def load_model(path, cfg):
     """The ToyModel in the checkpoint at `path`. The checkpoint fixes the
     model's shape and logit scale, so a hidden, embed_dim or logit_scale
     setting in `cfg` that differs from it is a usage error instead of being
-    ignored. Unset keys go unchecked."""
-    model = ToyModel(load_checkpoint(path))
+    ignored. Unset keys go unchecked. A CheckpointError names `path`."""
+    ckpt = load_checkpoint(path)
+    try:
+        model = ToyModel(ckpt)
+    except CheckpointError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
     for key in ("hidden", "embed_dim", "logit_scale"):
         held = getattr(model, key)
         if key in cfg and cfg[key] != held:
@@ -441,7 +445,12 @@ def cmd_metrics(cfg):
         }
         lines += [f"{path} {name} {value:.6f}" for name, value in report[path].items()]
     if pair:
-        a, b = load_checkpoint(a_path), load_checkpoint(b_path)
+        # Only with a task are the checkpoints models, held to the model settings.
+        if task_path:
+            model_a, model_b = load_model(a_path, cfg), load_model(b_path, cfg)
+            a, b = model_a.ckpt, model_b.ckpt
+        else:
+            a, b = load_checkpoint(a_path), load_checkpoint(b_path)
         report["weights"] = {
             "cosine_similarity": cosine_similarity(a, b),
             "l1_mean_distance": l1_mean_distance(a, b),
@@ -451,7 +460,6 @@ def cmd_metrics(cfg):
         # How far the encoder's features moved, and each model's accuracy, on
         # the split `patch` reports on. With a zero-shot ckpt_a and a ckpt_b
         # patched on classes disjoint from the task's, this is broad transfer.
-        model_a, model_b = ToyModel(a), ToyModel(b)
         (task,) = load_tasks(task_path, model_a.in_dim)
         x, _ = task.split_arrays("test")
         report["cka"] = metrics_mod.cka(model_a.encode(x), model_b.encode(x))

@@ -35,11 +35,17 @@ SEARCHES = ("grid", "uniform", "blackbox")
 _ALPHA_BLOCK = 8
 
 
+def _is_int(value, least):
+    """Whether `value` is a Python or numpy integer (not a bool) >= `least`."""
+    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and value >= least)
+
+
 def check_selection(settings):
-    """Reject an alpha grid, search, strategy, budget or repeated order seed
-    in `settings` (a mapping of PatchSpec field names to values) that
-    patching cannot use. Absent names go unchecked. Needs no model, so
-    callers can run it before any training."""
+    """Reject an alpha grid, search, strategy, budget or order seeds in
+    `settings` (a mapping of PatchSpec field names to values) that patching
+    cannot use. Absent names go unchecked. Needs no model, so callers can run
+    it before any training."""
     if "alpha_grid" in settings:
         grid = check_grid(settings["alpha_grid"])
         # The frontier is anchored at the zero-shot and fine-tuned endpoints.
@@ -49,9 +55,16 @@ def check_selection(settings):
         if name in settings and settings[name] not in allowed:
             raise ValueError(f"unknown {name} {settings[name]!r}; "
                              f"expected one of {', '.join(allowed)}")
-    if "budget" in settings and settings["budget"] < 1:
-        raise ValueError(f"budget must be >= 1, got {settings['budget']}")
-    seeds = tuple(settings.get("order_seeds", ()))
+    if "budget" in settings and not _is_int(settings["budget"], 1):
+        raise ValueError(f"budget must be >= 1 and an integer, got {settings['budget']}")
+    if "order_seeds" not in settings:
+        return
+    seeds = tuple(settings["order_seeds"])
+    if not seeds:
+        raise ValueError("need at least one order seed")
+    for seed in seeds:
+        if not _is_int(seed, 0):
+            raise ValueError(f"order seed {seed} must be an integer >= 0")
     counts = Counter(seeds)
     for seed in seeds:
         if counts[seed] > 1:
@@ -81,8 +94,6 @@ class PatchSpec:
             raise ValueError("need at least one patching task")
         if not self.supported_tasks:
             raise ValueError("need at least one supported task")
-        if not self.order_seeds:
-            raise ValueError("need at least one order seed")
         names = set()
         for task in [*self.patching_tasks, *self.supported_tasks]:
             if task.name in names:

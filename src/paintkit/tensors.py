@@ -198,9 +198,19 @@ class _Reader:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a PAINTCKP container back into a Checkpoint."""
+    """Read a PAINTCKP container back into a Checkpoint. A FormatError names
+    `path`; an OSError names it already."""
     with open(path, "rb") as f:
-        r = _Reader(f.read())
+        data = f.read()
+    try:
+        return _parse(data)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+
+
+def _parse(data) -> Checkpoint:
+    """The Checkpoint in the bytes of a PAINTCKP container."""
+    r = _Reader(data)
     if r.take(len(MAGIC)) != MAGIC:
         raise FormatError("bad magic")
     version, count = r.unpack("II")

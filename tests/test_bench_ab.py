@@ -1,5 +1,6 @@
 """The reducer of tools/bench_ab.py on canned benchmark runs, what it keeps of
-a run's output, and its refusal of a base revision that does not resolve."""
+a run's output, the trees it runs, and its refusal of a base revision that
+does not resolve and of uncommitted changes."""
 
 import importlib.util
 import json
@@ -111,3 +112,64 @@ def test_run_records_pins_and_heap_settings(bench_ab, monkeypatch):
 def test_refuses_a_base_that_does_not_resolve(bench_ab):
     with pytest.raises(SystemExit, match="does not resolve to a commit"):
         bench_ab.main(["--base", "no-such-revision-anywhere"])
+
+
+SHAS = {"base^{commit}": "b" * 40, "HEAD^{commit}": "a" * 40}
+
+
+@pytest.fixture
+def fake_checkout(bench_ab, monkeypatch, tmp_path):
+    """main() on a fake checkout: git answers from SHAS and `status`, and
+    extract and run_once only record their calls. Yields the calls."""
+    calls = {"git": [], "extract": [], "run_once": [], "status": ""}
+
+    def git(*args):
+        calls["git"].append(args)
+        if args[0] == "rev-parse":
+            return 0, SHAS.get(args[-1], "")
+        return 0, calls["status"] if args[0] == "status" else ""
+
+    def extract(sha, tree):
+        calls["extract"].append((sha, tree))
+        os.makedirs(tree)
+        return tree
+
+    def run_once(tree, workload, seed, seconds):
+        calls["run_once"].append(tree)
+        return canned_run(seed, 0.02, 2.0)
+
+    with open(tmp_path / "BENCHMARK.json", "w") as f:
+        json.dump({"run_seconds": 1, "workloads": [{"name": "cli_single"}],
+                   "end_to_end": END_TO_END}, f)
+    for name, fn in (("git", git), ("extract", extract), ("run_once", run_once),
+                     ("ROOT", str(tmp_path))):
+        monkeypatch.setattr(bench_ab, name, fn)
+    return calls
+
+
+def test_both_sides_run_from_extracted_trees(bench_ab, fake_checkout, tmp_path):
+    checkout = bench_ab.__spec__.origin.rsplit(os.sep, 2)[0]
+    assert bench_ab.main(["--base", "base", "--pairs", "3"]) == 0
+    (base_sha, base_tree), (head_sha, head_tree) = sorted(
+        fake_checkout["extract"], key=lambda call: call[0] != SHAS["base^{commit}"])
+    assert (base_sha, head_sha) == (SHAS["base^{commit}"], SHAS["HEAD^{commit}"])
+    assert base_tree != head_tree
+    # Every run starts from one of the two trees, three runs on each.
+    assert sorted(fake_checkout["run_once"]) == sorted([base_tree, head_tree] * 3)
+    for tree in (base_tree, head_tree):
+        assert not os.path.realpath(tree).startswith(os.path.realpath(checkout) + os.sep)
+        assert os.path.realpath(tree) not in (os.path.realpath(checkout), str(tmp_path))
+    with open(tmp_path / f"BENCH_{'a' * 7}.json") as f:
+        report = json.load(f)
+    assert report["head"] == {"sha": SHAS["HEAD^{commit}"]}
+    assert report["base"] == {"rev": "base", "sha": SHAS["base^{commit}"]}
+
+
+def test_refuses_uncommitted_changes_before_any_work(bench_ab, fake_checkout, tmp_path):
+    fake_checkout["status"] = " M src/paintkit/pipeline.py"
+    with pytest.raises(SystemExit, match="uncommitted changes(.|\\n)*pipeline.py"):
+        bench_ab.main(["--base", "base"])
+    status = ("status", "--porcelain", "--", "src", "perfbench", "BENCHMARK.json")
+    assert status in fake_checkout["git"]
+    assert fake_checkout["extract"] == [] and fake_checkout["run_once"] == []
+    assert not [name for name in os.listdir(tmp_path) if name.startswith("BENCH_")]

@@ -910,6 +910,22 @@ class TestMetricsCommand:
         assert "metadata has no 'logit_scale'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_task_model_setting_unlike_the_checkpoint_is_usage_error(self, workspace,
+                                                                     tmp_path, capsys):
+        # With a task the checkpoints are models, held to the settings as
+        # finetune and patch hold them; without one they are plain weights.
+        zs = workspace / "zero_shot.ckpt"
+        pair = ["metrics", "--ckpt_a", str(zs), "--ckpt_b", str(zs),
+                "--hidden", "99", "--logit_scale", "3"]
+        out = tmp_path / "out"
+        assert main([*pair, "--task", str(workspace / "task1.csv"), "--out_dir", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", f"error: hidden is (99,), but {zs} has hidden (16,)\n")
+        assert not out.exists()
+        assert main(pair) == 0
+        assert "cosine_similarity 1.000000" in capsys.readouterr().out
+
     def test_writes_metrics_json(self, tmp_path):
         assert main(["metrics", "--frontier", MNIST_FIXTURE,
                      "--out_dir", str(tmp_path)]) == 0
@@ -1156,3 +1172,40 @@ def test_csv_the_csv_module_rejects_is_runtime_error(workspace, tmp_path, capsys
     assert captured.err.startswith(f"error: {bad}:")
     assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"PAIN", "truncated payload"),
+    (b"NOTACKPT" + bytes(16), "bad magic"),
+    (None, "checkpoint metadata has no 'logit_scale'"),
+], ids=["truncated", "bad_magic", "no_model_metadata"])
+@pytest.mark.parametrize("flag", ["ckpt_b", "zs_checkpoint"])
+def test_checkpoint_error_names_the_file(workspace, tmp_path, capsys, flag, content, message):
+    path = tmp_path / "bad.ckpt"
+    if content is None:
+        # Only a model needs the metadata: metrics reads ckpt_b as one with a task.
+        zs = load_checkpoint(workspace / "zero_shot.ckpt")
+        save_checkpoint(zs.with_meta({k: v for k, v in zs.meta.items() if k != "logit_scale"}),
+                        path)
+    else:
+        path.write_bytes(content)
+    out = tmp_path / "out"
+    if flag == "ckpt_b":
+        args = ["metrics", "--ckpt_a", str(workspace / "zero_shot.ckpt"), "--ckpt_b",
+                str(path), "--task", str(workspace / "task1.csv"), "--out_dir", str(out)]
+    else:
+        args = patch_args(workspace, out)
+        args[args.index("--zs_checkpoint") + 1] = str(path)
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {path}: {message}\n")
+    assert not out.exists()
+
+
+def test_unreadable_checkpoint_is_named_once(workspace, tmp_path, capsys):
+    # An OSError names its file already.
+    path = tmp_path / "missing.ckpt"
+    assert main(["metrics", "--ckpt_a", str(workspace / "zero_shot.ckpt"),
+                 "--ckpt_b", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: [Errno 2] No such file or directory: '{path}'\n"

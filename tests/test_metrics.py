@@ -279,3 +279,36 @@ class TestSweepToFrontier:
         with pytest.raises(ValueError):
             sweep_to_frontier([(0.0, {"s": 1}), (1.0, {"s": 1, "p": 1})],
                               ["s"], ["p"])
+
+
+def write_frontier_csv(path, text):
+    path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda tmp: Frontier.from_csv(write_frontier_csv(
+        tmp / "f.csv", "alpha,supported,patching\n0,1,1\n1,1,1\n")),
+     "bad frontier CSV header in {csv}"),
+    (lambda tmp: Frontier.from_csv(write_frontier_csv(
+        tmp / "f.csv", "alpha,supported_acc,patching_acc\n0,50,50\n0.5,60,60\n")),
+     "{csv}: frontier must contain alpha=0 and alpha=1"),
+    (lambda tmp: Frontier.from_csv(write_frontier_csv(
+        tmp / "f.csv", "alpha,supported_acc,patching_acc\n0,50,50\n0,60,60\n1,70,70\n")),
+     "{csv}: duplicate alpha in frontier"),
+    (lambda tmp: Frontier([FrontierPoint(0, 1, 1), FrontierPoint(1, 1, 1)], "percents"),
+     "unknown unit 'percents'"),
+    (lambda tmp: Frontier([FrontierPoint(0, 1, 1), FrontierPoint(float("nan"), 1, 1),
+                           FrontierPoint(1, 1, 1)], "fraction"),
+     "alpha out of range: nan"),
+    (lambda tmp: cka(np.ones(3), np.ones(3)), "representation matrices must be 2-D"),
+    (lambda tmp: cka(np.ones((1, 2)), np.ones((1, 2))), "need at least 2 samples"),
+    (lambda tmp: cka(np.array([[1.0, 2.0], [np.inf, 1.0]]), np.ones((2, 2))),
+     "non-finite entries"),
+], ids=["csv_bad_header", "csv_no_alpha_1", "csv_repeated_alpha", "unknown_unit",
+        "nan_alpha", "cka_1d", "cka_one_sample", "cka_non_finite"])
+def test_error_paths(tmp_path, make, message):
+    with pytest.raises(ValueError) as info:
+        make(tmp_path)
+    assert type(info.value) is ValueError
+    assert str(info.value) == message.format(csv=tmp_path / "f.csv")

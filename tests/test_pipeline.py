@@ -372,6 +372,40 @@ class TestPatchSpecValidation:
             PatchSpec(model=model, patching_tasks=[tasks[1], tasks[2]],
                       supported_tasks=[tasks[0]], order_seeds=(), **kw)
 
+    @pytest.mark.parametrize("strategy, kw, message", [
+        ("sequential", {"order_seeds": (0, -1)}, "order seed -1 must be an integer >= 0"),
+        ("parallel", {"order_seeds": (-3,)}, "order seed -3 must be an integer >= 0"),
+        ("sequential", {"order_seeds": (1, 0.5)}, "order seed 0.5 must be an integer"),
+        ("single", {"order_seeds": (True,)}, "order seed True must be an integer"),
+        ("parallel", {"budget": 2.5}, "budget must be >= 1 and an integer, got 2.5"),
+        ("parallel", {"budget": np.float64(3.0)}, "budget must be >= 1 and an integer"),
+    ], ids=["negative_sequential", "negative_blackbox", "float_seed", "bool_seed",
+            "fractional_budget", "float_budget"])
+    def test_rejects_a_seed_or_budget_before_fine_tuning(self, env, monkeypatch, strategy,
+                                                          kw, message):
+        # Each of these once fine-tuned first, then failed in numpy or ran
+        # past its budget (2.5 scored 3 black-box points).
+        finetunes = count_calls(monkeypatch, "finetune")
+        with pytest.raises(ValueError, match=message):
+            run_patch(spec_for(env, strategy, patch_idx=(1, 2), search="blackbox", **kw))
+        assert finetunes == []
+
+    def test_takes_numpy_integer_seeds_and_budget(self, env):
+        spec = spec_for(env, "sequential", patch_idx=(1, 2),
+                        order_seeds=(np.int64(2), np.uint8(0)), budget=np.int32(4))
+        assert spec.order_seeds == (2, 0) and spec.budget == 4
+
+    @pytest.mark.parametrize("roles, message", [
+        ({"patching_tasks": [], "supported_tasks": [0]}, "need at least one patching task"),
+        ({"patching_tasks": [1], "supported_tasks": []}, "need at least one supported task"),
+    ], ids=["no_patching_task", "no_supported_task"])
+    def test_rejects_a_missing_task_role(self, env, roles, message):
+        model, tasks, _ = env
+        with pytest.raises(ValueError) as info:
+            PatchSpec(model=model, **{role: [tasks[i] for i in indices]
+                                      for role, indices in roles.items()})
+        assert type(info.value) is ValueError and str(info.value) == message
+
     def test_is_frozen_and_stores_tuples_of_its_settings(self, env):
         model, tasks, _ = env
         spec = PatchSpec(model=model, patching_tasks=[tasks[1]], supported_tasks=[tasks[0]],

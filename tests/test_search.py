@@ -339,3 +339,15 @@ class TestExhaustiveSearch2d:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             exhaustive_search_2d(SearchObjective(lambda c: 0.0), [])
+
+
+@pytest.mark.parametrize("kw, message", [
+    ({"k": 0}, "k must be >= 1"),
+    ({"k": 2, "budget": 0}, "budget must be >= 1"),
+], ids=["k_below_1", "budget_below_1"])
+def test_black_box_search_error_paths(kw, message):
+    obj = SearchObjective(lambda coeffs: 0.0)
+    with pytest.raises(ValueError) as info:
+        black_box_search(obj, **kw)
+    assert type(info.value) is ValueError and str(info.value) == message
+    assert obj.evaluations == 0

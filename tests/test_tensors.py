@@ -382,3 +382,18 @@ class TestSimilarity:
             assert l1_mean_distance(a, c) <= (
                 l1_mean_distance(a, b) + l1_mean_distance(b, c) + 1e-10
             )
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda zs: combine_rows(zs, [zs], [[0.5, 0.1]]), ValueError,
+     "alphas and fts length mismatch"),
+    (lambda zs: Checkpoint({"": np.zeros(2)}), CheckpointError, "invalid tensor name: ''"),
+    (lambda zs: l1_mean_distance(Checkpoint({}), Checkpoint({})), ValueError,
+     "empty checkpoint"),
+], ids=["combine_row_of_wrong_length", "empty_tensor_name", "l1_of_empty_checkpoint"])
+def test_error_paths(make, error, message):
+    zs = Checkpoint({"w": np.zeros(3)})
+    with pytest.raises(error) as info:
+        make(zs)
+    assert type(info.value) is error
+    assert str(info.value) == message

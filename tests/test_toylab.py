@@ -802,3 +802,40 @@ class TestBaselineFrontiers:
         with pytest.raises(ValueError, match=re.escape(
                 "iterations must be >= 1 for baseline frontiers, got 0")):
             baseline_frontiers(model, pat, sup, quick_cfg(iterations=0, warmup=0), 15)
+
+
+@pytest.mark.parametrize("iterations, warmup, expected", [
+    # The step after warmup is the last, and the last step is 0.
+    (11, 10, [0.1 * step / 10 for step in range(10)] + [0.0]),
+    # One step with no warmup runs at the peak.
+    (1, 0, [0.1]),
+], ids=["warmup_then_last_step", "one_step"])
+def test_short_schedules(iterations, warmup, expected):
+    cfg = TrainConfig(iterations=iterations, warmup=warmup, lr=0.1)
+    assert [lr_schedule(step, cfg) for step in range(iterations)] == expected
+
+
+def _relabelled(task):
+    return TaskDataset("u", task.inputs.copy(), np.where(task.labels == 0, 3, task.labels),
+                       task.class_ids, task.row_splits.copy())
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda model, task: evaluate_stack(model, np.zeros((2, model.ckpt.num_params + 1)),
+                                        task, "val"),
+     "weight stack of shape (2, 27) does not hold rows of 26 parameters"),
+    (lambda model, task: _relabelled(task), "task 'u': label outside class_ids"),
+    (lambda model, task: generate_tasks(0, 4, 3, 10, -0.1, [(0, 1), (2, 3)]),
+     "noise_scale must be >= 0"),
+    (lambda model, task: generate_tasks(0, 4, 3, 10, 0.1, [(0,), (2, 3)]),
+     "each task needs at least 2 classes"),
+    (lambda model, task: TrainConfig(batch_size=0), "batch_size must be >= 1"),
+], ids=["stack_of_wrong_width", "label_outside_class_ids", "negative_noise_scale",
+        "one_class_group", "batch_size_0"])
+def test_error_paths(make, message):
+    model = ToyModel.init(0, 3, hidden=(4,), embed_dim=2)
+    task = generate_tasks(0, 4, 3, 10, 0.3, [(0, 1), (2, 3)])[0]
+    with pytest.raises(ValueError) as info:
+        make(model, task)
+    assert type(info.value) is ValueError
+    assert str(info.value) == message

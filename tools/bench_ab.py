@@ -1,10 +1,12 @@
-"""Interleaved A/B runs of the benchmark: this checkout against a base revision.
+"""Interleaved A/B runs of the benchmark: the commit at HEAD against a base revision.
 
     python3 tools/bench_ab.py --base REV --pairs 10
 
-Extracts REV's ``src``, ``perfbench`` and ``BENCHMARK.json`` with ``git
-archive`` into a temporary directory, as ``tools/output_digests.py --src``'s
-recipe does. Then, for each workload of this checkout's BENCHMARK.json, it
+Extracts the ``src``, ``perfbench`` and ``BENCHMARK.json`` of REV and of HEAD
+with ``git archive`` into two directories of one temporary directory, as
+``tools/output_digests.py --src``'s recipe does, so both sides run from a fresh
+tree. The output is named after HEAD, so the tool refuses to start while those
+paths hold uncommitted changes. Then, for each workload of BENCHMARK.json, it
 runs ``perfbench/run.py --trace 0`` N times on each tree: pair i runs both
 trees on seed i for BENCHMARK.json's ``run_seconds``, the tree that goes first
 drawn at random. Around each run it reads
@@ -17,14 +19,13 @@ set-ups, tens of faults per operation in a full-length run.
 It writes ``BENCH_<short HEAD sha>.json`` at the repository root, rewritten
 after each workload. Per workload and tree: the median and IQR of each
 end-to-end metric, the faults per operation, and the operations attempted and
-failed. Per metric: the pairs the working tree won, the median of the
-pairwise ratios, the change of the medians beside the metric's bound, and
-``gain_rule_met``: the working tree won at least 9/10 of the pairs and its
-median is better than the base's by more than the base's IQR. With them go
-the seeds, the first tree of each pair, the base SHA and the versions: the
-run record's Python, numpy, BLAS, CPU count, BLAS thread pin and CPU
-affinity, and every ``MALLOC_*`` variable of this tool's environment, which
-the runs inherit. The tool only reads BENCHMARK.json and ``perfbench/``.
+failed. Per metric: the pairs the head tree won, the median of the pairwise
+ratios, the change of the medians beside the metric's bound, and
+``gain_rule_met``: the head tree won at least 9/10 of the pairs and its median
+is better than the base's by more than the base's IQR. With them go the seeds,
+the first tree of each pair, both SHAs and the versions: the run record's
+Python, numpy, BLAS, CPU count, BLAS thread pin and CPU affinity, and every
+``MALLOC_*`` variable of this tool's environment, which the runs inherit.
 """
 
 from __future__ import annotations
@@ -57,13 +58,14 @@ def resolve(rev):
     """The full SHA of the commit `rev` names; exits when it names none."""
     code, sha = git("rev-parse", "--verify", "--quiet", f"{rev}^{{commit}}")
     if code != 0 or not sha:
-        raise SystemExit(f"error: base {rev!r} does not resolve to a commit")
+        raise SystemExit(f"error: {rev!r} does not resolve to a commit")
     return sha
 
 
-def extract(sha, into):
-    """Extract the benchmark and the sources of commit `sha` into `into`/base."""
-    archive, tree = os.path.join(into, "base.tar"), os.path.join(into, "base")
+def extract(sha, tree):
+    """Extract the benchmark and the sources of commit `sha` into the new
+    directory `tree`."""
+    archive = tree + ".tar"
     os.makedirs(tree)
     for command in (["git", "archive", "-o", archive, sha, "src", "perfbench", "BENCHMARK.json"],
                     ["tar", "-x", "-f", archive, "-C", tree]):
@@ -158,22 +160,22 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
-    base_sha = resolve(args.base)
+    shas = {"base": resolve(args.base), "head": resolve("HEAD")}
+    _, dirty = git("status", "--porcelain", "--", "src", "perfbench", "BENCHMARK.json")
+    if dirty:
+        raise SystemExit(f"error: uncommitted changes; HEAD is run as committed:\n{dirty}")
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         bench = json.load(f)
-    code, head_sha = git("rev-parse", "HEAD")
-    head_sha = head_sha if code == 0 else None
-    _, dirty = git("status", "--porcelain", "--", "src", "perfbench", "BENCHMARK.json")
-    out_path = os.path.join(ROOT, f"BENCH_{(head_sha or 'worktree')[:7]}.json")
+    out_path = os.path.join(ROOT, f"BENCH_{shas['head'][:7]}.json")
     report = {
-        "base": {"rev": args.base, "sha": base_sha},
-        "head": {"sha": head_sha, "dirty": bool(dirty)},
+        "base": {"rev": args.base, "sha": shas["base"]},
+        "head": {"sha": shas["head"]},
         "pairs": args.pairs,
         "seconds": bench["run_seconds"],
         "workloads": {},
     }
     with tempfile.TemporaryDirectory(prefix="bench_ab-") as tmp:
-        trees = {"base": extract(base_sha, tmp), "head": ROOT}
+        trees = {side: extract(shas[side], os.path.join(tmp, side)) for side in SIDES}
         for workload in (w["name"] for w in bench["workloads"]):
             pairs = []
             for seed in range(args.pairs):
