@@ -131,7 +131,7 @@ def fake_checkout(bench_ab, monkeypatch, tmp_path):
 
     def extract(sha, tree):
         calls["extract"].append((sha, tree))
-        os.makedirs(tree)
+        os.makedirs(tree, exist_ok=True)
         return tree
 
     def run_once(tree, workload, seed, seconds):
@@ -148,17 +148,18 @@ def fake_checkout(bench_ab, monkeypatch, tmp_path):
 
 
 def test_both_sides_run_from_extracted_trees(bench_ab, fake_checkout, tmp_path):
-    checkout = bench_ab.__spec__.origin.rsplit(os.sep, 2)[0]
+    checkout = os.path.realpath(os.path.dirname(os.path.dirname(SCRIPT)))
     assert bench_ab.main(["--base", "base", "--pairs", "3"]) == 0
-    (base_sha, base_tree), (head_sha, head_tree) = sorted(
-        fake_checkout["extract"], key=lambda call: call[0] != SHAS["base^{commit}"])
-    assert (base_sha, head_sha) == (SHAS["base^{commit}"], SHAS["HEAD^{commit}"])
-    assert base_tree != head_tree
+    # One tree per commit: the base's and HEAD's.
+    trees = dict(fake_checkout["extract"])
+    assert len(fake_checkout["extract"]) == 2 and sorted(trees) == sorted(SHAS.values())
+    assert len(set(trees.values())) == 2
     # Every run starts from one of the two trees, three runs on each.
-    assert sorted(fake_checkout["run_once"]) == sorted([base_tree, head_tree] * 3)
-    for tree in (base_tree, head_tree):
-        assert not os.path.realpath(tree).startswith(os.path.realpath(checkout) + os.sep)
-        assert os.path.realpath(tree) not in (os.path.realpath(checkout), str(tmp_path))
+    assert sorted(fake_checkout["run_once"]) == sorted([*trees.values()] * 3)
+    for tree in trees.values():
+        tree = os.path.realpath(tree)
+        assert tree != checkout and not tree.startswith(checkout + os.sep)
+        assert tree != str(tmp_path)
     with open(tmp_path / f"BENCH_{'a' * 7}.json") as f:
         report = json.load(f)
     assert report["head"] == {"sha": SHAS["HEAD^{commit}"]}
