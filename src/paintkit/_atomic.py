@@ -5,7 +5,6 @@ never a partial write."""
 from __future__ import annotations
 
 import os
-import secrets
 from contextlib import contextmanager
 
 
@@ -16,7 +15,7 @@ def atomic_open(path, mode="w", **kwargs):
     follow the umask, as for a plain `open`."""
     tmp = os.path.join(
         os.path.dirname(os.path.abspath(path)),
-        f".{os.path.basename(path)}.{secrets.token_hex(4)}.tmp",
+        f".{os.path.basename(path)}.{os.urandom(4).hex()}.tmp",
     )
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:

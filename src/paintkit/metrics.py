@@ -32,11 +32,13 @@ class Frontier:
     def __post_init__(self):
         if self.unit not in ("percent", "fraction"):
             raise ValueError(f"unknown unit {self.unit!r}")
-        pts = sorted(
-            (FrontierPoint(float(p.alpha), float(p.supported_acc), float(p.patching_acc))
-             for p in self.points),
-            key=lambda p: p.alpha,
-        )
+        pts = [FrontierPoint(float(p.alpha), float(p.supported_acc), float(p.patching_acc))
+               for p in self.points]
+        # Before the sort, which leaves a NaN alpha wherever it happens to fall.
+        for p in pts:
+            if not 0.0 <= p.alpha <= 1.0:
+                raise ValueError(f"alpha out of range: {p.alpha}")
+        pts.sort(key=lambda p: p.alpha)
         hi = 100.0 if self.unit == "percent" else 1.0
         alphas = [p.alpha for p in pts]
         if len(set(alphas)) != len(alphas):
@@ -44,8 +46,6 @@ class Frontier:
         if not pts or alphas[0] != 0.0 or alphas[-1] != 1.0:
             raise ValueError("frontier must contain alpha=0 and alpha=1")
         for p in pts:
-            if not 0.0 <= p.alpha <= 1.0:
-                raise ValueError(f"alpha out of range: {p.alpha}")
             for v in (p.supported_acc, p.patching_acc):
                 if not 0.0 <= v <= hi:
                     raise ValueError(f"accuracy {v} outside [0, {hi}]")

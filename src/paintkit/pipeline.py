@@ -150,28 +150,29 @@ def _select(spec, model, patching, fts, log):
     grid) in blocks of _ALPHA_BLOCK points, task by task. When k > 1 and
     spec.search is blackbox, the black-box search selects; otherwise the grid
     search over the sweep does, and the coefficients are beta/k each. Returns
-    the search that selected, the coefficients, and the val accuracies of every
-    scored point, keyed by (beta,) on the ray and by coefficients off it."""
+    the search that selected, the coefficients, the sweep as {beta: val
+    accuracies} and the val accuracies of the selected point."""
     zs, k, grid = model.ckpt, len(fts), spec.alpha_grid
-    records = {}
+    ray = {}
     for i in range(0, len(grid), _ALPHA_BLOCK):
         block = grid[i : i + _ALPHA_BLOCK]
-        scored = _score(spec, model, patching, uniform_ray_rows(zs, fts, block), log)
-        records.update(((beta,), accs) for beta, accs in zip(block, scored))
+        rows = uniform_ray_rows(zs, fts, block)
+        ray.update(zip(block, _score(spec, model, patching, rows, log)))
     if spec.search == "blackbox" and k > 1:
+        points = {}  # the val accuracies of each black-box point scored
+
         # Each black-box point depends on the ones before it, so it is scored alone.
         def score_point(coeffs):
-            (records[coeffs],) = _score(spec, model, patching, combine_rows(zs, fts, [coeffs]),
-                                        log)
-            return _objective_value(spec, patching, records[coeffs])
+            (points[coeffs],) = _score(spec, model, patching, combine_rows(zs, fts, [coeffs]), log)
+            return _objective_value(spec, patching, points[coeffs])
 
         search = black_box_search(SearchObjective(score_point), k=k, budget=spec.budget,
                                   init=0.5, seed=spec.order_seeds[0])
-        return search, search.best, records
+        return search, search.best, ray, points[search.best]
     search = grid_search_1d(
-        SearchObjective(lambda coeffs: _objective_value(spec, patching, records[coeffs])), grid)
+        SearchObjective(lambda coeffs: _objective_value(spec, patching, ray[coeffs[0]])), grid)
     (beta,) = search.best
-    return search, (beta / k,) * k, records
+    return search, (beta / k,) * k, ray, ray[beta]
 
 
 def _patch(spec, steps, provenance):
@@ -180,24 +181,23 @@ def _patch(spec, steps, provenance):
     current model; the step (fine-tuned checkpoints, _select's coefficients
     on the val accuracy of the supported tasks and `seen`) is recorded and its
     multi_combine becomes the current model. The frontier is the last step's
-    ray sweep. `provenance(search, alphas)` gives the provenance from the last
-    step's search and all coefficients."""
+    ray sweep; black-box points never enter it. `provenance(search, alphas)`
+    gives the provenance from the last step's search and all coefficients."""
     current, applied, selection_log = spec.model, [], []
     for jobs, seen in steps:
         fts = [finetune(current, task, train).final for task, train in jobs]
-        search, coeffs, records = _select(spec, current, seen, fts, selection_log)
+        search, coeffs, ray, val = _select(spec, current, seen, fts, selection_log)
         applied.append((fts, coeffs))
         current = current.with_weights(multi_combine(current.ckpt, fts, coeffs))
-    # The last step scored every task on val, so its record at the selected
-    # coefficients is the patched model's val report; only the test report is new.
+    # The last step scored every task on val at the coefficients it selected,
+    # so that record is the patched model's val report; only the test report is new.
     report_log = []
     return PatchResult(
         patched=current.ckpt,
         steps=applied,
-        frontier=sweep_to_frontier(
-            [(key[0], accs) for key, accs in records.items() if len(key) == 1],
-            [t.name for t in spec.supported_tasks], [t.name for t in seen]),
-        val_accuracies=records[search.best],
+        frontier=sweep_to_frontier(ray.items(), [t.name for t in spec.supported_tasks],
+                                   [t.name for t in seen]),
+        val_accuracies=val,
         test_accuracies={t.name: evaluate(current, t, "test", report_log)
                          for t in spec.supported_tasks + spec.patching_tasks},
         provenance=provenance(search, [a for _, coeffs in applied for a in coeffs]),

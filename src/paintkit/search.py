@@ -37,13 +37,14 @@ class SearchResult:
         return len(self.trace)
 
 
-def _argmax_smallest(trace):
-    # Ties broken by the lexicographically smallest coefficient vector.
+def _result(trace):
+    """The SearchResult of `trace`, a list of (coefficients, value): its
+    argmax, ties broken by the lexicographically smallest coefficients."""
     best = None
     for coeffs, value in trace:
         if best is None or value > best[1] or (value == best[1] and coeffs < best[0]):
             best = (coeffs, value)
-    return best
+    return SearchResult(*best, trace)
 
 
 def check_grid(grid):
@@ -60,9 +61,7 @@ def check_grid(grid):
 def grid_search_1d(obj, grid) -> SearchResult:
     """Evaluate every grid alpha exactly once; argmax, smallest alpha on ties."""
     grid = check_grid(grid)
-    trace = [((a,), obj((a,))) for a in grid]
-    best, best_value = _argmax_smallest(trace)
-    return SearchResult(best, best_value, trace)
+    return _result([((a,), obj((a,))) for a in grid])
 
 
 def default_grid():
@@ -155,8 +154,7 @@ def black_box_search(obj, k, budget=50, init=0.5, seed=0) -> SearchResult:
                     improved = True
         if not improved:
             step /= 2.0
-    best, best_value = _argmax_smallest(scored.items())
-    return SearchResult(best, best_value, list(scored.items()))
+    return _result(list(scored.items()))
 
 
 def exhaustive_search_2d(obj, grid) -> SearchResult:
@@ -168,5 +166,4 @@ def exhaustive_search_2d(obj, grid) -> SearchResult:
             if a1 + a2 <= 1.0 + 1e-12:
                 point = (a1, a2)
                 trace.append((point, obj(point)))
-    best, best_value = _argmax_smallest(trace)
-    return SearchResult(best, best_value, trace)
+    return _result(trace)

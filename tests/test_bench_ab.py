@@ -70,6 +70,27 @@ def test_change_beyond_a_bound_is_reported(bench_ab):
     assert out["base"]["metrics"]["patch_s"] == {"median": 0.020, "iqr": 0.0}
 
 
+def test_ties_count_for_neither_side(bench_ab):
+    end_to_end = [{"name": "peak_rss_mb", "unit": "MiB", "better": "lower", "bound": 0.1},
+                  {"name": "combined_test_acc", "unit": "fraction", "better": "higher",
+                   "bound": 0.2}]
+
+    def run(seed, rss):
+        return {"seed": seed, "metrics": {"peak_rss_mb": rss, "combined_test_acc": 0.75},
+                "attempted": 10, "failed": 0, "minflt_per_op": 2.0, "source_sha256": "x"}
+
+    # The base wins pair 0, the pairs tie at 40.5 MiB in pair 1, the head wins the rest.
+    rss = [(40.0, 40.25), (40.5, 40.5), (41.0, 40.75), (40.0, 39.5)]
+    pairs = [{"first": "base", "base": run(seed, b), "head": run(seed, h)}
+             for seed, (b, h) in enumerate(rss)]
+    compare = bench_ab.reduce_workload(pairs, end_to_end)["compare"]
+    counts = {name: (c["head_won"], c["base_won"], c["ties"], c["pairs"])
+              for name, c in compare.items()}
+    assert counts == {"peak_rss_mb": (2, 1, 1, 4), "combined_test_acc": (0, 0, 4, 4)}
+    assert not compare["peak_rss_mb"]["gain_rule_met"]
+    assert not compare["combined_test_acc"]["gain_rule_met"]
+
+
 @pytest.mark.parametrize("head, met", [
     # Faster in 10/10 pairs, by more than the base's IQR of 0.00075.
     ([0.019] * 10, True),

@@ -1209,3 +1209,22 @@ def test_unreadable_checkpoint_is_named_once(workspace, tmp_path, capsys):
                  "--ckpt_b", str(path)]) == 2
     err = capsys.readouterr().err
     assert err == f"error: [Errno 2] No such file or directory: '{path}'\n"
+
+
+def test_import_loads_neither_openssl_nor_numpy_random():
+    # OpenSSL (_hashlib) costs every paintkit process megabytes, and a
+    # numpy.random import at module level would move its cost out of the
+    # first run that draws a random number.
+    child = ("import json, sys\n"
+             "import numpy\n"
+             "before = set(sys.modules)\n"
+             "import paintkit, paintkit.cli\n"
+             "print(json.dumps(sorted(set(sys.modules) - before)))\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    added = json.loads(proc.stdout)
+    assert "paintkit.cli" in added
+    assert [m for m in added if m == "_hashlib" or m.split(".")[:2] == ["numpy", "random"]] == []

@@ -312,3 +312,18 @@ def test_error_paths(tmp_path, make, message):
         make(tmp_path)
     assert type(info.value) is ValueError
     assert str(info.value) == message.format(csv=tmp_path / "f.csv")
+
+
+@pytest.mark.parametrize("where", [0, 1, 2], ids=["first", "middle", "last"])
+def test_nan_alpha_is_out_of_range_wherever_it_stands(tmp_path, where):
+    # NaN compares false, so a sort may leave it at either end, in an
+    # endpoint's place; it must still be reported as itself.
+    alphas = [0.0, 1.0]
+    alphas.insert(where, float("nan"))
+    with pytest.raises(ValueError, match="^alpha out of range: nan$"):
+        Frontier([FrontierPoint(a, 1, 1) for a in alphas], "fraction")
+    path = write_frontier_csv(tmp_path / "f.csv", "alpha,supported_acc,patching_acc\n"
+                              + "".join(f"{a},50,50\n" for a in alphas))
+    with pytest.raises(ValueError) as info:
+        Frontier.from_csv(path)
+    assert str(info.value) == f"{path}: alpha out of range: nan"

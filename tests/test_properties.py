@@ -333,6 +333,11 @@ def test_every_strategy_selects_on_val_and_reconstructs(strategy, search, k, ord
         assert r.fine_tuned == [ft for fts, _ in r.steps for ft in fts]
         assert {split for _, split in r.access_log["selection"]} == {"val"}
         assert {split for _, split in r.access_log["report"]} == {"test"}
+        # The frontier is the ray sweep alone, and the val report is the
+        # patched model's own val accuracy on every task.
+        assert r.frontier.alphas == sorted(PATCH_GRID)
+        assert r.val_accuracies == {t.name: evaluate(model.with_weights(r.patched), t, "val")
+                                    for t in spec.supported_tasks + spec.patching_tasks}
         coeffs = r.coefficients
         if r.provenance["strategy"] != "parallel":
             assert len(coeffs) == len(r.fine_tuned) and set(coeffs) <= set(PATCH_GRID)

@@ -137,6 +137,7 @@ def reduce_workload(pairs, end_to_end):
         change = medians[1] / medians[0] - 1
         worse_by = change if lower else -change
         head_won = sum(h < b if lower else h > b for h, b in zip(head, base))
+        base_won = sum(b < h if lower else b > h for h, b in zip(head, base))
         gain = medians[0] - medians[1] if lower else medians[1] - medians[0]
         compare[name] = {
             "better": m["better"],
@@ -145,6 +146,8 @@ def reduce_workload(pairs, end_to_end):
             "within_bound": worse_by <= m["bound"],
             "median_pair_ratio": statistics.median(h / b for h, b in zip(head, base)),
             "head_won": head_won,
+            "base_won": base_won,
+            "ties": len(pairs) - head_won - base_won,  # pairs neither side won
             "pairs": len(pairs),
             "gain_rule_met": (10 * head_won >= 9 * len(pairs)
                               and gain > out["base"]["metrics"][name]["iqr"]),
