@@ -135,15 +135,7 @@ def _objective_value(spec, patching, accs):
     return mean_accuracy([accs[t.name] for t in spec.supported_tasks + patching])
 
 
-def _score(spec, model, patching, rows, log):
-    """Val accuracies of every supported and patching task for each row of
-    the weight stack `rows`: one {task name: accuracy} dict per row."""
-    tasks = spec.supported_tasks + patching
-    accs = {t.name: evaluate_stack(model, rows, t, "val", log) for t in tasks}
-    return [dict(zip(accs, row)) for row in zip(*accs.values())]
-
-
-def _select(spec, model, patching, fts, log):
+def _select(spec, model, patching, fts):
     """Select the coefficients that patch model.ckpt toward the k fine-tuned
     `fts`, on the val accuracy of the supported tasks and `patching`. The alpha
     grid is swept as beta along uniform_ray_rows (with one model, the lerp
@@ -151,28 +143,36 @@ def _select(spec, model, patching, fts, log):
     spec.search is blackbox, the black-box search selects; otherwise the grid
     search over the sweep does, and the coefficients are beta/k each. Returns
     the search that selected, the coefficients, the sweep as {beta: val
-    accuracies} and the val accuracies of the selected point."""
+    accuracies}, the val accuracies of the selected point and the reads made:
+    one (task name, split) per task and scored row, in scoring order."""
     zs, k, grid = model.ckpt, len(fts), spec.alpha_grid
+    tasks, split, reads = spec.supported_tasks + patching, "val", []
+
+    def score(rows):
+        """One {task name: val accuracy} dict per row of the weight stack `rows`."""
+        accs = {t.name: evaluate_stack(model, rows, t, split) for t in tasks}
+        reads.extend((t.name, split) for t in tasks for _ in range(len(rows)))
+        return [dict(zip(accs, row)) for row in zip(*accs.values())]
+
     ray = {}
     for i in range(0, len(grid), _ALPHA_BLOCK):
         block = grid[i : i + _ALPHA_BLOCK]
-        rows = uniform_ray_rows(zs, fts, block)
-        ray.update(zip(block, _score(spec, model, patching, rows, log)))
+        ray.update(zip(block, score(uniform_ray_rows(zs, fts, block))))
     if spec.search == "blackbox" and k > 1:
         points = {}  # the val accuracies of each black-box point scored
 
         # Each black-box point depends on the ones before it, so it is scored alone.
         def score_point(coeffs):
-            (points[coeffs],) = _score(spec, model, patching, combine_rows(zs, fts, [coeffs]), log)
+            (points[coeffs],) = score(combine_rows(zs, fts, [coeffs]))
             return _objective_value(spec, patching, points[coeffs])
 
         search = black_box_search(SearchObjective(score_point), k=k, budget=spec.budget,
                                   init=0.5, seed=spec.order_seeds[0])
-        return search, search.best, ray, points[search.best]
+        return search, search.best, ray, points[search.best], reads
     search = grid_search_1d(
         SearchObjective(lambda coeffs: _objective_value(spec, patching, ray[coeffs[0]])), grid)
     (beta,) = search.best
-    return search, (beta / k,) * k, ray, ray[beta]
+    return search, (beta / k,) * k, ray, ray[beta], reads
 
 
 def _patch(spec, steps, provenance):
@@ -182,27 +182,30 @@ def _patch(spec, steps, provenance):
     on the val accuracy of the supported tasks and `seen`) is recorded and its
     multi_combine becomes the current model. The frontier is the last step's
     ray sweep; black-box points never enter it. `provenance(search, alphas)`
-    gives the provenance from the last step's search and all coefficients."""
+    gives the provenance from the last step's search and all coefficients.
+    access_log holds every step's selection reads, in order, and the test
+    report's reads."""
     current, applied, selection_log = spec.model, [], []
     for jobs, seen in steps:
         fts = [finetune(current, task, train).final for task, train in jobs]
-        search, coeffs, ray, val = _select(spec, current, seen, fts, selection_log)
+        search, coeffs, ray, val, reads = _select(spec, current, seen, fts)
+        selection_log += reads
         applied.append((fts, coeffs))
         current = current.with_weights(multi_combine(current.ckpt, fts, coeffs))
     # The last step scored every task on val at the coefficients it selected,
     # so that record is the patched model's val report; only the test report is new.
-    report_log = []
+    report = [(t, "test") for t in spec.supported_tasks + spec.patching_tasks]
     return PatchResult(
         patched=current.ckpt,
         steps=applied,
         frontier=sweep_to_frontier(ray.items(), [t.name for t in spec.supported_tasks],
                                    [t.name for t in seen]),
         val_accuracies=val,
-        test_accuracies={t.name: evaluate(current, t, "test", report_log)
-                         for t in spec.supported_tasks + spec.patching_tasks},
+        test_accuracies={t.name: evaluate(current, t, split) for t, split in report},
         provenance=provenance(search, [a for _, coeffs in applied for a in coeffs]),
         zero_shot=spec.model.ckpt,
-        access_log={"selection": selection_log, "report": report_log},
+        access_log={"selection": selection_log,
+                    "report": [(t.name, split) for t, split in report]},
     )
 
 

@@ -166,4 +166,6 @@ def exhaustive_search_2d(obj, grid) -> SearchResult:
             if a1 + a2 <= 1.0 + 1e-12:
                 point = (a1, a2)
                 trace.append((point, obj(point)))
+    if not trace:
+        raise ValueError(f"grid {grid} has no pair with a1 + a2 <= 1")
     return _result(trace)

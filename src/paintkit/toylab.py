@@ -557,26 +557,22 @@ def pretrain(config: TrainConfig, base_tasks) -> ToyModel:
     return model.with_weights(record.final)
 
 
-def evaluate(model: ToyModel, task: TaskDataset, split="test", access_log=None) -> float:
+def evaluate(model: ToyModel, task: TaskDataset, split="test") -> float:
     """Fraction of argmax-correct predictions over the task's class set: the
     one-row case of `evaluate_stack`."""
-    (acc,) = evaluate_stack(model, model.ckpt.flat()[None], task, split, access_log)
+    (acc,) = evaluate_stack(model, model.ckpt.flat()[None], task, split)
     return acc
 
 
-def evaluate_stack(model: ToyModel, stack, task: TaskDataset, split="test",
-                   access_log=None) -> list:
+def evaluate_stack(model: ToyModel, stack, task: TaskDataset, split="test") -> list:
     """`evaluate` for many weight sets at once: one accuracy per row of
     `stack`, an (A, num_params) array of flat weights laid out like
-    `model.ckpt` (see Checkpoint.views), all scored in one forward pass.
-    Logs one access per row."""
+    `model.ckpt` (see Checkpoint.views), all scored in one forward pass."""
     stack = np.asarray(stack)
     if stack.ndim != 2 or stack.shape[1] != model.ckpt.num_params:
         raise ValueError(f"weight stack of shape {stack.shape} does not hold rows of "
                          f"{model.ckpt.num_params} parameters")
     x, y = task.split_arrays(split)
-    if access_log is not None:
-        access_log.extend([(task.name, split)] * len(stack))
     logits = model.logits(x, task.class_ids, model.ckpt.views(stack))
     pred = np.asarray(task.class_ids)[logits.argmax(axis=-1)]
     # np.mean's float64 sum and division, without its Python-level overhead

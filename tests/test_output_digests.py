@@ -47,6 +47,8 @@ def test_digests_are_deterministic():
     # 12 pipeline runs, 3 dense seeds, and per seed 3 + 1 (pipeline) + 3 (dense).
     assert len(results) == 22
     assert all(r["reconstruct_equal"] for r in results)
+    # The log's order is digested beside its per-task counts.
+    assert all({"access_counts", "access_order"} <= set(r) for r in results)
     assert len(digests["pipeline"]["sequential"]["per_seed"]) == 3
     assert set(digests["training"]["l2_init_ema"]) == {"final", "losses"}
     # A checkpoint's weights and meta are digested apart.

@@ -256,9 +256,7 @@ def test_stacked_scoring_equals_evaluate_per_row(models, grid, rows):
     task = TaskDataset("t", TASK.inputs, TASK.labels, TASK.class_ids,
                        ["val" if i in rows else "" for i in range(len(TASK.labels))])
     stack = combine_rows(zs, [ft], [[a] for a in grid])
-    log = []
-    accs = evaluate_stack(models[0], stack, task, "val", log)
-    assert log == [("t", "val")] * len(grid)
+    accs = evaluate_stack(models[0], stack, task, "val")
     x, _ = task.split_arrays("val")
     logits = models[0].logits(x, task.class_ids, zs.views(stack))
     for alpha, acc, row_logits in zip(grid, accs, logits):
@@ -333,6 +331,15 @@ def test_every_strategy_selects_on_val_and_reconstructs(strategy, search, k, ord
         assert r.fine_tuned == [ft for fts, _ in r.steps for ft in fts]
         assert {split for _, split in r.access_log["selection"]} == {"val"}
         assert {split for _, split in r.access_log["report"]} == {"test"}
+        # One read per task and scored row: each step sweeps the grid over the
+        # supported task and the tasks seen so far, and each black-box point
+        # is one more row; the report reads every task once.
+        seen = range(1, k + 1) if strategy == "sequential" else [k]
+        reads = sum(len(PATCH_GRID) * (1 + n) for n in seen)
+        if r.provenance["strategy"] == "parallel" and search == "blackbox":
+            reads += r.provenance["search_evaluations"] * (1 + k)
+        assert len(r.access_log["selection"]) == reads
+        assert len(r.access_log["report"]) == 1 + k
         # The frontier is the ray sweep alone, and the val report is the
         # patched model's own val accuracy on every task.
         assert r.frontier.alphas == sorted(PATCH_GRID)

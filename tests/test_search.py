@@ -340,6 +340,13 @@ class TestExhaustiveSearch2d:
         with pytest.raises(ValueError):
             exhaustive_search_2d(SearchObjective(lambda c: 0.0), [])
 
+    @pytest.mark.parametrize("grid", [[0.8], [0.6, 0.9]])
+    def test_grid_with_no_feasible_pair_rejected(self, grid):
+        obj = SearchObjective(lambda c: 0.0)
+        with pytest.raises(ValueError, match=rf"grid \[{grid[0]}.*\] has no pair"):
+            exhaustive_search_2d(obj, grid)
+        assert obj.evaluations == 0
+
 
 @pytest.mark.parametrize("kw, message", [
     ({"k": 0}, "k must be >= 1"),

@@ -673,14 +673,6 @@ class TestEvaluate:
         acc = evaluate(model, t, "test")
         assert 0.0 <= acc <= 1.0
 
-    def test_access_log(self):
-        (t, _) = small_tasks()
-        model = ToyModel.init(0, t.dim, (16,), 8)
-        log = []
-        evaluate(model, t, "val", access_log=log)
-        evaluate(model, t, "test", access_log=log)
-        assert log == [(t.name, "val"), (t.name, "test")]
-
     def test_encode_unit_norm(self):
         (t, _) = small_tasks()
         model = ToyModel.init(0, t.dim, (16,), 8)

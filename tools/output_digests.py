@@ -56,8 +56,9 @@ Each checkpoint is digested as two fields: ``weights`` (tensor names, dtype,
 shapes and bits) and ``meta``, so that a change to its metadata alone reads
 as one. A patch result's digest covers the patched checkpoint, coefficients,
 frontier, provenance, val and test accuracies, per-seed results,
-``reconstruct``, and the number of val and test evaluations per task (not
-their order). BLAS is pinned to one thread before numpy is imported. Only
+``reconstruct``, the number of val and test evaluations per task
+(``access_counts``) and, apart, the order of those evaluations
+(``access_order``: the selection and report logs as lists). BLAS is pinned to one thread before numpy is imported. Only
 public paintkit names are used. A revision whose ``baseline_frontiers``
 reads its snapshot interval from ``TrainConfig`` needs the script of its own
 revision.
@@ -131,6 +132,7 @@ def _result(pk, result):
                                result.averaged_test_accuracies]),
         "fine_tuned": [_ckpt(c) for c in result.fine_tuned],
         "access_counts": _json_sha(counts),
+        "access_order": _json_sha([log["selection"], log["report"]]),
     }
     if result.per_seed:
         out["per_seed"] = [_result(pk, r) for r in result.per_seed]
