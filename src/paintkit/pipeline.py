@@ -22,6 +22,7 @@ from .toylab import (
     TaskDataset,
     ToyModel,
     TrainConfig,
+    _is_int,
     evaluate,
     evaluate_stack,
     finetune,
@@ -33,12 +34,6 @@ SEARCHES = ("grid", "uniform", "blackbox")
 # Grid points scored per forward pass. A whole 51-point grid in one pass was
 # no faster and its temporaries cost megabytes; blocks of 8 keep them small.
 _ALPHA_BLOCK = 8
-
-
-def _is_int(value, least):
-    """Whether `value` is a Python or numpy integer (not a bool) >= `least`."""
-    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-            and value >= least)
 
 
 def check_selection(settings):
@@ -73,7 +68,8 @@ def check_selection(settings):
 
 @dataclass(frozen=True)
 class PatchSpec:
-    """One patch run's settings, checked once when built; replace() makes a checked copy."""
+    """One patch run's settings, checked once when built; replace() makes a checked copy.
+    Every task needs val and test rows, and every patching task train rows too."""
     model: ToyModel
     patching_tasks: tuple
     supported_tasks: tuple
@@ -102,6 +98,10 @@ class PatchSpec:
             if task.dim != self.model.in_dim:
                 raise ValueError(f"task {task.name!r} has {task.dim} features, but the "
                                  f"model takes {self.model.in_dim} inputs")
+            needed = ("train", "val", "test") if task in self.patching_tasks else ("val", "test")
+            missing = next((split for split in needed if split not in task.splits), None)
+            if missing is not None:
+                raise ValueError(f"task {task.name!r} has no {missing!r} split")
         check_selection(vars(self))
 
 

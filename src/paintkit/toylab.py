@@ -52,12 +52,14 @@ def _frozen_head(class_ids, dim):
 
 @dataclass(frozen=True, eq=False)
 class TaskDataset:
-    """Labeled examples in a global class-id space. `row_splits` names each
+    """Labeled examples in a global class-id space; `class_ids` names each of
+    the task's classes once, in head-row order. `row_splits` names each
     row's split (train, val, test or any other name; "" for none), as the
     task CSV's split column does; `splits` maps each named split to its
     ascending row indices. Checked once and frozen: the task takes the arrays
     it is given and makes them read-only in place, `splits` is a read-only
-    mapping, and tasks compare by identity."""
+    mapping, and tasks compare by identity. `split_arrays` of a split with no
+    rows is a ValueError that names the task and the split."""
 
     name: str
     inputs: np.ndarray
@@ -75,6 +77,10 @@ class TaskDataset:
         own("row_splits", _owned(self.row_splits, object))
         if not set(self.labels.tolist()) <= set(self.class_ids):
             raise ValueError(f"task {self.name!r}: label outside class_ids")
+        ids = self.class_ids
+        if len(set(ids)) < len(ids):
+            repeated = next(c for i, c in enumerate(ids) if c in ids[:i])
+            raise ValueError(f"task {self.name!r}: class id {repeated} is repeated")
         if min(self.class_ids, default=0) < 0:
             raise ValueError(f"task {self.name!r}: class id {min(self.class_ids)} is negative")
         if not np.isfinite(self.inputs).all():
@@ -97,6 +103,8 @@ class TaskDataset:
         return self.inputs.shape[1]
 
     def split_arrays(self, split):
+        if split not in self.splits:
+            raise ValueError(f"task {self.name!r} has no {split!r} split")
         idx = self.splits[split]
         return self.inputs[idx], self.labels[idx]
 
@@ -177,6 +185,12 @@ def _bad_cell(path, line, header, row, position):
         return f"{path}:{line}: column {name!r}: not a valid {kind}: {cell!r}"
 
 
+def _is_int(value, least=-math.inf):
+    """Whether `value` is a Python or numpy integer (not a bool) >= `least`."""
+    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and value >= least)
+
+
 def generate_tasks(seed, num_classes, dim, samples_per_class, noise_scale, partition):
     """Synthetic tasks: one Gaussian cluster per class, 80/10/10 splits.
 
@@ -185,6 +199,8 @@ def generate_tasks(seed, num_classes, dim, samples_per_class, noise_scale, parti
     """
     if num_classes < 2 or dim < 1 or samples_per_class < 10:
         raise ValueError("need num_classes >= 2, dim >= 1, samples_per_class >= 10")
+    if not math.isfinite(noise_scale):
+        raise ValueError(f"noise_scale must be finite, got {noise_scale}")
     if noise_scale < 0:
         raise ValueError("noise_scale must be >= 0")
     partition = [sorted(int(c) for c in group) for group in partition]
@@ -242,7 +258,9 @@ def merge_tasks(tasks, name="merged"):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Fine-tuning settings, checked once when built; replace() makes a checked copy."""
+    """Fine-tuning settings, checked once when built; replace() makes a checked copy.
+    The counts (iterations, warmup, seed, batch_size, embed_dim and the hidden
+    widths) are Python or numpy integers, not bools."""
     iterations: int = 500
     batch_size: int = 64
     lr: float = 1e-3
@@ -256,6 +274,12 @@ class TrainConfig:
     logit_scale: float = 20.0
 
     def __post_init__(self):
+        object.__setattr__(self, "hidden", tuple(self.hidden))
+        for name in ("iterations", "warmup", "seed", "batch_size", "embed_dim"):
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if not all(map(_is_int, self.hidden)):
+            raise ValueError(f"hidden widths must be integers, got {self.hidden}")
         for name in ("iterations", "warmup", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
@@ -269,7 +293,6 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        object.__setattr__(self, "hidden", tuple(self.hidden))
         if min(self.hidden, default=1) < 1:
             raise ValueError(f"hidden widths must be >= 1, got {self.hidden}")
         if self.embed_dim < 1:
@@ -474,17 +497,23 @@ def _local_labels(labels, class_ids):
     return np.asarray([index[int(y)] for y in labels], dtype=np.int64)
 
 
-def _adamw_steps(model: ToyModel, task: TaskDataset, config: TrainConfig, params):
-    """Train `params`, flat float64 weights laid out like `model.ckpt`, in
-    place: AdamW with decoupled weight decay on cross-entropy plus an optional
-    L2-to-init penalty toward `model.ckpt`; linear warmup then cosine
-    annealing. Yields each step's loss once the step has updated `params`."""
+def _train(model: ToyModel, task: TaskDataset, config: TrainConfig, every, ema_decay=None):
+    """Train a float64 copy of `model.ckpt`: AdamW with decoupled weight decay
+    on cross-entropy plus an optional L2-to-init penalty toward `model.ckpt`;
+    linear warmup then cosine annealing. Returns (snapshots, losses): the loss
+    of every step, and checkpoints keyed by step at step 0, every `every`
+    steps and the last step, of the weights or, given `ema_decay`, of their
+    EMA shadow (ema = decay * ema + (1 - decay) * weights after each step), in
+    the dtype of `model.ckpt`."""
     rng = np.random.default_rng(config.seed)
     x_all, y_all = task.split_arrays("train")
     y_local = _local_labels(y_all, task.class_ids)
     batch = min(config.batch_size, len(y_local))
 
     start = model.ckpt
+    params = start.flat().copy()
+    tracked = params if ema_decay is None else params.copy()
+    snapshots, losses = {0: start._like(tracked)}, []
     live = start.views(params)  # name -> view of params, for loss_and_grad
     # Flat float64 vectors, all updated in place: the gradient (written
     # through its views by loss_and_grad), the AdamW moments, and two
@@ -497,49 +526,53 @@ def _adamw_steps(model: ToyModel, task: TaskDataset, config: TrainConfig, params
     tmp = np.empty_like(params)
     b1, b2 = _ADAM_BETAS
 
-    for step in range(config.iterations):
-        idx = rng.choice(len(y_local), size=batch, replace=False)
-        loss, _ = model.loss_and_grad(live, x_all[idx], y_local[idx], task.class_ids,
-                                      out=grad_out)
-        if config.l2_init > 0.0:
-            # loss += l2_init * ||params - start||^2, summed per tensor in name
-            # order (one flat sum would round differently); grad += its gradient
-            delta = np.subtract(params, start.flat(), out=tmp)
-            for d in start.views(delta).values():
-                loss += float(config.l2_init * np.sum(d * d))
-            grad += np.multiply(delta, 2.0 * config.l2_init, out=delta)
-        if not math.isfinite(loss):
-            raise RuntimeError(f"non-finite loss at step {step}: {loss}")
-        lr = lr_schedule(step, config)
-        t = step + 1
-        # m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g * g
-        m *= b1
-        m += np.multiply(grad, 1 - b1, out=tmp)
-        v *= b2
-        np.multiply(grad, 1 - b2, out=tmp)
-        v += np.multiply(tmp, grad, out=tmp)
-        # params -= lr * (mhat / (sqrt(vhat) + eps) + weight_decay * params)
-        np.divide(v, 1 - b2**t, out=tmp)
-        np.sqrt(tmp, out=tmp)
-        tmp += _ADAM_EPS
-        np.divide(m, 1 - b1**t, out=upd)
-        upd /= tmp
-        upd += np.multiply(params, config.weight_decay, out=tmp)
-        upd *= lr
-        params -= upd
-        yield loss
+    # A diverging run is reported once, by the non-finite-loss error.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(config.iterations):
+            idx = rng.choice(len(y_local), size=batch, replace=False)
+            loss, _ = model.loss_and_grad(live, x_all[idx], y_local[idx], task.class_ids,
+                                          out=grad_out)
+            if config.l2_init > 0.0:
+                # loss += l2_init * ||params - start||^2, summed per tensor in name
+                # order (one flat sum would round differently); grad += its gradient
+                delta = np.subtract(params, start.flat(), out=tmp)
+                for d in start.views(delta).values():
+                    loss += float(config.l2_init * np.sum(d * d))
+                grad += np.multiply(delta, 2.0 * config.l2_init, out=delta)
+            if not math.isfinite(loss):
+                raise RuntimeError(f"non-finite loss at step {step}: {loss}")
+            lr = lr_schedule(step, config)
+            t = step + 1
+            # m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g * g
+            m *= b1
+            m += np.multiply(grad, 1 - b1, out=tmp)
+            v *= b2
+            np.multiply(grad, 1 - b2, out=tmp)
+            v += np.multiply(tmp, grad, out=tmp)
+            # params -= lr * (mhat / (sqrt(vhat) + eps) + weight_decay * params)
+            np.divide(v, 1 - b2**t, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += _ADAM_EPS
+            np.divide(m, 1 - b1**t, out=upd)
+            upd /= tmp
+            upd += np.multiply(params, config.weight_decay, out=tmp)
+            upd *= lr
+            params -= upd
+            losses.append(loss)
+            if ema_decay is not None:
+                tracked *= ema_decay
+                tracked += params * (1 - ema_decay)
+            if t % every == 0 or t == config.iterations:
+                snapshots[t] = start._like(tracked)
+    return snapshots, losses
 
 
 def finetune(model: ToyModel, task: TaskDataset, config: TrainConfig) -> TrainRecord:
-    """AdamW with decoupled weight decay on cross-entropy; linear warmup then
-    cosine annealing; optional L2-to-init penalty. Trains in float64 and
-    returns the final checkpoint, in the dtype of `model.ckpt`, and the loss
-    of every step."""
-    params = model.ckpt.flat().copy()
-    # A diverging run is reported once, by the non-finite-loss error.
-    with np.errstate(over="ignore", invalid="ignore"):
-        losses = list(_adamw_steps(model, task, config, params))
-    return TrainRecord(model.ckpt._like(params), losses)
+    """Train `model` on the task's train split (see `_train`); returns the
+    final checkpoint, `_train`'s last snapshot in the dtype of `model.ckpt`,
+    and the loss of every step. At 0 iterations that is the start weights."""
+    snapshots, losses = _train(model, task, config, max(config.iterations, 1))
+    return TrainRecord(snapshots[config.iterations], losses)
 
 
 def pretrain(config: TrainConfig, base_tasks) -> ToyModel:
@@ -551,8 +584,6 @@ def pretrain(config: TrainConfig, base_tasks) -> ToyModel:
     model = ToyModel.init(
         config.seed, merged.dim, config.hidden, config.embed_dim, config.logit_scale
     )
-    if config.iterations == 0:
-        return model
     record = finetune(model, merged, config)
     return model.with_weights(record.final)
 
@@ -584,25 +615,6 @@ _LR_LADDER = (0.0, 0.01, 0.1, 0.3, 1.0)  # factors applied to the configured pea
 _EMA_DECAY = 0.99
 
 
-def _trajectory(model, task, config, every, ema_decay=None):
-    """Checkpoints of one `finetune` run, keyed by step, at step 0, every
-    `every` steps and the last step: of the weights or, given `ema_decay`, of
-    their EMA shadow (ema = decay * ema + (1 - decay) * weights after each
-    step). In the dtype of `model.ckpt`."""
-    start = model.ckpt
-    params = start.flat().copy()
-    tracked = params if ema_decay is None else params.copy()
-    snapshots = {0: start._like(tracked)}
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step, _ in enumerate(_adamw_steps(model, task, config, params), 1):
-            if ema_decay is not None:
-                tracked *= ema_decay
-                tracked += params * (1 - ema_decay)
-            if step % every == 0 or step == config.iterations:
-                snapshots[step] = start._like(tracked)
-    return snapshots
-
-
 def baseline_frontiers(model, task, supported_task, config: TrainConfig, snapshot_every):
     """Accuracy trade-off frontiers for the non-interpolation baselines. Early
     stopping and the EMA shadow (decay 0.99, constant learning rate) are
@@ -625,7 +637,7 @@ def baseline_frontiers(model, task, supported_task, config: TrainConfig, snapsho
         return Frontier(list(map(FrontierPoint, points, sup, pat)), "fraction")
 
     out = {}
-    snapshots = _trajectory(model, task, config, snapshot_every)
+    snapshots, _ = _train(model, task, config, snapshot_every)
     out["early_stopping"] = frontier({s / config.iterations: c for s, c in snapshots.items()})
     out["l2_init"] = frontier({i / (len(_L2_LADDER) - 1):
                                finetune(model, task, replace(config, l2_init=lam)).final
@@ -637,6 +649,6 @@ def baseline_frontiers(model, task, supported_task, config: TrainConfig, snapsho
         model.ckpt if f == 0.0 else snapshots[config.iterations] if f == 1.0
         else finetune(model, task, replace(config, lr=config.lr * f)).final
         for i, f in enumerate(_LR_LADDER)})
-    ema = _trajectory(model, task, replace(config, constant_lr=True), snapshot_every, _EMA_DECAY)
+    ema, _ = _train(model, task, replace(config, constant_lr=True), snapshot_every, _EMA_DECAY)
     out["ema"] = frontier({s / config.iterations: c for s, c in ema.items()})
     return out

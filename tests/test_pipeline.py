@@ -20,6 +20,7 @@ from paintkit import (
     reconstruct,
     run_patch,
     split_task,
+    TaskDataset,
     TrainConfig,
 )
 from paintkit import pipeline
@@ -434,6 +435,36 @@ class TestPatchSpecValidation:
         assert spec.supported_tasks == (tasks[0],)
         assert spec.patching_tasks == (tasks[1],)
         assert spec.train == quick_train()
+
+    @pytest.mark.parametrize("role, split", [
+        ("patching", "train"), ("patching", "val"), ("patching", "test"),
+        ("supported", "val"), ("supported", "test"),
+    ], ids=["patching_train", "patching_val", "patching_test", "supported_val",
+            "supported_test"])
+    def test_rejects_a_task_without_a_split_it_reads(self, env, monkeypatch, role, split):
+        # A patching task without val rows was fine-tuned, and the run then
+        # failed with a bare KeyError: 'val'.
+        model, tasks, _ = env
+        source = tasks[1] if role == "patching" else tasks[0]
+        keep = source.row_splits != split
+        nov = TaskDataset("nov", source.inputs[keep], source.labels[keep], source.class_ids,
+                          source.row_splits[keep])
+        roles = {"patching_tasks": [tasks[1]], "supported_tasks": [tasks[0]],
+                 f"{role}_tasks": [nov]}
+        finetunes = count_calls(monkeypatch, "finetune")
+        with pytest.raises(ValueError) as info:
+            run_patch(PatchSpec(model=model, train=quick_train(), **roles))
+        assert str(info.value) == f"task 'nov' has no {split!r} split"
+        assert info.traceback[-1].name == "__post_init__"
+        assert finetunes == []
+
+    def test_a_supported_task_needs_no_train_split(self, env):
+        model, tasks, _ = env
+        keep = tasks[0].row_splits != "train"
+        sup = TaskDataset("sup", tasks[0].inputs[keep], tasks[0].labels[keep],
+                          tasks[0].class_ids, tasks[0].row_splits[keep])
+        spec = PatchSpec(model=model, patching_tasks=[tasks[1]], supported_tasks=[sup])
+        assert spec.supported_tasks == (sup,)
 
 
 class TestRunPatch:

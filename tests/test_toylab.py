@@ -25,7 +25,7 @@ from paintkit import (
     split_task,
 )
 from paintkit import toylab
-from paintkit.toylab import _frozen_head, _trajectory, evaluate_stack
+from paintkit.toylab import _frozen_head, _train, evaluate_stack
 
 
 def small_tasks(seed=0, partition=((0, 1, 2), (3, 4)), noise=0.3, spc=20):
@@ -398,6 +398,30 @@ class TestFrozenTask:
             for array in (task.inputs, task.labels, task.row_splits):
                 assert array.flags.owndata
 
+    def test_rejects_a_repeated_class_id(self):
+        # A repeat gave the head two equal rows, one of which no label used.
+        (t, _) = small_tasks()
+        with pytest.raises(ValueError) as info:
+            TaskDataset("dup", t.inputs.copy(), t.labels.copy(), (0, 1, 1, 2), t.row_splits)
+        assert type(info.value) is ValueError
+        assert str(info.value) == "task 'dup': class id 1 is repeated"
+
+    @pytest.mark.parametrize("read, split", [
+        (lambda model, task: finetune(model, task, quick_cfg()), "train"),
+        (lambda model, task: evaluate(model, task, "val"), "val"),
+        (lambda model, task: task.split_arrays("test"), "test"),
+    ], ids=["finetune", "evaluate", "split_arrays"])
+    def test_a_missing_split_is_named(self, read, split):
+        (t, _) = small_tasks()
+        keep = t.row_splits != split
+        nov = TaskDataset("nov", t.inputs[keep], t.labels[keep], t.class_ids,
+                          t.row_splits[keep])
+        model = ToyModel.init(0, t.dim, (16,), 8)
+        with pytest.raises(ValueError) as info:
+            read(model, nov)
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"task 'nov' has no {split!r} split"
+
 
 class TestMergeTasks:
     def test_sizes_and_ids(self):
@@ -538,7 +562,7 @@ class TestTraining:
     def test_trajectory_snapshots(self):
         (t, _) = small_tasks()
         model = ToyModel.init(0, t.dim, (16,), 8)
-        snapshots = _trajectory(model, t, quick_cfg(iterations=40), 10)
+        snapshots, _ = _train(model, t, quick_cfg(iterations=40), 10)
         assert sorted(snapshots) == [0, 10, 20, 30, 40]
         assert snapshots[0].equal(model.ckpt)
         assert snapshots[40].equal(finetune(model, t, quick_cfg(iterations=40)).final)
@@ -556,7 +580,7 @@ class TestTraining:
         assert r32.losses == r64.losses
         pairs = [(r32.final, r64.final)]
         for decay in (None, 0.9):
-            s32, s64 = (_trajectory(m, t, cfg, 20, decay) for m in (narrow, wide))
+            s32, s64 = (_train(m, t, cfg, 20, decay)[0] for m in (narrow, wide))
             assert sorted(s32) == sorted(s64) == [0, 20, 40]
             pairs += [(s32[step], s64[step]) for step in s32]
             if decay is None:
@@ -568,7 +592,7 @@ class TestTraining:
     def test_ema_shadow_tracks(self):
         (t, _) = small_tasks()
         model = ToyModel.init(0, t.dim, (16,), 8)
-        ema_snapshots = _trajectory(model, t, quick_cfg(), 40, ema_decay=0.9)
+        ema_snapshots, _ = _train(model, t, quick_cfg(), 40, ema_decay=0.9)
         assert 40 in ema_snapshots
         # shadow lags the raw weights toward the initialization
         raw = finetune(model, t, quick_cfg()).final.flat() - model.ckpt.flat()
@@ -578,7 +602,7 @@ class TestTraining:
     def test_ema_decay_zero_equals_raw(self):
         (t, _) = small_tasks()
         model = ToyModel.init(0, t.dim, (16,), 8)
-        ema_snapshots = _trajectory(model, t, quick_cfg(), 40, ema_decay=0.0)
+        ema_snapshots, _ = _train(model, t, quick_cfg(), 40, ema_decay=0.0)
         assert np.allclose(ema_snapshots[40].flat(), finetune(model, t, quick_cfg()).final.flat())
 
     @pytest.mark.parametrize("l2_init", [0.0, 0.05], ids=["plain", "l2"])
@@ -599,7 +623,7 @@ class TestTraining:
         (t, _) = small_tasks()
         model = ToyModel.init(0, t.dim, (16, 8), 8)
         cfg = quick_cfg(l2_init=0.05)
-        tracked = _trajectory(model, t, cfg, 15, ema_decay)
+        tracked, _ = _train(model, t, cfg, 15, ema_decay)
         _, _, snapshots, ema_snapshots = reference_adamw(model, t, cfg, ema_decay, 15)
         expected = snapshots if ema_decay is None else ema_snapshots
         assert sorted(tracked) == [0, *sorted(expected)]
@@ -770,13 +794,13 @@ class TestBaselineFrontiers:
         # its x0.0 rung scores the start weights.
         model, pat, sup, frontiers = setup
         runs = []
-        steps = toylab._adamw_steps
+        train = toylab._train
 
         def counted(*args):
             runs.append(args[2])
-            return steps(*args)
+            return train(*args)
 
-        monkeypatch.setattr(toylab, "_adamw_steps", counted)
+        monkeypatch.setattr(toylab, "_train", counted)
         again = baseline_frontiers(model, pat, sup, quick_cfg(iterations=60), 15)
         assert len({repr(config) for config in runs}) == len(runs) == 10
         assert all(config.lr > 0 for config in runs)
@@ -790,7 +814,7 @@ class TestBaselineFrontiers:
 
     def test_requires_a_training_step(self, setup, monkeypatch):
         model, pat, sup, _ = setup
-        monkeypatch.setattr(toylab, "_adamw_steps", None)  # nothing may train
+        monkeypatch.setattr(toylab, "_train", None)  # nothing may train
         with pytest.raises(ValueError, match=re.escape(
                 "iterations must be >= 1 for baseline frontiers, got 0")):
             baseline_frontiers(model, pat, sup, quick_cfg(iterations=0, warmup=0), 15)
@@ -805,6 +829,38 @@ class TestBaselineFrontiers:
 def test_short_schedules(iterations, warmup, expected):
     cfg = TrainConfig(iterations=iterations, warmup=warmup, lr=0.1)
     assert [lr_schedule(step, cfg) for step in range(iterations)] == expected
+
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: TrainConfig(iterations=2.5), "iterations must be an integer, got 2.5"),
+    (lambda: TrainConfig(batch_size=2.5), "batch_size must be an integer, got 2.5"),
+    (lambda: TrainConfig(warmup=True), "warmup must be an integer, got True"),
+    (lambda: TrainConfig(seed=1.0), "seed must be an integer, got 1.0"),
+    (lambda: TrainConfig(embed_dim=8.0), "embed_dim must be an integer, got 8.0"),
+    (lambda: TrainConfig(hidden=(16, 4.5)), "hidden widths must be integers, got (16, 4.5)"),
+    (lambda: TrainConfig(hidden=(False,)), "hidden widths must be integers, got (False,)"),
+    (lambda: generate_tasks(0, 4, 3, 10, math.nan, [(0, 1), (2, 3)]),
+     "noise_scale must be finite, got nan"),
+    (lambda: generate_tasks(0, 4, 3, 10, math.inf, [(0, 1), (2, 3)]),
+     "noise_scale must be finite, got inf"),
+], ids=["fractional_iterations", "fractional_batch_size", "bool_warmup", "float_seed",
+        "float_embed_dim", "fractional_hidden_width", "bool_hidden_width", "nan_noise_scale",
+        "inf_noise_scale"])
+def test_counts_are_integers_and_noise_is_finite(make, message):
+    # Each was accepted, then training failed mid-run in range() or
+    # Generator.choice, or a NaN noise reached the task as a bad feature.
+    with pytest.raises(ValueError) as info:
+        make()
+    assert type(info.value) is ValueError
+    assert str(info.value) == message
+
+
+def test_train_config_takes_numpy_integers():
+    cfg = TrainConfig(iterations=np.int64(10), batch_size=np.uint8(4), warmup=np.int32(2),
+                      seed=np.int16(3), hidden=(np.int64(4),), embed_dim=np.uint16(2))
+    assert (cfg.iterations, cfg.batch_size, cfg.warmup, cfg.seed) == (10, 4, 2, 3)
+    assert cfg.hidden == (4,) and cfg.embed_dim == 2
 
 
 def _relabelled(task):
