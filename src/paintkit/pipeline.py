@@ -15,14 +15,12 @@ from .search import (
     check_grid,
     default_grid,
     grid_search_1d,
-    uniform_ray_rows,
 )
-from .tensors import Checkpoint, combine_rows, multi_combine
+from .tensors import Checkpoint, _is_int, combine_rows, multi_combine
 from .toylab import (
     TaskDataset,
     ToyModel,
     TrainConfig,
-    _is_int,
     evaluate,
     evaluate_stack,
     finetune,
@@ -138,13 +136,14 @@ def _objective_value(spec, patching, accs):
 def _select(spec, model, patching, fts):
     """Select the coefficients that patch model.ckpt toward the k fine-tuned
     `fts`, on the val accuracy of the supported tasks and `patching`. The alpha
-    grid is swept as beta along uniform_ray_rows (with one model, the lerp
-    grid) in blocks of _ALPHA_BLOCK points, task by task. When k > 1 and
+    grid is swept as beta along the ray toward the average of `fts` (with one
+    model, the lerp grid) in blocks of _ALPHA_BLOCK points, task by task; each
+    point is the combine_rows row of coefficients beta/k each. When k > 1 and
     spec.search is blackbox, the black-box search selects; otherwise the grid
-    search over the sweep does, and the coefficients are beta/k each. Returns
-    the search that selected, the coefficients, the sweep as {beta: val
-    accuracies}, the val accuracies of the selected point and the reads made:
-    one (task name, split) per task and scored row, in scoring order."""
+    search over the sweep does and ships beta/k, bit-equal to its ray row.
+    Returns the search that selected, the coefficients, the sweep as {beta:
+    val accuracies}, the val accuracies of the selected point and the reads
+    made: one (task name, split) per task and scored row, in scoring order."""
     zs, k, grid = model.ckpt, len(fts), spec.alpha_grid
     tasks, split, reads = spec.supported_tasks + patching, "val", []
 
@@ -157,7 +156,7 @@ def _select(spec, model, patching, fts):
     ray = {}
     for i in range(0, len(grid), _ALPHA_BLOCK):
         block = grid[i : i + _ALPHA_BLOCK]
-        ray.update(zip(block, score(uniform_ray_rows(zs, fts, block))))
+        ray.update(zip(block, score(combine_rows(zs, fts, [[b / k] * k for b in block]))))
     if spec.search == "blackbox" and k > 1:
         points = {}  # the val accuracies of each black-box point scored
 
@@ -313,8 +312,11 @@ def _subset_task(task, keep_classes, name):
 
 
 def split_task(task: TaskDataset, seed: int) -> SplitProtocol:
-    """Seeded partition of the class space into halves with disjoint ids
-    (sizes differ by at most one class); examples follow their labels."""
+    """Partition of the class space into halves with disjoint ids (sizes
+    differ by at most one class), seeded by an integer >= 0; examples follow
+    their labels."""
+    if not _is_int(seed, 0):
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     if len(task.class_ids) < 2:
         raise ValueError("cannot split a single-class task")
     ids = list(task.class_ids)

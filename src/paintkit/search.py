@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensors import combine_rows, multi_combine
+from .tensors import _is_int, multi_combine
 
 
 class SearchObjective:
@@ -69,15 +69,6 @@ def default_grid():
     return [round(i * 0.05, 10) for i in range(21)]
 
 
-def uniform_ray_rows(zs, fts, betas):
-    """The stack whose row i holds the weights at betas[i] on the ray from zs
-    toward the average of the fine-tuned checkpoints, combined from per-model
-    coefficients beta/k so that it is bit-equal to the model those
-    coefficients select (see tensors.combine_rows)."""
-    k = len(fts)
-    return combine_rows(zs, fts, [[beta / k] * k for beta in betas])
-
-
 def uniform_search_parallel(zs, fts, eval_model, grid) -> SearchResult:
     """Search a single scalar beta interpolating zs toward the average of the
     fine-tuned checkpoints; the result carries per-model coefficients beta/k.
@@ -125,8 +116,12 @@ def black_box_search(obj, k, budget=50, init=0.5, seed=0) -> SearchResult:
     simplex-constrained, starting from the all-`init` point.
 
     Performs at most `budget` objective evaluations and returns the best
-    point seen. Deterministic for a fixed seed.
+    point seen; `k` and `budget` are integers >= 1. Deterministic for a
+    fixed seed.
     """
+    for name, value in (("k", k), ("budget", budget)):
+        if not _is_int(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if k < 1:
         raise ValueError("k must be >= 1")
     if budget < 1:

@@ -41,6 +41,12 @@ def _layout(shapes):
     return layout
 
 
+def _is_int(value, least=-math.inf):
+    """Whether `value` is a Python or numpy integer (not a bool) >= `least`."""
+    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and value >= least)
+
+
 class Checkpoint:
     """Ordered, immutable map from tensor name to array.
 

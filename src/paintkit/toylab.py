@@ -16,7 +16,7 @@ import numpy as np
 
 from ._atomic import atomic_open
 from .metrics import Frontier, FrontierPoint
-from .tensors import Checkpoint, CheckpointError
+from .tensors import Checkpoint, CheckpointError, _is_int
 
 _EMBED_STREAM = 0x0E03BEDD  # fixed stream id so embeddings depend only on the class id
 _HEAD_CACHE_SIZE = 256  # distinct (class ids, dim) heads kept per process
@@ -52,8 +52,9 @@ def _frozen_head(class_ids, dim):
 
 @dataclass(frozen=True, eq=False)
 class TaskDataset:
-    """Labeled examples in a global class-id space; `class_ids` names each of
-    the task's classes once, in head-row order. `row_splits` names each
+    """Labeled examples in a global class-id space: `inputs` holds one feature
+    row per entry of the 1-D `labels`, and `class_ids` names each of the
+    task's classes once, in head-row order. `row_splits` names each
     row's split (train, val, test or any other name; "" for none), as the
     task CSV's split column does; `splits` maps each named split to its
     ascending row indices. Checked once and frozen: the task takes the arrays
@@ -75,6 +76,9 @@ class TaskDataset:
         own("class_ids", tuple(int(c) for c in self.class_ids))
         # Python strings: a fixed-width numpy str array drops trailing NULs.
         own("row_splits", _owned(self.row_splits, object))
+        if self.inputs.ndim != 2 or self.labels.ndim != 1 or len(self.inputs) != len(self.labels):
+            raise ValueError(f"task {self.name!r}: inputs of shape {self.inputs.shape} for "
+                             f"labels of shape {self.labels.shape}; need one input row per label")
         if not set(self.labels.tolist()) <= set(self.class_ids):
             raise ValueError(f"task {self.name!r}: label outside class_ids")
         ids = self.class_ids
@@ -185,25 +189,31 @@ def _bad_cell(path, line, header, row, position):
         return f"{path}:{line}: column {name!r}: not a valid {kind}: {cell!r}"
 
 
-def _is_int(value, least=-math.inf):
-    """Whether `value` is a Python or numpy integer (not a bool) >= `least`."""
-    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-            and value >= least)
-
-
 def generate_tasks(seed, num_classes, dim, samples_per_class, noise_scale, partition):
     """Synthetic tasks: one Gaussian cluster per class, 80/10/10 splits.
 
-    `partition` is a list of class-id sets (disjoint, ids in
-    [0, num_classes)); one TaskDataset is produced per set.
+    `partition` is a list of class-id sets (disjoint, integer ids in
+    [0, num_classes)); one TaskDataset is produced per set. The seed and the
+    counts are Python or numpy integers, not bools, and the seed is >= 0.
     """
+    counts = {"seed": seed, "num_classes": num_classes, "dim": dim,
+              "samples_per_class": samples_per_class}
+    for name, value in counts.items():
+        if not _is_int(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if num_classes < 2 or dim < 1 or samples_per_class < 10:
         raise ValueError("need num_classes >= 2, dim >= 1, samples_per_class >= 10")
     if not math.isfinite(noise_scale):
         raise ValueError(f"noise_scale must be finite, got {noise_scale}")
     if noise_scale < 0:
         raise ValueError("noise_scale must be >= 0")
-    partition = [sorted(int(c) for c in group) for group in partition]
+    partition = [list(group) for group in partition]
+    bad = [c for group in partition for c in group if not _is_int(c)]
+    if bad:
+        raise ValueError(f"partition: class id {bad[0]!r} is not an integer")
+    partition = [sorted(map(int, group)) for group in partition]
     flat = [c for group in partition for c in group]
     if len(flat) != len(set(flat)):
         raise ValueError("duplicate class across tasks")
@@ -618,11 +628,13 @@ _EMA_DECAY = 0.99
 def baseline_frontiers(model, task, supported_task, config: TrainConfig, snapshot_every):
     """Accuracy trade-off frontiers for the non-interpolation baselines. Early
     stopping and the EMA shadow (decay 0.99, constant learning rate) are
-    scored every `snapshot_every` steps.
+    scored every `snapshot_every` steps, an integer > 0.
 
     Each frontier's alpha slot carries the baseline's own sweep parameter
     rescaled to [0, 1]; the dict key labels the method.
     """
+    if not _is_int(snapshot_every):
+        raise ValueError(f"snapshot_every must be an integer, got {snapshot_every!r}")
     if snapshot_every <= 0:
         raise ValueError(f"snapshot_every must be > 0, got {snapshot_every}")
     if config.iterations < 1:  # each frontier needs its alpha=1 point

@@ -24,7 +24,7 @@ from paintkit import (
     TrainConfig,
 )
 from paintkit import pipeline
-from paintkit.search import uniform_ray_rows
+from paintkit.tensors import combine_rows
 from paintkit.toylab import evaluate_stack
 
 
@@ -250,7 +250,7 @@ class TestPatchParallel:
         spec = spec_for(env, "parallel", patch_idx=tuple(range(1, k + 1)), search="uniform")
         result = patch_parallel(spec)
         zs, fts, grid = result.zero_shot, result.fine_tuned, spec.alpha_grid
-        ray = uniform_ray_rows(zs, fts, grid)
+        ray = combine_rows(zs, fts, [[b / k] * k for b in grid])
         assert ray[grid.index(0.0)].tobytes() == zs.flat().tobytes()
         i = [beta / k for beta in grid].index(result.coefficients[0])
         assert result.coefficients == (grid[i] / k,) * k
@@ -548,6 +548,16 @@ class TestSplitTask:
         a = split_task(tasks[0], 11)
         b = split_task(tasks[0], 11)
         assert a.task_a.class_ids == b.task_a.class_ids
+
+    @pytest.mark.parametrize("seed", [1.5, -1, True, np.float64(2.0)])
+    def test_seed_is_an_integer_at_least_0(self, env, seed):
+        # A float failed in numpy's SeedSequence and -1 with its own message;
+        # True split as seed 1.
+        _, tasks, _ = env
+        with pytest.raises(ValueError) as info:
+            split_task(tasks[0], seed)
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"seed must be an integer >= 0, got {seed!r}"
 
     def test_single_class_rejected(self, env):
         _, tasks, _ = env

@@ -35,7 +35,7 @@ from paintkit import (
     split_task,
 )
 from paintkit.pipeline import SEARCHES, STRATEGIES
-from paintkit.search import project_capped_simplex, uniform_ray_rows
+from paintkit.search import project_capped_simplex
 from paintkit.tensors import combine_rows
 from paintkit.toylab import evaluate_stack
 
@@ -186,7 +186,7 @@ def test_combine_and_ray_rows_hold_multi_combine_bits(cs, betas):
     for c, row in zip(coeffs, rows):
         assert row.astype(np.float64).tobytes() == bits(multi_combine(zs, fts, c))
     if k:
-        ray = uniform_ray_rows(zs, fts, betas)
+        ray = combine_rows(zs, fts, [[b / k] * k for b in betas])
         assert ray.tobytes() == rows.tobytes()
         for beta, row in zip(betas, ray):
             assert row.astype(np.float64).tobytes() == bits(multi_combine(zs, fts, [beta / k] * k))
@@ -226,7 +226,7 @@ def test_endpoint_rows_copy_their_operand_bit_exactly(cs, betas):
     assert all(holds(row, ft) for row, ft in zip(rows[len(betas) + 1:], fts))
     assert same_bits(multi_combine(zs, fts, zero), zs)
     assert all(same_bits(multi_combine(zs, fts, c), ft) for c, ft in zip(one_hot, fts))
-    ray = uniform_ray_rows(zs, fts, [0.0, *betas, 1.0])
+    ray = combine_rows(zs, fts, [[b / k] * k for b in [0.0, *betas, 1.0]])
     assert holds(ray[0], zs)
     if k == 1:
         assert holds(ray[-1], fts[0])

@@ -358,3 +358,26 @@ def test_black_box_search_error_paths(kw, message):
         black_box_search(obj, **kw)
     assert type(info.value) is ValueError and str(info.value) == message
     assert obj.evaluations == 0
+
+
+@pytest.mark.parametrize("kw, message", [
+    ({"k": 2.0}, "k must be an integer, got 2.0"),
+    ({"k": True}, "k must be an integer, got True"),
+    ({"k": 2, "budget": 2.5}, "budget must be an integer, got 2.5"),
+    ({"k": 2, "budget": True}, "budget must be an integer, got True"),
+    ({"k": 2, "budget": np.float64(3.0)}, f"budget must be an integer, got {np.float64(3.0)!r}"),
+], ids=["float_k", "bool_k", "fractional_budget", "bool_budget", "numpy_float_budget"])
+def test_black_box_search_takes_integer_k_and_budget(kw, message):
+    # budget=2.5 ran 3 evaluations, True ran 1, and k=2.0 failed inside numpy.
+    obj = SearchObjective(lambda coeffs: 0.0)
+    with pytest.raises(ValueError) as info:
+        black_box_search(obj, **kw)
+    assert type(info.value) is ValueError and str(info.value) == message
+    assert obj.evaluations == 0
+
+
+def test_black_box_search_takes_numpy_integers():
+    obj = SearchObjective(lambda coeffs: -abs(coeffs[0] - 0.3))
+    result = black_box_search(obj, k=np.int64(2), budget=np.uint8(5))
+    assert result.evaluations == obj.evaluations == 5
+    assert len(result.best) == 2

@@ -259,6 +259,41 @@ class TestGenerateTasks:
         with pytest.raises(ValueError):
             generate_tasks(0, 5, 4, 20, 0.3, [(0, 1), (1, 2)])
 
+    @pytest.mark.parametrize("args, message", [
+        ((0, 6, 4, 10.5), "samples_per_class must be an integer, got 10.5"),
+        ((0, 6, 4.0, 10), "dim must be an integer, got 4.0"),
+        ((0, 6.0, 4, 10), "num_classes must be an integer, got 6.0"),
+        ((1.5, 6, 4, 10), "seed must be an integer, got 1.5"),
+        ((True, 6, 4, 10), "seed must be an integer, got True"),
+        ((0, 6, True, 10), "dim must be an integer, got True"),
+        ((-1, 6, 4, 10), "seed must be >= 0, got -1"),
+        ((0, 6, 4, 10, [(0, 1.7, 2), (3, 4, 5)]), "partition: class id 1.7 is not an integer"),
+        ((0, 6, 4, 10, [(0, 1, 2), (3, True, 5)]),
+         "partition: class id True is not an integer"),
+        ((0, 6, 4, 10, [(0, 1, 2), (3, 4, np.float64(5.0))]),
+         f"partition: class id {np.float64(5.0)!r} is not an integer"),
+    ], ids=["float_samples_per_class", "float_dim", "float_num_classes", "float_seed",
+            "bool_seed", "bool_dim", "negative_seed", "fractional_class_id", "bool_class_id",
+            "numpy_float_class_id"])
+    def test_counts_seed_and_class_ids_are_integers(self, args, message):
+        # Each failed later with a TypeError that named no argument, or, for a
+        # class id, was truncated to another class without a word.
+        seed, num_classes, dim, spc, *partition = args
+        partition = partition[0] if partition else [(0, 1, 2), (3, 4, 5)]
+        with pytest.raises(ValueError) as info:
+            generate_tasks(seed, num_classes, dim, spc, 0.3, partition)
+        assert type(info.value) is ValueError
+        assert str(info.value) == message
+
+    def test_takes_numpy_integers(self):
+        ints = (np.int64(2), np.int32(6), np.uint8(4), np.int16(10))
+        made = generate_tasks(*ints, 0.3, [(np.int64(0), 1, 2), (3, 4, np.uint8(5))])
+        for a, b in zip(made, generate_tasks(2, 6, 4, 10, 0.3, [(0, 1, 2), (3, 4, 5)])):
+            assert a.class_ids == b.class_ids
+            assert all(type(c) is int for c in a.class_ids)
+            assert a.inputs.tobytes() == b.inputs.tobytes()
+            assert np.array_equal(a.labels, b.labels)
+
     def test_rejects_out_of_range_class(self):
         with pytest.raises(ValueError):
             generate_tasks(0, 3, 4, 20, 0.3, [(0, 5)])
@@ -405,6 +440,22 @@ class TestFrozenTask:
             TaskDataset("dup", t.inputs.copy(), t.labels.copy(), (0, 1, 1, 2), t.row_splits)
         assert type(info.value) is ValueError
         assert str(info.value) == "task 'dup': class id 1 is repeated"
+
+    @pytest.mark.parametrize("inputs, labels, shapes", [
+        (np.zeros((5, 3)), np.zeros(4, int), "(5, 3) for labels of shape (4,)"),
+        (np.zeros(4), np.zeros(4, int), "(4,) for labels of shape (4,)"),
+        (np.zeros((4, 3, 1)), np.zeros(4, int), "(4, 3, 1) for labels of shape (4,)"),
+        (np.zeros((4, 3)), np.zeros((4, 1), int), "(4, 3) for labels of shape (4, 1)"),
+    ], ids=["extra_input_row", "1d_inputs", "3d_inputs", "2d_labels"])
+    def test_rejects_inputs_that_are_not_one_row_per_label(self, inputs, labels, shapes):
+        # An extra row was dropped by split_arrays without a word, and 1-D
+        # inputs failed later, in `dim`, with an IndexError.
+        with pytest.raises(ValueError) as info:
+            TaskDataset("t", inputs, labels, (0,), ["train"] * 4)
+        assert type(info.value) is ValueError
+        assert str(info.value) == (f"task 't': inputs of shape {shapes}; "
+                                   "need one input row per label")
+        assert inputs.flags.writeable and labels.flags.writeable
 
     @pytest.mark.parametrize("read, split", [
         (lambda model, task: finetune(model, task, quick_cfg()), "train"),
@@ -811,6 +862,16 @@ class TestBaselineFrontiers:
         model, pat, sup, _ = setup
         with pytest.raises(ValueError, match="snapshot_every must be > 0, got 0"):
             baseline_frontiers(model, pat, sup, quick_cfg(), 0)
+
+    @pytest.mark.parametrize("every", [2.5, 5.0, True])
+    def test_snapshot_every_is_an_integer(self, setup, monkeypatch, every):
+        # 2.5 snapshotted at steps 0, 5 and 10 of 10, and True at every step.
+        model, pat, sup, _ = setup
+        monkeypatch.setattr(toylab, "_train", None)  # nothing may train
+        with pytest.raises(ValueError) as info:
+            baseline_frontiers(model, pat, sup, quick_cfg(iterations=10, warmup=0), every)
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"snapshot_every must be an integer, got {every!r}"
 
     def test_requires_a_training_step(self, setup, monkeypatch):
         model, pat, sup, _ = setup
