@@ -299,30 +299,26 @@ def cmd_gen_tasks(cfg):
     # write, so a run that fails leaves none behind.
     if "split_source" in cfg:
         (task,) = load_tasks(one_path(cfg, "split_source"))
-        proto = split_task(task, cfg.get("seed", 0))
-        os.makedirs(out_dir, exist_ok=True)
-        for sub in (proto.task_a, proto.task_b):
-            sub.to_csv(os.path.join(out_dir, f"{sub.name}.csv"))
-            print(f"wrote {os.path.join(out_dir, sub.name + '.csv')}")
-        return 0
-    seed, num_classes, dim, samples, noise, spans = require(
-        cfg, "seed", "num_classes", "dim", "samples_per_class", "noise_scale", "tasks")
-    # A range may name 10**12 ids: each is checked by its bounds, unexpanded.
-    for group in spans:
-        outside = [max(r.start, num_classes) for r in group if r and r[-1] >= num_classes]
-        if outside:
-            raise ConfigError(f"class id {min(outside)} outside [0, {num_classes})")
-    # Bounded before anything is allocated, as the alpha grid is.
-    # Counted from the bounds: len() fails on a range longer than sys.maxsize.
-    classes = sum(max(0, r.stop - r.start) for group in spans for r in group)
-    for count, what in ((num_classes * dim, "num_classes x dim"),
-                        (classes * samples * dim, "task classes x samples_per_class x dim")):
-        if count > MAX_TASK_VALUES:
-            raise ConfigError(f"gen-tasks would draw {count} values ({what}), "
-                              f"more than {MAX_TASK_VALUES}")
-    # Expanded lazily, after generate_tasks has checked its other arguments.
-    partition = [itertools.chain(*group) for group in spans]
-    tasks = _as_usage_error(generate_tasks, seed, num_classes, dim, samples, noise, partition)
+        tasks = split_task(task, cfg.get("seed", 0))
+    else:
+        seed, num_classes, dim, samples, noise, spans = require(
+            cfg, "seed", "num_classes", "dim", "samples_per_class", "noise_scale", "tasks")
+        # A range may name 10**12 ids: each is checked by its bounds, unexpanded.
+        for group in spans:
+            outside = [max(r.start, num_classes) for r in group if r and r[-1] >= num_classes]
+            if outside:
+                raise ConfigError(f"class id {min(outside)} outside [0, {num_classes})")
+        # Bounded before anything is allocated, as the alpha grid is.
+        # Counted from the bounds: len() fails on a range longer than sys.maxsize.
+        classes = sum(max(0, r.stop - r.start) for group in spans for r in group)
+        for count, what in ((num_classes * dim, "num_classes x dim"),
+                            (classes * samples * dim, "task classes x samples_per_class x dim")):
+            if count > MAX_TASK_VALUES:
+                raise ConfigError(f"gen-tasks would draw {count} values ({what}), "
+                                  f"more than {MAX_TASK_VALUES}")
+        # Expanded lazily, after generate_tasks has checked its other arguments.
+        partition = [itertools.chain(*group) for group in spans]
+        tasks = _as_usage_error(generate_tasks, seed, num_classes, dim, samples, noise, partition)
     os.makedirs(out_dir, exist_ok=True)
     for task in tasks:
         path = os.path.join(out_dir, f"{task.name}.csv")

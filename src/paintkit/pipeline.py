@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -297,18 +298,10 @@ def reconstruct(result: PatchResult) -> Checkpoint:
     return current
 
 
-@dataclass
-class SplitProtocol:
-    source: str
-    seed: int
+class SplitProtocol(NamedTuple):
+    """The two class-disjoint halves of a split task; unpacks as (a, b)."""
     task_a: TaskDataset
     task_b: TaskDataset
-
-
-def _subset_task(task, keep_classes, name):
-    keep = np.isin(task.labels, list(keep_classes))
-    return TaskDataset(name, task.inputs[keep], task.labels[keep],
-                       tuple(sorted(keep_classes)), task.row_splits[keep])
 
 
 def split_task(task: TaskDataset, seed: int) -> SplitProtocol:
@@ -323,10 +316,9 @@ def split_task(task: TaskDataset, seed: int) -> SplitProtocol:
     perm = np.random.default_rng(seed).permutation(len(ids))
     shuffled = [ids[i] for i in perm]
     half = len(ids) // 2
-    set_a, set_b = shuffled[:half], shuffled[half:]
-    return SplitProtocol(
-        source=task.name,
-        seed=seed,
-        task_a=_subset_task(task, set_a, f"{task.name}_A"),
-        task_b=_subset_task(task, set_b, f"{task.name}_B"),
-    )
+    halves = []
+    for keep_classes, suffix in ((shuffled[:half], "A"), (shuffled[half:], "B")):
+        keep = np.isin(task.labels, keep_classes)
+        halves.append(TaskDataset(f"{task.name}_{suffix}", task.inputs[keep], task.labels[keep],
+                                  tuple(sorted(keep_classes)), task.row_splits[keep]))
+    return SplitProtocol(*halves)

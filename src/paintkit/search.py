@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensors import _is_int, multi_combine
+from .tensors import _MAX_COEFF_SUM, _is_int, multi_combine
 
 
 class SearchObjective:
@@ -106,7 +106,7 @@ def project_capped_simplex(x):
 def _rounded(point):
     # To 12 decimals; down where rounding up lifts the sum over combine_rows' bound.
     key = tuple(round(float(c), 12) for c in point)
-    if sum(key) > 1.0 + 1e-12:
+    if sum(key) > _MAX_COEFF_SUM:
         key = tuple(math.floor(float(c) * 1e12) / 1e12 for c in point)
     return key
 
@@ -158,7 +158,7 @@ def exhaustive_search_2d(obj, grid) -> SearchResult:
     trace = []
     for a1 in sorted(grid):
         for a2 in sorted(grid):
-            if a1 + a2 <= 1.0 + 1e-12:
+            if a1 + a2 <= _MAX_COEFF_SUM:
                 point = (a1, a2)
                 trace.append((point, obj(point)))
     if not trace:

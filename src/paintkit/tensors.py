@@ -18,6 +18,7 @@ FORMAT_VERSION = 1
 
 _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _CODE_DTYPES = {v: k for k, v in _DTYPE_CODES.items()}
+_MAX_COEFF_SUM = 1.0 + 1e-12  # the largest coefficient sum combine_rows takes
 
 
 class CheckpointError(Exception):
@@ -286,7 +287,7 @@ def combine_rows(zs: Checkpoint, fts, alpha_rows) -> np.ndarray:
         if any(a < 0 for a in alphas):
             raise ValueError("negative coefficient")
         total = sum(alphas)
-        if total > 1.0 + 1e-12:
+        if total > _MAX_COEFF_SUM:
             raise ValueError(f"coefficients sum to {total} > 1")
         totals.append(total)
     for ft in fts:

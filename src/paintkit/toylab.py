@@ -70,10 +70,20 @@ class TaskDataset:
     splits: types.MappingProxyType = field(init=False, repr=False)
 
     def __post_init__(self):
+        # Checked before the casts below, which would truncate 1.7 to 1.
+        labels = np.asarray(self.labels)
+        if labels.size and not np.issubdtype(labels.dtype, np.integer):
+            first = labels.ravel()[:1].tolist()[0]
+            raise ValueError(f"task {self.name!r}: label {first!r} is not an integer "
+                             f"(labels of dtype {labels.dtype})")
+        class_ids = tuple(self.class_ids)
+        for c in class_ids:
+            if not _is_int(c):
+                raise ValueError(f"task {self.name!r}: class id {c!r} is not an integer")
         own = functools.partial(object.__setattr__, self)
         own("inputs", _owned(self.inputs, np.float64))
-        own("labels", _owned(self.labels, np.int64))
-        own("class_ids", tuple(int(c) for c in self.class_ids))
+        own("labels", _owned(labels, np.int64))
+        own("class_ids", tuple(int(c) for c in class_ids))
         # Python strings: a fixed-width numpy str array drops trailing NULs.
         own("row_splits", _owned(self.row_splits, object))
         if self.inputs.ndim != 2 or self.labels.ndim != 1 or len(self.inputs) != len(self.labels):

@@ -214,6 +214,18 @@ class TestGenTasks:
         assert set(a.class_ids).isdisjoint(b.class_ids)
         assert set(a.class_ids) | set(b.class_ids) == set(range(6))
 
+    def test_both_modes_print_one_line_per_file_written(self, tmp_path, capsys):
+        main(["gen-tasks", "--out_dir", str(tmp_path), "--seed", "0",
+              "--num_classes", "6", "--dim", "4", "--samples_per_class", "20",
+              "--noise_scale", "0.2", "--tasks", "0-3|4,5"])
+        assert capsys.readouterr().out == "".join(
+            f"wrote {tmp_path / name}\n" for name in ("task0.csv", "task1.csv"))
+        out = tmp_path / "splits"
+        assert main(["gen-tasks", "--out_dir", str(out), "--split_source",
+                     str(tmp_path / "task0.csv"), "--seed", "7"]) == 0
+        assert capsys.readouterr().out == "".join(
+            f"wrote {out / name}\n" for name in ("task0_A.csv", "task0_B.csv"))
+
     @pytest.mark.parametrize("tasks, outside", [
         ("0-1|2-4", 4),
         ("0-1|2-1000000000000", 4),

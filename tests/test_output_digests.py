@@ -74,3 +74,51 @@ def test_src_option_imports_paintkit_from_that_directory():
     spec.loader.exec_module(module)
     default = run(module, ["--section", "tasks"])
     assert run(module, ["--section", "tasks", "--src", module.SRC]) == default
+
+
+def _module():
+    spec = importlib.util.spec_from_file_location("output_digests", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _leaves(digest, path=()):
+    if isinstance(digest, dict):
+        for key, value in digest.items():
+            yield from _leaves(value, (*path, key))
+    elif isinstance(digest, list):
+        for i, value in enumerate(digest):
+            yield from _leaves(value, (*path, i))
+    else:
+        yield path, digest
+
+
+def test_decisions_show_a_changed_coefficient_but_not_a_changed_weight():
+    module = _module()
+    before = json.loads(run(module, ["--section", "pipeline"]))
+    after = json.loads(json.dumps(before))
+    single = after["pipeline"]["single"]
+    single["fine_tuned"][0]["weights"] = "0" * 32
+    single["coefficients"] = "1" * 32
+    kept = dict(_leaves(module.decisions(before)))
+    changed = [path for path, value in _leaves(module.decisions(after)) if kept[path] != value]
+    assert changed == [("pipeline", "single", "coefficients")]
+    # The option prints the filtered digests; a checkpoint keeps its meta.
+    decided = json.loads(run(module, ["--section", "pipeline", "--decisions"]))
+    assert decided == module.decisions(before)
+    assert decided["pipeline"]["single"]["fine_tuned"] == [
+        {"meta": before["pipeline"]["single"]["fine_tuned"][0]["meta"]}]
+
+
+def test_decisions_drop_every_key_that_depends_on_weight_bits():
+    module = _module()
+    digests = {"lab": {"zero_shot.ckpt": "a", "zero_shot.ckpt:loaded": {"weights": "b",
+                                                                           "meta": "c"},
+                       "losses": "d", "metrics/metrics.json": "e",
+                       "metrics/metrics.json:weights": "f", "metrics/metrics.json:cka": "g",
+                       "metrics/metrics.json:test_accuracy": "h", "frontier.csv": "i",
+                       "per_seed": [{"patched": {"weights": "j", "meta": "k"}}]}}
+    assert module.decisions(digests) == {"lab": {
+        "zero_shot.ckpt:loaded": {"meta": "c"}, "metrics/metrics.json:test_accuracy": "h",
+        "frontier.csv": "i", "per_seed": [{"patched": {"meta": "k"}}]}}

@@ -564,3 +564,11 @@ class TestSplitTask:
         proto = split_task(tasks[1], 0)
         with pytest.raises(ValueError):
             split_task(proto.task_a, 0)
+
+    def test_returns_its_two_halves_and_unpacks(self, env):
+        _, tasks, _ = env
+        proto = split_task(tasks[0], 7)
+        a, b = proto
+        assert type(proto)._fields == ("task_a", "task_b")
+        assert (a, b) == (proto.task_a, proto.task_b)
+        assert (a.name, b.name) == (f"{tasks[0].name}_A", f"{tasks[0].name}_B")

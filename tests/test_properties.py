@@ -1,6 +1,7 @@
 """Property-based tests for the checkpoint container, weight arithmetic,
-stacked scoring, the patching strategies, task-CSV parsing and the
-capped-simplex projection.
+stacked scoring, the patching strategies, task-CSV parsing, the
+capped-simplex projection and the coefficient bound the searches share with
+combine_rows.
 
 Examples are derandomized and nothing is stored between runs, so every run
 checks the same cases.
@@ -35,7 +36,7 @@ from paintkit import (
     split_task,
 )
 from paintkit.pipeline import SEARCHES, STRATEGIES
-from paintkit.search import project_capped_simplex
+from paintkit.search import _rounded, exhaustive_search_2d, project_capped_simplex
 from paintkit.tensors import combine_rows
 from paintkit.toylab import evaluate_stack
 
@@ -453,3 +454,53 @@ def test_capped_simplex_projection_is_feasible_and_idempotent(x):
 @given(feasible)
 def test_capped_simplex_projection_keeps_feasible_points(x):
     assert np.array_equal(project_capped_simplex(x), x)
+
+
+def _one_weight_lab(k):
+    """A one-weight zero-shot checkpoint and k fine-tuned ones."""
+    return (Checkpoint({"w": np.zeros(1)}),
+            [Checkpoint({"w": np.full(1, i + 1.0)}) for i in range(k)])
+
+
+def _accepted(alphas):
+    zs, fts = _one_weight_lab(len(alphas))
+    try:
+        combine_rows(zs, fts, [alphas])
+    except ValueError:
+        return False
+    return True
+
+
+@settings(PROPERTY, max_examples=60)
+@given(vectors)
+# Six coordinates of 1/6 each round up to a sum of 1.000000000002, over the
+# bound: the black-box search floors them.
+@example(np.ones(6))
+def test_black_box_keys_are_coefficients_combine_rows_takes(x):
+    assert _accepted(_rounded(project_capped_simplex(x)))
+
+
+# Grid values and their complements to 1 shifted by -1e-12 to 2e-12, so that
+# some pairs sum to just under, at and just over the bound.
+near_complements = st.lists(
+    st.tuples(st.floats(0.0, 1.0), st.sampled_from([0.0, 1e-12, 2e-12, -1e-12])),
+    min_size=1, max_size=3,
+).map(lambda pairs: [a for a, _ in pairs] + [min(1.0, max(0.0, 1.0 - a + d)) for a, d in pairs])
+
+
+@settings(PROPERTY, max_examples=40)
+@given(near_complements)
+@example([0.5, 0.5 + 1e-12, 0.5 + 2e-12])
+def test_2d_search_scores_exactly_the_pairs_combine_rows_takes(grid):
+    scored = [point for point, _ in exhaustive_search_2d(lambda c: 0.0, grid).trace]
+    assert scored == [(a1, a2) for a1 in sorted(grid) for a2 in sorted(grid)
+                      if _accepted((a1, a2))]
+
+
+def test_a_pair_just_over_the_bound_is_skipped_and_rejected():
+    over = (0.5, 0.5 + 2e-12)
+    scored = [point for point, _ in exhaustive_search_2d(lambda c: 0.0, over).trace]
+    assert scored == [(0.5, 0.5)]
+    zs, fts = _one_weight_lab(2)
+    with pytest.raises(ValueError, match=r"coefficients sum to .* > 1"):
+        combine_rows(zs, fts, [over])

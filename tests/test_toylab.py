@@ -457,6 +457,29 @@ class TestFrozenTask:
                                    "need one input row per label")
         assert inputs.flags.writeable and labels.flags.writeable
 
+    @pytest.mark.parametrize("labels, class_ids, message", [
+        (np.array([0, 1, 1, 0]), (0, 1.7), "class id 1.7 is not an integer"),
+        (np.array([0, 1, 1, 0]), (0, True), "class id True is not an integer"),
+        (np.array([0.0, 1.7, 1.2, 0.0]), (0, 1),
+         "label 0.0 is not an integer (labels of dtype float64)"),
+        (np.array([True, False, True, False]), (0, 1),
+         "label True is not an integer (labels of dtype bool)"),
+    ], ids=["fractional_class_id", "bool_class_id", "float_labels", "bool_labels"])
+    def test_rejects_class_ids_and_labels_that_are_not_integers(self, labels, class_ids,
+                                                                  message):
+        # Each was cast to an int without a word: id 1.7 and label 1.7 became
+        # class 1, and label True class 1.
+        inputs = np.zeros((4, 3))
+        with pytest.raises(ValueError) as info:
+            TaskDataset("t", inputs, labels, class_ids, ["train"] * 4)
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"task 't': {message}"
+        assert inputs.flags.writeable and labels.flags.writeable
+
+    def test_no_labels_pass_the_integer_check(self):
+        t = TaskDataset("t", np.zeros((0, 3)), [], (0,), [])
+        assert t.labels.dtype == np.int64 and t.labels.shape == (0,)
+
     @pytest.mark.parametrize("read, split", [
         (lambda model, task: finetune(model, task, quick_cfg()), "train"),
         (lambda model, task: evaluate(model, task, "val"), "val"),

@@ -8,6 +8,10 @@ change, for the paintkit sources beside this script or in ``--src DIR``.
 
     python3 tools/output_digests.py --section training # one section only
 
+    python3 tools/output_digests.py --decisions > default.json
+    OPENBLAS_CORETYPE=Haswell python3 tools/output_digests.py --decisions > haswell.json
+    diff default.json haswell.json                     # no output: same selections
+
 Sections (ROADMAP's outputs that must not change):
 
 - ``cli_single``: ``paintkit gen-tasks``, ``pretrain``, ``finetune``, ``patch
@@ -62,6 +66,13 @@ frontier, provenance, val and test accuracies, per-seed results,
 public paintkit names are used. A revision whose ``baseline_frontiers``
 reads its snapshot interval from ``TrainConfig`` needs the script of its own
 revision.
+
+``--decisions`` prints only the keys that do not depend on weight bits (see
+``decisions``): what each run selected and scored, its provenance,
+evaluation counts, exit codes, task digests and checkpoint metadata. Outputs
+are bit-exact on one platform; another BLAS kernel or SIMD level may round
+weights differently, but the selections should not move. That is checked
+on these labs, not guaranteed: a near-tie in val accuracy could flip.
 """
 
 from __future__ import annotations
@@ -404,6 +415,26 @@ def tasks(pk):
     return out
 
 
+# Digest keys whose values are functions of weight bits, which another BLAS
+# kernel may round differently: a checkpoint's tensors, training losses and
+# the weight-space metrics (cosine and L1 distance, CKA). cli_single digests
+# its metrics.json whole, the cosine and L1 distance with the frontier
+# metrics, so that key goes; its frontier.csv stays. A key that ends in
+# ".ckpt" holds a checkpoint file's bytes.
+WEIGHT_BIT_KEYS = {"weights", "losses", "metrics/metrics.json", "metrics/metrics.json:weights",
+                   "metrics/metrics.json:cka"}
+
+
+def decisions(digests):
+    """`digests` without the keys that depend on weight bits."""
+    if isinstance(digests, dict):
+        return {key: decisions(value) for key, value in digests.items()
+                if key not in WEIGHT_BIT_KEYS and not key.endswith(".ckpt")}
+    if isinstance(digests, list):
+        return [decisions(value) for value in digests]
+    return digests
+
+
 SECTIONS = {"cli_single": cli_single, "sequential_dense": sequential_dense,
             "pipeline": pipeline, "training": training, "baselines": baselines,
             "tasks": tasks, "broad_transfer": broad_transfer}
@@ -415,10 +446,15 @@ def main(argv=None):
                         help="run only this section (repeatable); default: all")
     parser.add_argument("--src", default=SRC,
                         help="the directory to import paintkit from; default: %(default)s")
+    parser.add_argument("--decisions", action="store_true",
+                        help="print only the keys that do not depend on weight bits")
     args = parser.parse_args(argv)
     pk = _import_paintkit(args.src)
     names = args.section or list(SECTIONS)
-    print(json.dumps({name: SECTIONS[name](pk) for name in names}, indent=1, sort_keys=True))
+    digests = {name: SECTIONS[name](pk) for name in names}
+    if args.decisions:
+        digests = decisions(digests)
+    print(json.dumps(digests, indent=1, sort_keys=True))
     return 0
 
 
