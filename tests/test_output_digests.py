@@ -18,6 +18,13 @@ def run(module, argv):
     return out.getvalue()
 
 
+def _module():
+    spec = importlib.util.spec_from_file_location("output_digests", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_digests_are_deterministic():
     spec = importlib.util.spec_from_file_location("output_digests", SCRIPT)
     module = importlib.util.module_from_spec(spec)
@@ -74,13 +81,6 @@ def test_src_option_imports_paintkit_from_that_directory():
     spec.loader.exec_module(module)
     default = run(module, ["--section", "tasks"])
     assert run(module, ["--section", "tasks", "--src", module.SRC]) == default
-
-
-def _module():
-    spec = importlib.util.spec_from_file_location("output_digests", SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def _leaves(digest, path=()):
