@@ -22,6 +22,7 @@ from .toylab import (
     TaskDataset,
     ToyModel,
     TrainConfig,
+    _check_width,
     evaluate,
     evaluate_stack,
     finetune,
@@ -29,7 +30,7 @@ from .toylab import (
 )
 
 STRATEGIES = ("single", "joint", "sequential", "parallel")
-SEARCHES = ("grid", "uniform", "blackbox")
+SEARCHES = ("uniform", "blackbox")
 # Grid points scored per forward pass. A whole 51-point grid in one pass was
 # no faster and its temporaries cost megabytes; blocks of 8 keep them small.
 _ALPHA_BLOCK = 8
@@ -74,7 +75,7 @@ class PatchSpec:
     supported_tasks: tuple
     strategy: str = "single"
     alpha_grid: tuple = field(default_factory=default_grid)  # floats; check_selection checks them
-    search: str = "grid"  # read by parallel with >= 2 tasks; grid and uniform sweep the ray
+    search: str = "uniform"  # read by parallel with >= 2 tasks; uniform takes the ray's best
     order_seeds: tuple = (0,)  # the first also seeds the black-box search
     budget: int = 50
     group_weighting: bool = False
@@ -94,9 +95,7 @@ class PatchSpec:
             if task.name in names:
                 raise ValueError(f"two tasks are named {task.name!r}")
             names.add(task.name)
-            if task.dim != self.model.in_dim:
-                raise ValueError(f"task {task.name!r} has {task.dim} features, but the "
-                                 f"model takes {self.model.in_dim} inputs")
+            _check_width(self.model, task)
             needed = ("train", "val", "test") if task in self.patching_tasks else ("val", "test")
             missing = next((split for split in needed if split not in task.splits), None)
             if missing is not None:

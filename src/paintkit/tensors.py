@@ -65,7 +65,7 @@ class Checkpoint:
                 raise CheckpointError(f"invalid tensor name: {name!r}")
             arr = np.asarray(arr)
             if arr.dtype not in _DTYPE_CODES:
-                arr = arr.astype(np.float64)
+                raise CheckpointError(f"tensor {name!r} is {arr.dtype}, not float32 or float64")
             if dtype is None:
                 dtype = arr.dtype
             elif arr.dtype != dtype:

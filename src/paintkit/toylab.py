@@ -22,7 +22,7 @@ _EMBED_STREAM = 0x0E03BEDD  # fixed stream id so embeddings depend only on the c
 _HEAD_CACHE_SIZE = 256  # distinct (class ids, dim) heads kept per process
 _ADAM_BETAS = (0.9, 0.999)
 _ADAM_EPS = 1e-8
-_INT64_MAX = 2**63 - 1  # the largest class id a task CSV's label may hold
+_INT64_MAX = 2**63 - 1  # the largest label or class id a task may hold
 
 
 def class_embedding(class_id: int, dim: int) -> np.ndarray:
@@ -70,16 +70,21 @@ class TaskDataset:
     splits: types.MappingProxyType = field(init=False, repr=False)
 
     def __post_init__(self):
-        # Checked before the casts below, which would truncate 1.7 to 1.
+        def check_int(kind, value, note=""):
+            if not _is_int(value):
+                raise ValueError(f"task {self.name!r}: {kind} {value!r} is not an integer{note}")
+            if not -_INT64_MAX - 1 <= int(value) <= _INT64_MAX:
+                raise ValueError(f"task {self.name!r}: {kind} {value} is outside int64")
+
+        # Checked before the casts below, which would truncate 1.7 to 1 and
+        # wrap a uint64 2**63 to -2**63. Signed numpy integers all fit int64.
         labels = np.asarray(self.labels)
-        if labels.size and not np.issubdtype(labels.dtype, np.integer):
-            first = labels.ravel()[:1].tolist()[0]
-            raise ValueError(f"task {self.name!r}: label {first!r} is not an integer "
-                             f"(labels of dtype {labels.dtype})")
+        if labels.dtype.kind != "i":
+            for label in labels.ravel().tolist():
+                check_int("label", label, f" (labels of dtype {labels.dtype})")
         class_ids = tuple(self.class_ids)
         for c in class_ids:
-            if not _is_int(c):
-                raise ValueError(f"task {self.name!r}: class id {c!r} is not an integer")
+            check_int("class id", c)
         own = functools.partial(object.__setattr__, self)
         own("inputs", _owned(self.inputs, np.float64))
         own("labels", _owned(labels, np.int64))
@@ -512,6 +517,13 @@ def _layer_names(ckpt, n_layers, embed_dim):
     return names
 
 
+def _check_width(model, task):
+    """Reject a task whose examples do not have the model's input width."""
+    if task.dim != model.in_dim:
+        raise ValueError(f"task {task.name!r} has {task.dim} features, but the "
+                         f"model takes {model.in_dim} inputs")
+
+
 def _local_labels(labels, class_ids):
     index = {c: i for i, c in enumerate(class_ids)}
     return np.asarray([index[int(y)] for y in labels], dtype=np.int64)
@@ -525,6 +537,7 @@ def _train(model: ToyModel, task: TaskDataset, config: TrainConfig, every, ema_d
     steps and the last step, of the weights or, given `ema_decay`, of their
     EMA shadow (ema = decay * ema + (1 - decay) * weights after each step), in
     the dtype of `model.ckpt`."""
+    _check_width(model, task)
     rng = np.random.default_rng(config.seed)
     x_all, y_all = task.split_arrays("train")
     y_local = _local_labels(y_all, task.class_ids)
@@ -623,6 +636,7 @@ def evaluate_stack(model: ToyModel, stack, task: TaskDataset, split="test") -> l
     if stack.ndim != 2 or stack.shape[1] != model.ckpt.num_params:
         raise ValueError(f"weight stack of shape {stack.shape} does not hold rows of "
                          f"{model.ckpt.num_params} parameters")
+    _check_width(model, task)
     x, y = task.split_arrays(split)
     logits = model.logits(x, task.class_ids, model.ckpt.views(stack))
     pred = np.asarray(task.class_ids)[logits.argmax(axis=-1)]
@@ -650,6 +664,8 @@ def baseline_frontiers(model, task, supported_task, config: TrainConfig, snapsho
     if config.iterations < 1:  # each frontier needs its alpha=1 point
         raise ValueError(f"iterations must be >= 1 for baseline frontiers, "
                          f"got {config.iterations}")
+    for t in (task, supported_task):
+        _check_width(model, t)
 
     def frontier(points):
         """The val frontier of {alpha: checkpoint}, each task scored as one stack."""

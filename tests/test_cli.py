@@ -167,6 +167,15 @@ class TestExitCodes:
         assert main(["patch", flag]) == 0
         assert capsys.readouterr().out.startswith("usage: paintkit ")
 
+    def test_module_entry_point_prints_usage(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "paintkit.cli", "--help"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.startswith("usage: paintkit ")
+
     def test_config_file_with_overrides(self, tmp_path):
         cfg = tmp_path / "gen.cfg"
         cfg.write_text(f"out_dir = {tmp_path / 'tasks'}\nseed = 0\nnum_classes = 4\n"
@@ -589,6 +598,14 @@ class TestPretrainFinetunePatch:
         assert list(cwd.iterdir()) == []
         assert not out.exists()
         assert [p.name for p in results.iterdir()] == ["patch_result.json"]
+
+    def test_grid_is_not_a_search(self, workspace, tmp_path, capsys):
+        # "grid" was an alias of "uniform"; it is a usage error before anything loads.
+        args = command_args(workspace, tmp_path, ["--strategy", "parallel", "--search", "grid"])
+        assert main(args) == 1
+        assert capsys.readouterr().err == ("error: unknown search 'grid'; "
+                                           "expected one of uniform, blackbox\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_parallel_strategy(self, workspace, tmp_path):
         args = patch_args(workspace, tmp_path,

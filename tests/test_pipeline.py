@@ -233,6 +233,13 @@ class TestPatchParallel:
         assert len(set(result.coefficients)) == 1
         assert sum(result.coefficients) <= 1.0 + 1e-12
 
+    def test_default_search_is_uniform(self, env):
+        # A run that named no search recorded "grid", an alias of "uniform".
+        result = patch_parallel(spec_for(env, "parallel", patch_idx=(1, 2)))
+        assert result.provenance["search"] == "uniform"
+        named = patch_parallel(spec_for(env, "parallel", patch_idx=(1, 2), search="uniform"))
+        assert result.provenance == named.provenance
+
     def test_reconstruction_bit_exact(self, env):
         result = patch_parallel(spec_for(env, "parallel", patch_idx=(1, 2),
                                          search="uniform"))
@@ -328,6 +335,11 @@ class TestPatchSpecValidation:
         with pytest.raises(ValueError, match="strategy 'bogus'|budget must be >= 1"):
             PatchSpec(model=model, patching_tasks=[tasks[1]], supported_tasks=[tasks[0]],
                       **kw)
+
+    def test_grid_is_not_a_search(self, env):
+        with pytest.raises(ValueError) as info:
+            spec_for(env, "parallel", patch_idx=(1, 2), search="grid")
+        assert str(info.value) == "unknown search 'grid'; expected one of uniform, blackbox"
 
     def test_rejects_task_of_another_input_width(self, env):
         model, tasks, _ = env

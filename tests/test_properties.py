@@ -302,7 +302,7 @@ PATCH_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 # The search matters to the parallel strategy only.
 @pytest.mark.parametrize("strategy, search", [
-    *((strategy, "grid") for strategy in STRATEGIES if strategy != "parallel"),
+    *((strategy, "uniform") for strategy in STRATEGIES if strategy != "parallel"),
     *(("parallel", search) for search in SEARCHES)])
 @settings(PROPERTY, max_examples=8)
 @given(k=st.integers(1, 2), order_seeds=st.lists(st.integers(0, 9), min_size=1, max_size=3,

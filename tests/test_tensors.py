@@ -58,6 +58,16 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             Checkpoint({"a": np.zeros(2, np.float32), "b": np.zeros(2, np.float64)})
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.bool_, np.float16, np.complex128])
+    def test_rejects_a_tensor_that_is_not_float32_or_float64(self, dtype):
+        # It was cast to float64: an int silently, and a complex tensor lost
+        # its imaginary part with only a ComplexWarning.
+        with pytest.raises(CheckpointError) as info:
+            Checkpoint({"a": np.zeros(2), "b": np.ones(2, dtype)})
+        assert type(info.value) is CheckpointError
+        assert str(info.value) == (f"tensor 'b' is {np.dtype(dtype)}, "
+                                   "not float32 or float64")
+
     def test_insertion_order_preserved(self):
         c = ck(z=np.zeros(1), a=np.zeros(1), m=np.zeros(1))
         assert c.names() == ["z", "a", "m"]

@@ -476,6 +476,19 @@ class TestFrozenTask:
         assert str(info.value) == f"task 't': {message}"
         assert inputs.flags.writeable and labels.flags.writeable
 
+    @pytest.mark.parametrize("labels, class_ids, message", [
+        ([0, 2**70], (0, 2**70), f"label {2**70} is outside int64"),
+        ([0, 0], (0, 2**70), f"class id {2**70} is outside int64"),
+        (np.array([0, 2**63], np.uint64), (0,), f"label {2**63} is outside int64"),
+    ], ids=["wide_label", "wide_class_id", "uint64_label"])
+    def test_rejects_labels_and_class_ids_outside_int64(self, labels, class_ids, message):
+        # A Python int label too wide for int64 was called "not an integer", a
+        # wide class id was accepted, and a uint64 label wrapped to a negative one.
+        with pytest.raises(ValueError) as info:
+            TaskDataset("t", np.zeros((2, 3)), labels, class_ids, ["train"] * 2)
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"task 't': {message}"
+
     def test_no_labels_pass_the_integer_check(self):
         t = TaskDataset("t", np.zeros((0, 3)), [], (0,), [])
         assert t.labels.dtype == np.int64 and t.labels.shape == (0,)
@@ -776,6 +789,42 @@ class TestEvaluate:
         model = ToyModel.init(0, t.dim, (16,), 8)
         feats = model.encode(t.inputs[:10])
         assert np.allclose(np.linalg.norm(feats, axis=1), 1.0, atol=1e-12)
+
+
+def narrow_and_wide():
+    """A 3-feature task (task0) and a 4-feature one, and a model of 4 inputs."""
+    (narrow,) = generate_tasks(0, num_classes=2, dim=3, samples_per_class=10,
+                               noise_scale=0.3, partition=[(0, 1)])
+    (wide,) = generate_tasks(0, num_classes=2, dim=4, samples_per_class=10,
+                             noise_scale=0.3, partition=[(0, 1)])
+    return narrow, wide, ToyModel.init(0, 4, (8,), 8)
+
+
+@pytest.mark.parametrize("read", [
+    lambda model, task: finetune(model, task, quick_cfg()),
+    lambda model, task: evaluate(model, task, "val"),
+    lambda model, task: evaluate_stack(model, model.ckpt.flat()[None], task, "val"),
+], ids=["finetune", "evaluate", "evaluate_stack"])
+def test_a_task_of_another_width_is_named(read):
+    # numpy's matmul error named no task.
+    narrow, _, model = narrow_and_wide()
+    with pytest.raises(ValueError) as info:
+        read(model, narrow)
+    assert type(info.value) is ValueError
+    assert str(info.value) == "task 'task0' has 3 features, but the model takes 4 inputs"
+
+
+@pytest.mark.parametrize("narrow_role", ["task", "supported_task"])
+def test_baseline_frontiers_checks_both_widths_before_training(monkeypatch, narrow_role):
+    # It trained on its patching task before numpy's matmul error on the
+    # supported one.
+    narrow, wide, model = narrow_and_wide()
+    monkeypatch.setattr(toylab, "_train", lambda *args: pytest.fail("trained"))
+    tasks = {"task": wide, "supported_task": wide, narrow_role: narrow}
+    with pytest.raises(ValueError) as info:
+        baseline_frontiers(model, config=quick_cfg(), snapshot_every=10, **tasks)
+    assert type(info.value) is ValueError
+    assert str(info.value) == "task 'task0' has 3 features, but the model takes 4 inputs"
 
 
 def traced_peak(call):
