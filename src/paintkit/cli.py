@@ -2,8 +2,8 @@
 frontier metrics, and plot-ready report emission.
 
 Configuration is a flat key=value text file; any key can be overridden on
-the command line as `--key value`. Exit codes: 0 success, 1 usage/config
-error, 2 runtime/data error.
+the command line as `--key value`, the key spelt as in the file. Exit codes:
+0 success, 1 usage/config error, 2 runtime/data error.
 """
 
 from __future__ import annotations
@@ -73,16 +73,13 @@ def parse_config(path=None, overrides=()):
 
 def parse_overrides(tokens):
     overrides = {}
-    i = 0
-    while i < len(tokens):
-        tok = tokens[i]
-        if not tok.startswith("--"):
-            raise ConfigError(f"unexpected argument: {tok}")
-        key = tok[2:].replace("-", "_")
-        if i + 1 >= len(tokens):
-            raise ConfigError(f"missing value for --{key}")
-        overrides[key] = tokens[i + 1]
-        i += 2
+    for i in range(0, len(tokens), 2):
+        option = tokens[i]
+        if not option.startswith("--"):
+            raise ConfigError(f"unexpected argument: {option}")
+        if i + 1 == len(tokens):
+            raise ConfigError(f"missing value for {option}")
+        overrides[option[2:]] = tokens[i + 1]
     return overrides
 
 

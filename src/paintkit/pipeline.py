@@ -3,7 +3,6 @@ strategies, and disjoint-class task splitting."""
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -17,7 +16,7 @@ from .search import (
     default_grid,
     grid_search_1d,
 )
-from .tensors import Checkpoint, _is_int, combine_rows, multi_combine
+from .tensors import Checkpoint, _is_int, _repeated, combine_rows, multi_combine
 from .toylab import (
     TaskDataset,
     ToyModel,
@@ -42,10 +41,12 @@ def check_selection(settings):
     cannot use. Absent names go unchecked. Needs no model, so callers can run
     it before any training."""
     if "alpha_grid" in settings:
-        grid = check_grid(settings["alpha_grid"])
+        grid = tuple(check_grid(settings["alpha_grid"]))
         # The frontier is anchored at the zero-shot and fine-tuned endpoints.
         if 0.0 not in grid or 1.0 not in grid:
             raise ValueError("alpha grid must contain 0 and 1")
+        if (repeated := _repeated(grid)) is not None:
+            raise ValueError(f"alpha {repeated} is repeated in {grid}")
     for name, allowed in (("search", SEARCHES), ("strategy", STRATEGIES)):
         if name in settings and settings[name] not in allowed:
             raise ValueError(f"unknown {name} {settings[name]!r}; "
@@ -60,10 +61,8 @@ def check_selection(settings):
     for seed in seeds:
         if not _is_int(seed, 0):
             raise ValueError(f"order seed {seed} must be an integer >= 0")
-    counts = Counter(seeds)
-    for seed in seeds:
-        if counts[seed] > 1:
-            raise ValueError(f"order seed {seed} is repeated in {seeds}")
+    if (repeated := _repeated(seeds)) is not None:
+        raise ValueError(f"order seed {repeated} is repeated in {seeds}")
 
 
 @dataclass(frozen=True)

@@ -59,7 +59,7 @@ def check_grid(grid):
 
 
 def grid_search_1d(obj, grid) -> SearchResult:
-    """Evaluate every grid alpha exactly once; argmax, smallest alpha on ties."""
+    """Evaluate each grid entry once, a repeated alpha again; argmax, smallest alpha on ties."""
     grid = check_grid(grid)
     return _result([((a,), obj((a,))) for a in grid])
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import struct
+from collections import Counter
 
 import numpy as np
 
@@ -48,13 +49,18 @@ def _is_int(value, least=-math.inf):
             and value >= least)
 
 
+def _repeated(values):
+    """The first value, in order, that occurs in `values` more than once, or None."""
+    return next((v for v, count in Counter(values).items() if count > 1), None)
+
+
 class Checkpoint:
     """Ordered, immutable map from tensor name to array.
 
     All tensors share one dtype (float32 or float64) and every element must
     be finite. They live back to back, in insertion order (also the order on
     disk), in one contiguous read-only buffer; each tensor is a read-only view
-    into it at a fixed offset.
+    into it at a fixed offset. Metadata maps str keys to str values.
     """
 
     def __init__(self, tensors, meta=None):
@@ -82,7 +88,10 @@ class Checkpoint:
         self._buf = buf
         self._layout = layout
         self._views = self.views(buf)
-        self.meta = {str(k): str(v) for k, v in (meta or {}).items()}
+        self.meta = dict((meta or {}).items())
+        for key, value in self.meta.items():
+            if not isinstance(key, str) or not isinstance(value, str):
+                raise CheckpointError(f"metadata must map str to str, got {key!r}: {value!r}")
         if not np.isfinite(buf).all():
             name = next(n for n, a in self.items() if not np.isfinite(a).all())
             raise error(f"non-finite element in tensor {name!r}")
@@ -138,10 +147,7 @@ class Checkpoint:
         return same_layout and self.dtype == other.dtype and np.array_equal(self._buf, other._buf)
 
     def with_meta(self, meta):
-        ckpt = Checkpoint.__new__(Checkpoint)
-        ckpt._buf, ckpt._layout, ckpt._views = self._buf, self._layout, self._views
-        ckpt.meta = {str(k): str(v) for k, v in meta.items()}
-        return ckpt
+        return Checkpoint.__new__(Checkpoint)._adopt(self._buf, self._layout, meta)
 
 
 def validate_compatible(a: Checkpoint, b: Checkpoint):

@@ -16,7 +16,7 @@ import numpy as np
 
 from ._atomic import atomic_open
 from .metrics import Frontier, FrontierPoint
-from .tensors import Checkpoint, CheckpointError, _is_int
+from .tensors import Checkpoint, CheckpointError, _is_int, _repeated
 
 _EMBED_STREAM = 0x0E03BEDD  # fixed stream id so embeddings depend only on the class id
 _HEAD_CACHE_SIZE = 256  # distinct (class ids, dim) heads kept per process
@@ -96,9 +96,7 @@ class TaskDataset:
                              f"labels of shape {self.labels.shape}; need one input row per label")
         if not set(self.labels.tolist()) <= set(self.class_ids):
             raise ValueError(f"task {self.name!r}: label outside class_ids")
-        ids = self.class_ids
-        if len(set(ids)) < len(ids):
-            repeated = next(c for i, c in enumerate(ids) if c in ids[:i])
+        if (repeated := _repeated(self.class_ids)) is not None:
             raise ValueError(f"task {self.name!r}: class id {repeated} is repeated")
         if min(self.class_ids, default=0) < 0:
             raise ValueError(f"task {self.name!r}: class id {min(self.class_ids)} is negative")

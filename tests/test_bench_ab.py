@@ -195,3 +195,28 @@ def test_refuses_uncommitted_changes_before_any_work(bench_ab, fake_checkout, tm
     assert status in fake_checkout["git"]
     assert fake_checkout["extract"] == [] and fake_checkout["run_once"] == []
     assert not [name for name in os.listdir(tmp_path) if name.startswith("BENCH_")]
+
+
+def test_without_a_base_head_runs_alone(bench_ab, fake_checkout, tmp_path, monkeypatch):
+    def run_once(tree, workload, seed, seconds):
+        fake_checkout["run_once"].append(tree)
+        return canned_run(seed, [0.020, 0.022, 0.030][seed], [2.0, 4.0, 1400.0][seed])
+
+    monkeypatch.setattr(bench_ab, "run_once", run_once)
+    assert bench_ab.main(["--pairs", "3"]) == 0
+    # One tree, HEAD's, and every run on it.
+    (extracted,) = fake_checkout["extract"]
+    assert extracted[0] == SHAS["HEAD^{commit}"]
+    assert fake_checkout["run_once"] == [extracted[1]] * 3
+    assert not [args for args in fake_checkout["git"] if args[-1] == "base^{commit}"]
+    assert not [name for name in os.listdir(tmp_path) if name.startswith("BENCH_")]
+    with open(tmp_path / f"TRAJECTORY_{'a' * 7}.json") as f:
+        report = json.load(f)
+    assert "base" not in report and report["head"] == {"sha": SHAS["HEAD^{commit}"]}
+    workload = report["workloads"]["cli_single"]
+    assert sorted(workload) == ["head", "seeds"]
+    assert workload["seeds"] == [0, 1, 2]
+    head = workload["head"]
+    assert head["metrics"]["patch_s"] == {"median": 0.022, "iqr": pytest.approx(0.005)}
+    assert head["minflt_per_op"] == {"median": 4.0, "iqr": 699.0}
+    assert (head["attempted"], head["failed"]) == (300, 0)

@@ -68,9 +68,17 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=":2"):
             parse_config(str(cfg_path))
 
-    def test_overrides(self):
-        assert parse_overrides(["--seed", "4", "--alpha-grid", "0:1:0.5"]) == {
+    def test_overrides(self, tmp_path, capsys):
+        assert parse_overrides(["--seed", "4", "--alpha_grid", "0:1:0.5"]) == {
             "seed": "4", "alpha_grid": "0:1:0.5"}
+        # A key has one spelling, the config file's: a dash is not an underscore.
+        assert parse_overrides(["--alpha-grid", "0:1:0.5"]) == {"alpha-grid": "0:1:0.5"}
+        out = tmp_path / "out"
+        assert main(["patch", "--zs_checkpoint", str(tmp_path / "missing.ckpt"),
+                     "--patching_tasks", "a.csv", "--supported_tasks", "b.csv",
+                     "--out_dir", str(out), "--alpha-grid", "0:1:0.5"]) == 1
+        assert capsys.readouterr().err == "error: unknown config key: alpha-grid\n"
+        assert not out.exists()
         with pytest.raises(ConfigError):
             parse_overrides(["seed", "4"])
         with pytest.raises(ConfigError):

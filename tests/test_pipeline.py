@@ -368,6 +368,12 @@ class TestPatchSpecValidation:
         with pytest.raises(ValueError, match=r"order seed 1 is repeated in \(1, 2, 2, 1\)"):
             pipeline.check_selection({"order_seeds": (1, 2, 2, 1)})
 
+    def test_rejects_a_repeated_alpha(self):
+        # It was scored twice, yet the frontier kept one point for it.
+        with pytest.raises(ValueError) as info:
+            pipeline.check_selection({"alpha_grid": [0, 0.5, 0.5, 1]})
+        assert str(info.value) == "alpha 0.5 is repeated in (0.0, 0.5, 0.5, 1.0)"
+
     def test_order_seed_check_is_linear(self):
         # `paintkit patch` runs the check twice before any work; a pairwise
         # count took about 40 s on these seeds.

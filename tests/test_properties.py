@@ -35,6 +35,7 @@ from paintkit import (
     save_checkpoint,
     split_task,
 )
+from paintkit.cli import main
 from paintkit.pipeline import SEARCHES, STRATEGIES
 from paintkit.search import _rounded, exhaustive_search_2d, project_capped_simplex
 from paintkit.tensors import combine_rows
@@ -271,10 +272,9 @@ TWO_MODELS = [ToyModel.init(s, TASK.dim, (4,), embed_dim=4) for s in (5, 6)]
 
 @settings(PROPERTY, max_examples=10)
 @given(toy_models(dtype=np.float64),
-       st.lists(st.sampled_from([i / 20 for i in range(21)]), max_size=20).flatmap(
-           lambda g: st.permutations([0.0, 1.0] + g)))
+       st.lists(st.sampled_from([i / 20 for i in range(1, 20)]), max_size=19,
+                unique=True).flatmap(lambda g: st.permutations([0.0, 1.0] + g)))
 @example(TWO_MODELS, [i / 15 for i in range(16)])  # exactly two scoring blocks
-@example(TWO_MODELS, [i / 16 for i in range(17)] + [0.5])  # a repeat in a third block
 def test_sweep_scores_each_alpha_like_evaluate(models, grid):
     sup, pat = generate_tasks(2, num_classes=6, dim=TASK.dim, samples_per_class=10,
                               noise_scale=0.8, partition=[(0, 1, 2, 3), (4, 5)])
@@ -293,6 +293,25 @@ def test_sweep_scores_each_alpha_like_evaluate(models, grid):
     assert result.val_accuracies == dict(zip((sup.name, pat.name), val[result.coefficients[0]]))
     assert result.provenance["search_evaluations"] == len(grid)
     assert len(result.access_log["selection"]) == 2 * len(grid)
+
+
+def test_a_repeated_alpha_is_rejected_before_any_work(tmp_path, capsys):
+    # A repeat was scored twice but kept one frontier point.
+    grid = [i / 16 for i in range(17)] + [0.5]
+    message = f"alpha 0.5 is repeated in {tuple(grid)}"
+    sup, pat = generate_tasks(2, num_classes=6, dim=TASK.dim, samples_per_class=10,
+                              noise_scale=0.8, partition=[(0, 1, 2, 3), (4, 5)])
+    with pytest.raises(ValueError) as info:
+        PatchSpec(model=TWO_MODELS[0], patching_tasks=[pat], supported_tasks=[sup],
+                  alpha_grid=grid)
+    assert str(info.value) == message
+    # The CLI reports it as a usage error before it loads or writes anything.
+    out = tmp_path / "out"
+    assert main(["patch", "--zs_checkpoint", str(tmp_path / "missing.ckpt"),
+                 "--patching_tasks", "a.csv", "--supported_tasks", "b.csv",
+                 "--out_dir", str(out), "--alpha_grid", ",".join(map(repr, grid))]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 PATCH_TASKS = generate_tasks(5, num_classes=7, dim=3, samples_per_class=10, noise_scale=0.8,

@@ -39,6 +39,13 @@ class TestGridSearch1d:
         assert obj.evaluations == len(grid)
         assert result.evaluations == len(grid)
 
+    def test_scores_a_repeated_alpha_again(self):
+        # The search takes any grid; patch runs reject a repeat before it runs.
+        obj = SearchObjective(lambda c: c[0])
+        result = grid_search_1d(obj, [0.0, 0.5, 0.5, 1.0])
+        assert obj.evaluations == result.evaluations == 4
+        assert result.best == (1.0,)
+
     def test_mnist_column_argmax(self):
         # ViT-L/14 MNIST (supported, patching) per alpha; 0.30-0.50 all tie
         # at combined 87.50 and the smallest wins.

@@ -68,6 +68,28 @@ class TestCheckpoint:
         assert str(info.value) == (f"tensor 'b' is {np.dtype(dtype)}, "
                                    "not float32 or float64")
 
+    @pytest.mark.parametrize("meta, shown", [
+        ({1: "a", "1": "b"}, "1: 'a'"),
+        ({"step": 100}, "'step': 100"),
+        ({"tag": None}, "'tag': None"),
+        ({"tag": "zs", b"id": "v"}, "b'id': 'v'"),
+    ], ids=["int_key", "int_value", "none_value", "bytes_key"])
+    def test_metadata_maps_str_to_str(self, meta, shown):
+        # Each was cast with str(), so {1: "a", "1": "b"} kept only '1': 'b'.
+        ckpt = Checkpoint({"w": np.zeros(1)}, {"tag": "zs"})
+        for make in (lambda: Checkpoint({"w": np.zeros(1)}, meta),
+                     lambda: ckpt.with_meta(meta)):
+            with pytest.raises(CheckpointError) as info:
+                make()
+            assert type(info.value) is CheckpointError
+            assert str(info.value) == f"metadata must map str to str, got {shown}"
+
+    def test_with_meta_shares_the_weights(self):
+        ckpt = Checkpoint({"w": np.arange(3.0)}, {"tag": "zs"})
+        other = ckpt.with_meta({"tag": "ft"})
+        assert other.equal(ckpt) and other["w"].base is ckpt["w"].base
+        assert (other.meta, ckpt.meta) == ({"tag": "ft"}, {"tag": "zs"})
+
     def test_insertion_order_preserved(self):
         c = ck(z=np.zeros(1), a=np.zeros(1), m=np.zeros(1))
         assert c.names() == ["z", "a", "m"]

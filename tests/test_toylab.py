@@ -285,6 +285,14 @@ class TestGenerateTasks:
         assert type(info.value) is ValueError
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("num_classes, dim, spc", [
+        (1, 4, 10), (6, 0, 10), (6, 4, 9), (1, 0, 9)])
+    def test_counts_below_their_minimum_are_rejected(self, num_classes, dim, spc):
+        # Checked before any draw; the CLI's size cap is tested in a memory-capped subprocess.
+        with pytest.raises(ValueError) as info:
+            generate_tasks(0, num_classes, dim, spc, 0.3, [(0, 1, 2), (3, 4, 5)])
+        assert str(info.value) == "need num_classes >= 2, dim >= 1, samples_per_class >= 10"
+
     def test_takes_numpy_integers(self):
         ints = (np.int64(2), np.int32(6), np.uint8(4), np.int16(10))
         made = generate_tasks(*ints, 0.3, [(np.int64(0), 1, 2), (3, 4, np.uint8(5))])

@@ -1,6 +1,7 @@
 """Interleaved A/B runs of the benchmark: the commit at HEAD against a base revision.
 
     python3 tools/bench_ab.py --base REV --pairs 10
+    python3 tools/bench_ab.py --pairs 10    # HEAD alone: its trajectory
 
 Extracts the ``src``, ``perfbench`` and ``BENCHMARK.json`` of REV and of HEAD
 with ``git archive`` into two directories of one temporary directory, as
@@ -26,6 +27,11 @@ is better than the base's by more than the base's IQR. With them go the seeds,
 the first tree of each pair, both SHAs and the versions: the run record's
 Python, numpy, BLAS, CPU count, BLAS thread pin and CPU affinity, and every
 ``MALLOC_*`` variable of this tool's environment, which the runs inherit.
+
+Without ``--base`` it runs HEAD alone, on seeds 0 to N-1, and writes
+``TRAJECTORY_<short HEAD sha>.json``: the same record with only the head tree,
+so a series of commits can be read one point each, with no pairs and no
+comparison.
 """
 
 from __future__ import annotations
@@ -116,9 +122,11 @@ def spread(values):
 
 def reduce_workload(pairs, end_to_end):
     """Summarize one workload's pairs, each {"first": side, "base": run,
-    "head": run}, for the BENCHMARK.json `end_to_end` metrics."""
-    out = {"seeds": [p["base"]["seed"] for p in pairs], "first": [p["first"] for p in pairs]}
-    for side in SIDES:
+    "head": run}, for the BENCHMARK.json `end_to_end` metrics. Pairs with no
+    "base" run are HEAD's runs alone: they are summarized, not compared."""
+    sides = [side for side in SIDES if side in pairs[0]]
+    out = {"seeds": [p["head"]["seed"] for p in pairs]}
+    for side in sides:
         runs = [p[side] for p in pairs]
         out[side] = {
             "metrics": {m["name"]: spread([r["metrics"][m["name"]] for r in runs])
@@ -128,6 +136,9 @@ def reduce_workload(pairs, end_to_end):
             "failed": sum(r["failed"] for r in runs),
             "source_sha256": sorted({r["source_sha256"] for r in runs}),
         }
+    if sides == ["head"]:
+        return out
+    out["first"] = [p["first"] for p in pairs]
     compare = {}
     for m in end_to_end:
         name, lower = m["name"], m["better"] == "lower"
@@ -158,33 +169,38 @@ def reduce_workload(pairs, end_to_end):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--base", required=True, help="the revision to compare against")
-    parser.add_argument("--pairs", type=int, default=10, help="pairs per workload")
+    parser.add_argument("--base", help="the revision to compare against; "
+                        "without it, HEAD runs alone")
+    parser.add_argument("--pairs", type=int, default=10,
+                        help="pairs per workload; without --base, runs of HEAD")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
-    shas = {"base": resolve(args.base), "head": resolve("HEAD")}
+    sides = SIDES if args.base else ("head",)
+    shas = {side: resolve(args.base if side == "base" else "HEAD") for side in sides}
     _, dirty = git("status", "--porcelain", "--", "src", "perfbench", "BENCHMARK.json")
     if dirty:
         raise SystemExit(f"error: uncommitted changes; HEAD is run as committed:\n{dirty}")
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         bench = json.load(f)
-    out_path = os.path.join(ROOT, f"BENCH_{shas['head'][:7]}.json")
+    name = "BENCH" if args.base else "TRAJECTORY"
+    out_path = os.path.join(ROOT, f"{name}_{shas['head'][:7]}.json")
     report = {
-        "base": {"rev": args.base, "sha": shas["base"]},
         "head": {"sha": shas["head"]},
         "pairs": args.pairs,
         "seconds": bench["run_seconds"],
         "workloads": {},
     }
+    if args.base:
+        report["base"] = {"rev": args.base, "sha": shas["base"]}
     with tempfile.TemporaryDirectory(prefix="bench_ab-") as tmp:
-        trees = {side: extract(shas[side], os.path.join(tmp, side)) for side in SIDES}
+        trees = {side: extract(shas[side], os.path.join(tmp, side)) for side in sides}
         for workload in (w["name"] for w in bench["workloads"]):
             pairs = []
             for seed in range(args.pairs):
-                first = random.choice(SIDES)
+                first = random.choice(sides)
                 pair = {"first": first}
-                for side in (first, *(s for s in SIDES if s != first)):
+                for side in (first, *(s for s in sides if s != first)):
                     pair[side] = run_once(trees[side], workload, seed, bench["run_seconds"])
                     print(f"{workload} seed {seed} {side}: patch_s "
                           f"{pair[side]['metrics']['patch_s']:.4f} minflt/op "
