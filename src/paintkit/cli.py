@@ -25,6 +25,7 @@ from ._atomic import atomic_open
 from .pipeline import PatchSpec, check_selection, run_patch, split_task
 from .tensors import (
     CheckpointError,
+    check_alphas,
     cosine_similarity,
     l1_mean_distance,
     load_checkpoint,
@@ -77,6 +78,8 @@ def parse_overrides(tokens):
         option = tokens[i]
         if not option.startswith("--"):
             raise ConfigError(f"unexpected argument: {option}")
+        if "=" in option:
+            raise ConfigError(f"{option}: expected --key value")
         if i + 1 == len(tokens):
             raise ConfigError(f"missing value for {option}")
         overrides[option[2:]] = tokens[i + 1]
@@ -91,22 +94,22 @@ def require(cfg, *keys):
 
 
 def parse_grid(text):
-    """'start:stop:step' or comma-separated values."""
+    """'start:stop:step' or comma-separated values, the alphas as check_alphas returns them."""
     try:
         values = [float(v) for v in text.split(":" if ":" in text else ",")]
     except ValueError:
         raise ConfigError(f"alpha_grid is not numeric: {text!r}") from None
-    if not all(np.isfinite(values)):
-        raise ConfigError(f"alpha_grid is not finite: {text!r}")
-    if ":" not in text:
-        return values
-    if len(values) != 3:
+    if ":" in text and len(values) != 3:
         raise ConfigError(f"alpha_grid range must be start:stop:step: {text!r}")
-    start, stop, step = values
-    if step <= 0:
-        raise ConfigError(f"alpha_grid step must be positive: {text!r}")
-    if not (0.0 <= start <= 1.0 and 0.0 <= stop <= 1.0):
-        raise ConfigError(f"alpha_grid range must lie in [0, 1]: {text!r}")
+    try:  # a range's start and stop, before it is expanded
+        alphas = check_alphas(values[:2] if ":" in text else values)
+    except ValueError as exc:
+        raise ConfigError(f"alpha_grid {text!r}: {exc}") from None
+    if ":" not in text:
+        return alphas
+    (start, stop), step = alphas, values[2]
+    if not 0.0 < step < math.inf:
+        raise ConfigError(f"alpha_grid step must be positive and finite: {text!r}")
     if start > stop:
         raise ConfigError(f"alpha_grid range start is above its stop: {text!r}")
     # Bounded before the list is built: a tiny step would otherwise ask for

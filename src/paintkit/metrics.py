@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._atomic import atomic_open
+from .tensors import check_alphas
 
 
 @dataclass(frozen=True)
@@ -32,15 +33,13 @@ class Frontier:
     def __post_init__(self):
         if self.unit not in ("percent", "fraction"):
             raise ValueError(f"unknown unit {self.unit!r}")
-        pts = [FrontierPoint(float(p.alpha), float(p.supported_acc), float(p.patching_acc))
-               for p in self.points]
-        # Before the sort, which leaves a NaN alpha wherever it happens to fall.
-        for p in pts:
-            if not 0.0 <= p.alpha <= 1.0:
-                raise ValueError(f"alpha out of range: {p.alpha}")
+        # Checked before the sort, which leaves a NaN alpha wherever it happens to fall.
+        alphas = check_alphas(p.alpha for p in self.points)
+        pts = [FrontierPoint(a, float(p.supported_acc), float(p.patching_acc))
+               for a, p in zip(alphas, self.points)]
         pts.sort(key=lambda p: p.alpha)
+        alphas.sort()
         hi = 100.0 if self.unit == "percent" else 1.0
-        alphas = [p.alpha for p in pts]
         if len(set(alphas)) != len(alphas):
             raise ValueError("duplicate alpha in frontier")
         if not pts or alphas[0] != 0.0 or alphas[-1] != 1.0:

@@ -9,14 +9,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .metrics import Frontier, combined_accuracy, mean_accuracy, sweep_to_frontier
-from .search import (
-    SearchObjective,
-    black_box_search,
-    check_grid,
-    default_grid,
-    grid_search_1d,
-)
-from .tensors import Checkpoint, _is_int, _repeated, combine_rows, multi_combine
+from .search import SearchObjective, black_box_search, default_grid, grid_search_1d
+from .tensors import Checkpoint, _is_int, _repeated, check_alphas, combine_rows, multi_combine
 from .toylab import (
     TaskDataset,
     ToyModel,
@@ -41,7 +35,7 @@ def check_selection(settings):
     cannot use. Absent names go unchecked. Needs no model, so callers can run
     it before any training."""
     if "alpha_grid" in settings:
-        grid = tuple(check_grid(settings["alpha_grid"]))
+        grid = tuple(check_alphas(settings["alpha_grid"]))
         # The frontier is anchored at the zero-shot and fine-tuned endpoints.
         if 0.0 not in grid or 1.0 not in grid:
             raise ValueError("alpha grid must contain 0 and 1")
@@ -73,7 +67,7 @@ class PatchSpec:
     patching_tasks: tuple
     supported_tasks: tuple
     strategy: str = "single"
-    alpha_grid: tuple = field(default_factory=default_grid)  # floats; check_selection checks them
+    alpha_grid: tuple = field(default_factory=default_grid)  # stored as check_alphas returns it
     search: str = "uniform"  # read by parallel with >= 2 tasks; uniform takes the ray's best
     order_seeds: tuple = (0,)  # the first also seeds the black-box search
     budget: int = 50
@@ -83,7 +77,7 @@ class PatchSpec:
     def __post_init__(self):
         object.__setattr__(self, "patching_tasks", tuple(self.patching_tasks))
         object.__setattr__(self, "supported_tasks", tuple(self.supported_tasks))
-        object.__setattr__(self, "alpha_grid", tuple(float(a) for a in self.alpha_grid))
+        object.__setattr__(self, "alpha_grid", tuple(check_alphas(self.alpha_grid)))
         object.__setattr__(self, "order_seeds", tuple(self.order_seeds))
         if not self.patching_tasks:
             raise ValueError("need at least one patching task")

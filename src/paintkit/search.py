@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensors import _MAX_COEFF_SUM, _is_int, multi_combine
+from .tensors import _MAX_COEFF_SUM, _is_int, check_alphas, multi_combine
 
 
 class SearchObjective:
@@ -47,20 +47,11 @@ def _result(trace):
     return SearchResult(*best, trace)
 
 
-def check_grid(grid):
-    """The grid as floats; rejects an empty grid or a value outside [0, 1]."""
-    grid = [float(a) for a in grid]
-    if not grid:
-        raise ValueError("empty grid")
-    for a in grid:
-        if not 0.0 <= a <= 1.0:
-            raise ValueError(f"grid value out of range: {a}")
-    return grid
-
-
 def grid_search_1d(obj, grid) -> SearchResult:
     """Evaluate each grid entry once, a repeated alpha again; argmax, smallest alpha on ties."""
-    grid = check_grid(grid)
+    grid = check_alphas(grid)
+    if not grid:
+        raise ValueError("empty grid")
     return _result([((a,), obj((a,))) for a in grid])
 
 
@@ -154,7 +145,7 @@ def black_box_search(obj, k, budget=50, init=0.5, seed=0) -> SearchResult:
 
 def exhaustive_search_2d(obj, grid) -> SearchResult:
     """Evaluate all feasible (a1, a2) grid pairs with a1 + a2 <= 1."""
-    grid = check_grid(grid)
+    grid = check_alphas(grid)
     trace = []
     for a1 in sorted(grid):
         for a2 in sorted(grid):

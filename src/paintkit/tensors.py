@@ -264,11 +264,19 @@ def _parse(data) -> Checkpoint:
         raise FormatError(f"invalid tensor shape: {exc}") from None
 
 
+def check_alphas(values):
+    """`values` as a list of floats, each an alpha in [0, 1], a zero of either
+    sign stored as 0.0. Any other value, NaN included, is a ValueError."""
+    alphas = [float(a) + 0.0 for a in values]
+    for a in alphas:
+        if not 0.0 <= a <= 1.0:
+            raise ValueError(f"alpha out of range: {a}")
+    return alphas
+
+
 def lerp(zs: Checkpoint, ft: Checkpoint, alpha: float) -> Checkpoint:
     """(1-alpha)*zs + alpha*ft elementwise, with zs's meta. Endpoints are exact copies."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha out of range: {alpha}")
-    return multi_combine(zs, [ft], [alpha])
+    return multi_combine(zs, [ft], check_alphas([alpha]))
 
 
 def multi_combine(zs: Checkpoint, fts, alphas) -> Checkpoint:

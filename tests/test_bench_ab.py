@@ -111,7 +111,9 @@ def test_gain_rule(bench_ab, head, met):
     assert out["compare"]["patches_per_min"]["gain_rule_met"] is met
 
 
-def test_run_records_pins_and_heap_settings(bench_ab, monkeypatch):
+def stub_run_once(bench_ab, monkeypatch):
+    """bench_ab.run_once on a stubbed benchmark run, with no MALLOC_* or
+    bytecode variable in the environment."""
     record = {"python": "3.x", "numpy": "2.x", "blas": {"name": "openblas"}, "nproc": 2,
               "affinity_cpus": 2, "blas_threads_pinned": 1, "source_sha256": "abc",
               "process_threads": 1}
@@ -120,14 +122,31 @@ def test_run_records_pins_and_heap_settings(bench_ab, monkeypatch):
     stdout = f"run record: {json.dumps(record)}\n{json.dumps(result)}\n"
     monkeypatch.setattr(bench_ab.subprocess, "run",
                         lambda *a, **kw: subprocess.CompletedProcess(a, 0, stdout, ""))
-    for key in [k for k in os.environ if k.startswith("MALLOC_")]:
-        monkeypatch.delenv(key)
+    for key in [k for k in os.environ if k.startswith("MALLOC_")] + list(bench_ab.BYTECODE_KEYS):
+        monkeypatch.delenv(key, raising=False)
+    return lambda: bench_ab.run_once("tree", "cli_single", 3, 1)
+
+
+def test_run_records_pins_and_heap_settings(bench_ab, monkeypatch):
+    run_once = stub_run_once(bench_ab, monkeypatch)
     monkeypatch.setenv("MALLOC_TOP_PAD_", "2000000")
-    run = bench_ab.run_once("tree", "cli_single", 3, 1)
+    run = run_once()
     assert run["versions"] == {
         "python": "3.x", "numpy": "2.x", "blas": {"name": "openblas"}, "nproc": 2,
-        "blas_threads_pinned": 1, "affinity_cpus": 2, "MALLOC_TOP_PAD_": "2000000"}
+        "blas_threads_pinned": 1, "affinity_cpus": 2, "MALLOC_TOP_PAD_": "2000000",
+        "PYTHONDONTWRITEBYTECODE": None, "PYTHONPYCACHEPREFIX": None}
     assert (run["seed"], run["metrics"], run["source_sha256"]) == (3, {"patch_s": 0.02}, "abc")
+
+
+def test_run_records_the_bytecode_settings(bench_ab, monkeypatch):
+    # Without written bytecode every run compiles paintkit from source, so
+    # peak_rss_mb follows the size of the sources.
+    run_once = stub_run_once(bench_ab, monkeypatch)
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", "/tmp/pycache")
+    versions = run_once()["versions"]
+    assert (versions["PYTHONDONTWRITEBYTECODE"], versions["PYTHONPYCACHEPREFIX"]) == (
+        "1", "/tmp/pycache")
 
 
 def test_refuses_a_base_that_does_not_resolve(bench_ab):

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import re
 import subprocess
@@ -84,10 +85,36 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_overrides(["--seed"])
 
+    def test_option_holding_an_equals_sign_is_named(self):
+        # Read as a key, it took the next option as its value, and the error
+        # named the value left over.
+        for tokens, option in ((["--alpha_grid=-0,1", "--iterations", "30"], "--alpha_grid=-0,1"),
+                               (["--seed", "1", "--lr=1"], "--lr=1")):
+            with pytest.raises(ConfigError) as info:
+                parse_overrides(tokens)
+            assert str(info.value) == f"{option}: expected --key value"
+        # A value may hold one, and a repeated key keeps its last value.
+        assert parse_overrides(["--out_dir", "a=b", "--seed", "1", "--seed", "2"]) == {
+            "out_dir": "a=b", "seed": "2"}
+
     def test_parse_grid(self):
         assert parse_grid("0:1:0.25") == [0.0, 0.25, 0.5, 0.75, 1.0]
         assert len(parse_grid("0:1:0.05")) == 21
         assert parse_grid("0,0.5,1") == [0.0, 0.5, 1.0]
+
+    @pytest.mark.parametrize("text, value", [
+        ("0,1.5", "1.5"), ("0,nan,1", "nan"), ("-1e-9,1", "-1e-09"), ("0,inf", "inf"),
+        ("0:2:0.5", "2.0"), ("-0.5:1:0.5", "-0.5"), ("nan:1:0.5", "nan")])
+    def test_parse_grid_names_an_alpha_out_of_range(self, text, value):
+        # A list was checked only later, by another rule, and a range by its own.
+        with pytest.raises(ConfigError) as info:
+            parse_grid(text)
+        assert str(info.value) == f"alpha_grid {text!r}: alpha out of range: {value}"
+
+    def test_parse_grid_stores_a_negative_zero_as_zero(self):
+        for text in ("-0,1", "-0:1:0.5", "-0.0:-0.0:1"):
+            grid = parse_grid(text)
+            assert grid[0] == 0.0 and math.copysign(1.0, grid[0]) == 1.0, text
 
     def test_parse_grid_rejects_bad_step_and_values(self):
         for text in ("0:1:0", "0:1:-0.1", "a,b", "0:1:x", "0:1", "0,nan,1", ""):
@@ -652,6 +679,34 @@ class TestPretrainFinetunePatch:
         assert main(command_args(workspace, tmp_path, extra)) == 1
         assert "error:" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("grid, value", [("0,1.5", "1.5"), ("0:2:0.5", "2.0")])
+    def test_alpha_out_of_range_is_usage_error_before_any_work(self, workspace, tmp_path,
+                                                               capsys, grid, value):
+        assert main(command_args(workspace, tmp_path, ["--alpha_grid", grid])) == 1
+        assert capsys.readouterr().err == (
+            f"error: alpha_grid {grid!r}: alpha out of range: {value}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_option_holding_an_equals_sign_is_usage_error_naming_it(self, workspace,
+                                                                    tmp_path, capsys):
+        # It was read as the key "alpha_grid=-0,1" with the value "--iterations",
+        # and the error named the "30" left over.
+        extra = ["--alpha_grid=-0,1", "--iterations", "30"]
+        assert main(command_args(workspace, tmp_path, extra)) == 1
+        assert capsys.readouterr().err == "error: --alpha_grid=-0,1: expected --key value\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_negative_zero_alpha_is_written_as_zero(self, workspace, tmp_path):
+        # Both models score alike here, so the grid search picks the smaller
+        # alpha: -0.0, which was shipped and written as it was given.
+        out = tmp_path / "out"
+        assert main(patch_args(workspace, out, ["--alpha_grid", "-0,1"])) == 0
+        with open(out / "frontier.csv", newline="") as f:
+            assert [row[0] for row in csv.reader(f)] == ["alpha", "0.0", "1.0"]
+        text = (out / "patch_result.json").read_text()
+        (alpha,) = json.loads(text)["coefficients"]
+        assert alpha == 0.0 and math.copysign(1.0, alpha) == 1.0 and "-0.0" not in text
 
     @pytest.mark.parametrize("extra, key", [
         (["--seed", "-1"], "seed"),

@@ -76,6 +76,11 @@ class TestFrontier:
         f = frontier([(1.0, 0.1, 0.9), (0.0, 0.9, 0.1), (0.5, 0.5, 0.5)])
         assert f.alphas == [0.0, 0.5, 1.0]
 
+    def test_stores_a_negative_zero_alpha_as_zero(self, tmp_path):
+        f = frontier([(-0.0, 0.9, 0.1), (1.0, 0.5, 0.8)])
+        f.to_csv(tmp_path / "f.csv")
+        assert (tmp_path / "f.csv").read_text().splitlines()[1] == "0.0,0.9,0.1"
+
     def test_percent_bounds(self):
         with pytest.raises(ValueError):
             frontier([(0.0, 1.5, 0.5), (1.0, 0.5, 0.5)])  # fraction unit, >1
@@ -301,12 +306,15 @@ def write_frontier_csv(path, text):
     (lambda tmp: Frontier([FrontierPoint(0, 1, 1), FrontierPoint(float("nan"), 1, 1),
                            FrontierPoint(1, 1, 1)], "fraction"),
      "alpha out of range: nan"),
+    (lambda tmp: Frontier([FrontierPoint(0, 1, 1), FrontierPoint(1.5, 1, 1),
+                           FrontierPoint(1, 1, 1)], "fraction"),
+     "alpha out of range: 1.5"),
     (lambda tmp: cka(np.ones(3), np.ones(3)), "representation matrices must be 2-D"),
     (lambda tmp: cka(np.ones((1, 2)), np.ones((1, 2))), "need at least 2 samples"),
     (lambda tmp: cka(np.array([[1.0, 2.0], [np.inf, 1.0]]), np.ones((2, 2))),
      "non-finite entries"),
 ], ids=["csv_bad_header", "csv_no_alpha_1", "csv_repeated_alpha", "unknown_unit",
-        "nan_alpha", "cka_1d", "cka_one_sample", "cka_non_finite"])
+        "nan_alpha", "alpha_above_1", "cka_1d", "cka_one_sample", "cka_non_finite"])
 def test_error_paths(tmp_path, make, message):
     with pytest.raises(ValueError) as info:
         make(tmp_path)

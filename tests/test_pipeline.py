@@ -1,3 +1,4 @@
+import math
 import time
 from dataclasses import FrozenInstanceError, replace
 
@@ -424,6 +425,20 @@ class TestPatchSpecValidation:
             PatchSpec(model=model, **{role: [tasks[i] for i in indices]
                                       for role, indices in roles.items()})
         assert type(info.value) is ValueError and str(info.value) == message
+
+    def test_names_an_alpha_out_of_range(self, env):
+        model, tasks, _ = env
+        with pytest.raises(ValueError) as info:
+            PatchSpec(model=model, patching_tasks=[tasks[1]], supported_tasks=[tasks[0]],
+                      alpha_grid=(0, 1.5, 1))
+        assert str(info.value) == "alpha out of range: 1.5"
+
+    def test_stores_a_negative_zero_alpha_as_zero(self, env):
+        # -0.0 passed `0.0 in grid` as the anchor and was shipped as the coefficient -0.0.
+        model, tasks, _ = env
+        spec = PatchSpec(model=model, patching_tasks=[tasks[1]], supported_tasks=[tasks[0]],
+                         alpha_grid=(-0.0, 1.0))
+        assert math.copysign(1.0, spec.alpha_grid[0]) == 1.0
 
     def test_is_frozen_and_stores_tuples_of_its_settings(self, env):
         model, tasks, _ = env

@@ -1,13 +1,14 @@
 """Property-based tests for the checkpoint container, weight arithmetic,
 stacked scoring, the patching strategies, task-CSV parsing, the
-capped-simplex projection and the coefficient bound the searches share with
-combine_rows.
+capped-simplex projection, the coefficient bound the searches share with
+combine_rows, and the one alpha rule.
 
 Examples are derandomized and nothing is stored between runs, so every run
 checks the same cases.
 """
 
 import csv
+import math
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -18,6 +19,8 @@ from hypothesis import strategies as st
 from paintkit import (
     Checkpoint,
     FormatError,
+    Frontier,
+    FrontierPoint,
     PatchSpec,
     TaskDataset,
     ToyModel,
@@ -25,6 +28,7 @@ from paintkit import (
     average,
     evaluate,
     generate_tasks,
+    grid_search_1d,
     lerp,
     merge_tasks,
     load_checkpoint,
@@ -35,7 +39,7 @@ from paintkit import (
     save_checkpoint,
     split_task,
 )
-from paintkit.cli import main
+from paintkit.cli import ConfigError, main, parse_grid
 from paintkit.pipeline import SEARCHES, STRATEGIES
 from paintkit.search import _rounded, exhaustive_search_2d, project_capped_simplex
 from paintkit.tensors import combine_rows
@@ -523,3 +527,36 @@ def test_a_pair_just_over_the_bound_is_skipped_and_rejected():
     zs, fts = _one_weight_lab(2)
     with pytest.raises(ValueError, match=r"coefficients sum to .* > 1"):
         combine_rows(zs, fts, [over])
+
+
+def _alpha_outcome(store):
+    """("stored", the alpha `store()` keeps, exactly) or ("rejected", its message)."""
+    try:
+        return "stored", repr(float(store()))
+    except (ValueError, ConfigError) as exc:
+        return "rejected", str(exc)
+
+
+@settings(PROPERTY, max_examples=100)
+@given(st.floats())
+@example(-0.0)
+@example(5e-324)
+@example(-5e-324)
+@example(1.0000000000000002)
+@example(math.nan)
+@example(-math.inf)
+def test_one_alpha_rule_accepts_and_stores_alike(a):
+    zs, (ft,) = _one_weight_lab(1)  # weights 0 and 1: the lerp weight is alpha
+    anchors = [FrontierPoint(x, 1, 1) for x in (0.0, 1.0) if x != a]
+    outcomes = [_alpha_outcome(store) for store in (
+        lambda: lerp(zs, ft, a)["w"][0],
+        lambda: grid_search_1d(lambda c: 0.0, [a]).best[0],
+        lambda: next(p.alpha for p in Frontier([FrontierPoint(a, 1, 1), *anchors],
+                                                "fraction").points if p.alpha == a),
+        lambda: parse_grid(repr(a))[0],
+    )]
+    if 0.0 <= a <= 1.0:
+        assert outcomes == [("stored", repr(a + 0.0))] * 4
+    else:
+        assert [kind for kind, _ in outcomes] == ["rejected"] * 4
+        assert all(message.endswith(f"alpha out of range: {a}") for _, message in outcomes)

@@ -76,6 +76,23 @@ class TestGridSearch1d:
             grid_search_1d(SearchObjective(lambda c: 0.0), [0.5, 1.2])
 
 
+@pytest.mark.parametrize("search", [grid_search_1d, exhaustive_search_2d])
+def test_searches_name_an_alpha_out_of_range(search):
+    obj = SearchObjective(lambda c: 0.0)
+    with pytest.raises(ValueError) as info:
+        search(obj, [0, 1.5])
+    assert str(info.value) == "alpha out of range: 1.5"
+    assert obj.evaluations == 0
+
+
+def test_searches_score_a_negative_zero_as_zero():
+    seen = []
+    result = grid_search_1d(SearchObjective(lambda c: seen.append(c) or 0.0), [-0.0, 1.0])
+    assert math.copysign(1.0, result.best[0]) == math.copysign(1.0, seen[0][0]) == 1.0
+    result = exhaustive_search_2d(SearchObjective(lambda c: 0.0), [-0.0, 1.0])
+    assert [math.copysign(1.0, a) for point, _ in result.trace for a in point] == [1.0] * 6
+
+
 class TestUniformSearchParallel:
     def make(self, rng, k=2):
         zs = Checkpoint({"w": rng.standard_normal(6)})

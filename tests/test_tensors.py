@@ -1,3 +1,4 @@
+import math
 import os
 import struct
 
@@ -24,7 +25,7 @@ from paintkit import (
     save_checkpoint,
     validate_compatible,
 )
-from paintkit.tensors import MAGIC, combine_rows
+from paintkit.tensors import MAGIC, check_alphas, combine_rows
 
 from conftest import random_checkpoint
 
@@ -272,10 +273,21 @@ class TestLerp:
         b = ck(w=np.array([2.0, 4.0]))
         assert np.array_equal(lerp(a, b, 0.5)["w"], [1.0, 3.0])
 
-    def test_alpha_out_of_range(self):
+    @pytest.mark.parametrize("alpha, shown", [
+        (1.5, "1.5"), (-1e-300, "-1e-300"), (float("nan"), "nan"), (float("inf"), "inf"),
+        (float("-inf"), "-inf")])
+    def test_alpha_out_of_range(self, alpha, shown):
         a = ck(w=np.zeros(1))
-        with pytest.raises(ValueError):
-            lerp(a, a, 1.5)
+        for check in (lambda: lerp(a, a, alpha), lambda: check_alphas([0.0, alpha, 1.0])):
+            with pytest.raises(ValueError) as info:
+                check()
+            assert str(info.value) == f"alpha out of range: {shown}"
+
+    def test_check_alphas_stores_a_zero_of_either_sign_as_zero(self):
+        alphas = check_alphas([-0.0, np.float32(0.25), 1, np.float64(-0.0), 5e-324])
+        assert alphas == [0.0, 0.25, 1.0, 0.0, 5e-324]
+        assert [type(a) for a in alphas] == [float] * 5
+        assert math.copysign(1.0, alphas[0]) == math.copysign(1.0, alphas[3]) == 1.0
 
     def test_symmetry_identity(self, rng):
         for _ in range(20):

@@ -25,8 +25,11 @@ ratios, the change of the medians beside the metric's bound, and
 ``gain_rule_met``: the head tree won at least 9/10 of the pairs and its median
 is better than the base's by more than the base's IQR. With them go the seeds,
 the first tree of each pair, both SHAs and the versions: the run record's
-Python, numpy, BLAS, CPU count, BLAS thread pin and CPU affinity, and every
-``MALLOC_*`` variable of this tool's environment, which the runs inherit.
+Python, numpy, BLAS, CPU count, BLAS thread pin and CPU affinity, and, from
+this tool's environment, which the runs inherit, every ``MALLOC_*`` variable
+and ``PYTHONDONTWRITEBYTECODE`` and ``PYTHONPYCACHEPREFIX`` (null when unset):
+where no bytecode is written, every run compiles paintkit from its sources,
+and its peak RSS follows their size.
 
 Without ``--base`` it runs HEAD alone, on seeds 0 to N-1, and writes
 ``TRAJECTORY_<short HEAD sha>.json``: the same record with only the head tree,
@@ -49,6 +52,7 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("base", "head")
 VERSION_KEYS = ("python", "numpy", "blas", "nproc", "blas_threads_pinned", "affinity_cpus")
+BYTECODE_KEYS = ("PYTHONDONTWRITEBYTECODE", "PYTHONPYCACHEPREFIX")
 
 
 def git(*args):
@@ -106,6 +110,7 @@ def run_once(tree, workload, seed, seconds):
         "failed": result["failed"],
         "minflt_per_op": minflt / result["attempted"],
         "versions": {**{key: record.get(key) for key in VERSION_KEYS},
+                     **{key: os.environ.get(key) for key in BYTECODE_KEYS},
                      **{key: value for key, value in os.environ.items()
                         if key.startswith("MALLOC_")}},
         "source_sha256": record.get("source_sha256"),
