@@ -34,11 +34,10 @@ class Frontier:
         if self.unit not in ("percent", "fraction"):
             raise ValueError(f"unknown unit {self.unit!r}")
         # Checked before the sort, which leaves a NaN alpha wherever it happens to fall.
-        alphas = check_alphas(p.alpha for p in self.points)
-        pts = [FrontierPoint(a, float(p.supported_acc), float(p.patching_acc))
-               for a, p in zip(alphas, self.points)]
+        pts = [FrontierPoint(*check_alphas([p.alpha]), float(p.supported_acc),
+                             float(p.patching_acc)) for p in self.points]
         pts.sort(key=lambda p: p.alpha)
-        alphas.sort()
+        alphas = [p.alpha for p in pts]
         hi = 100.0 if self.unit == "percent" else 1.0
         if len(set(alphas)) != len(alphas):
             raise ValueError("duplicate alpha in frontier")

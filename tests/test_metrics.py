@@ -81,6 +81,11 @@ class TestFrontier:
         f.to_csv(tmp_path / "f.csv")
         assert (tmp_path / "f.csv").read_text().splitlines()[1] == "0.0,0.9,0.1"
 
+    def test_reads_its_points_in_one_pass(self):
+        # Checking the alphas in a pass of their own left a generator empty.
+        f = Frontier((FrontierPoint(a, 0.5, 0.5) for a in (1.0, 0.0)), "fraction")
+        assert f.alphas == [0.0, 1.0]
+
     def test_percent_bounds(self):
         with pytest.raises(ValueError):
             frontier([(0.0, 1.5, 0.5), (1.0, 0.5, 0.5)])  # fraction unit, >1
