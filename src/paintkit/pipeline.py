@@ -10,7 +10,8 @@ import numpy as np
 
 from .metrics import Frontier, combined_accuracy, mean_accuracy, sweep_to_frontier
 from .search import SearchObjective, black_box_search, default_grid, grid_search_1d
-from .tensors import Checkpoint, _is_int, _repeated, check_alphas, combine_rows, multi_combine
+from .tensors import (Checkpoint, _repeated, check_alphas, check_count, combine_rows,
+                      multi_combine)
 from .toylab import (
     TaskDataset,
     ToyModel,
@@ -45,16 +46,15 @@ def check_selection(settings):
         if name in settings and settings[name] not in allowed:
             raise ValueError(f"unknown {name} {settings[name]!r}; "
                              f"expected one of {', '.join(allowed)}")
-    if "budget" in settings and not _is_int(settings["budget"], 1):
-        raise ValueError(f"budget must be >= 1 and an integer, got {settings['budget']}")
+    if "budget" in settings:
+        check_count("budget", settings["budget"], 1)
     if "order_seeds" not in settings:
         return
     seeds = tuple(settings["order_seeds"])
     if not seeds:
         raise ValueError("need at least one order seed")
     for seed in seeds:
-        if not _is_int(seed, 0):
-            raise ValueError(f"order seed {seed} must be an integer >= 0")
+        check_count("order seed", seed, 0)
     if (repeated := _repeated(seeds)) is not None:
         raise ValueError(f"order seed {repeated} is repeated in {seeds}")
 
@@ -300,8 +300,7 @@ def split_task(task: TaskDataset, seed: int) -> SplitProtocol:
     """Partition of the class space into halves with disjoint ids (sizes
     differ by at most one class), seeded by an integer >= 0; examples follow
     their labels."""
-    if not _is_int(seed, 0):
-        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    check_count("seed", seed, 0)
     if len(task.class_ids) < 2:
         raise ValueError("cannot split a single-class task")
     ids = list(task.class_ids)

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensors import _MAX_COEFF_SUM, _is_int, check_alphas, multi_combine
+from .tensors import _MAX_COEFF_SUM, check_alphas, check_count, multi_combine
 
 
 class SearchObjective:
@@ -108,15 +108,11 @@ def black_box_search(obj, k, budget=50, init=0.5, seed=0) -> SearchResult:
 
     Performs at most `budget` objective evaluations and returns the best
     point seen; `k` and `budget` are integers >= 1. Deterministic for a
-    fixed seed.
+    fixed seed, an integer >= 0.
     """
-    for name, value in (("k", k), ("budget", budget)):
-        if not _is_int(value):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
+    check_count("k", k, 1)
+    check_count("budget", budget, 1)
+    check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     current = project_capped_simplex(np.full(k, float(init)))
     start = _rounded(current)

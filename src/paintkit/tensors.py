@@ -43,10 +43,9 @@ def _layout(shapes):
     return layout
 
 
-def _is_int(value, least=-math.inf):
-    """Whether `value` is a Python or numpy integer (not a bool) >= `least`."""
-    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-            and value >= least)
+def _is_int(value):
+    """Whether `value` is a Python or numpy integer, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _repeated(values):
@@ -272,6 +271,15 @@ def check_alphas(values):
         if not 0.0 <= a <= 1.0:
             raise ValueError(f"alpha out of range: {a}")
     return alphas
+
+
+def check_count(name, value, least):
+    """Reject a count or seed `value` that is not a Python or numpy integer
+    (bools excluded) at least `least`, with a ValueError that names it."""
+    if not _is_int(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 def lerp(zs: Checkpoint, ft: Checkpoint, alpha: float) -> Checkpoint:

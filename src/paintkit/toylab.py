@@ -16,7 +16,7 @@ import numpy as np
 
 from ._atomic import atomic_open
 from .metrics import Frontier, FrontierPoint
-from .tensors import Checkpoint, CheckpointError, _is_int, _repeated
+from .tensors import Checkpoint, CheckpointError, _is_int, _repeated, check_count
 
 _EMBED_STREAM = 0x0E03BEDD  # fixed stream id so embeddings depend only on the class id
 _HEAD_CACHE_SIZE = 256  # distinct (class ids, dim) heads kept per process
@@ -27,8 +27,8 @@ _INT64_MAX = 2**63 - 1  # the largest label or class id a task may hold
 
 def class_embedding(class_id: int, dim: int) -> np.ndarray:
     """Deterministic unit-norm embedding for a global class id."""
-    if class_id < 0:
-        raise ValueError("class_id must be >= 0")
+    check_count("class_id", class_id, 0)
+    check_count("dim", dim, 1)
     rng = np.random.default_rng([_EMBED_STREAM, int(class_id)])
     v = rng.standard_normal(dim)
     return v / np.linalg.norm(v)
@@ -206,18 +206,14 @@ def generate_tasks(seed, num_classes, dim, samples_per_class, noise_scale, parti
     """Synthetic tasks: one Gaussian cluster per class, 80/10/10 splits.
 
     `partition` is a list of class-id sets (disjoint, integer ids in
-    [0, num_classes)); one TaskDataset is produced per set. The seed and the
-    counts are Python or numpy integers, not bools, and the seed is >= 0.
+    [0, num_classes)); one TaskDataset is produced per set. The seed (>= 0)
+    and the counts (num_classes >= 2, dim >= 1, samples_per_class >= 10) are
+    Python or numpy integers, not bools, checked in that order before any draw.
     """
-    counts = {"seed": seed, "num_classes": num_classes, "dim": dim,
-              "samples_per_class": samples_per_class}
-    for name, value in counts.items():
-        if not _is_int(value):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    if num_classes < 2 or dim < 1 or samples_per_class < 10:
-        raise ValueError("need num_classes >= 2, dim >= 1, samples_per_class >= 10")
+    check_count("seed", seed, 0)
+    check_count("num_classes", num_classes, 2)
+    check_count("dim", dim, 1)
+    check_count("samples_per_class", samples_per_class, 10)
     if not math.isfinite(noise_scale):
         raise ValueError(f"noise_scale must be finite, got {noise_scale}")
     if noise_scale < 0:
@@ -282,8 +278,8 @@ def merge_tasks(tasks, name="merged"):
 @dataclass(frozen=True)
 class TrainConfig:
     """Fine-tuning settings, checked once when built; replace() makes a checked copy.
-    The counts (iterations, warmup, seed, batch_size, embed_dim and the hidden
-    widths) are Python or numpy integers, not bools."""
+    The counts are Python or numpy integers, not bools: iterations, warmup and
+    seed >= 0, and batch_size, embed_dim and each hidden width >= 1."""
     iterations: int = 500
     batch_size: int = 64
     lr: float = 1e-3
@@ -298,14 +294,12 @@ class TrainConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "hidden", tuple(self.hidden))
-        for name in ("iterations", "warmup", "seed", "batch_size", "embed_dim"):
-            if not _is_int(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if not all(map(_is_int, self.hidden)):
-            raise ValueError(f"hidden widths must be integers, got {self.hidden}")
         for name in ("iterations", "warmup", "seed"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+            check_count(name, getattr(self, name), 0)
+        for name in ("batch_size", "embed_dim"):
+            check_count(name, getattr(self, name), 1)
+        for width in self.hidden:
+            check_count("hidden width", width, 1)
         if self.warmup > self.iterations:
             raise ValueError("warmup must be <= iterations")
         for name in ("lr", "weight_decay", "l2_init"):
@@ -314,12 +308,6 @@ class TrainConfig:
         for name in ("lr", "weight_decay", "l2_init"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if min(self.hidden, default=1) < 1:
-            raise ValueError(f"hidden widths must be >= 1, got {self.hidden}")
-        if self.embed_dim < 1:
-            raise ValueError(f"embed_dim must be >= 1, got {self.embed_dim}")
         if not 0 < self.logit_scale < math.inf:
             raise ValueError(f"logit_scale must be positive and finite, got {self.logit_scale}")
 
@@ -375,8 +363,13 @@ class ToyModel:
 
     @classmethod
     def init(cls, seed, in_dim, hidden=(64, 64), embed_dim=16, logit_scale=20.0):
-        rng = np.random.default_rng(seed)
         dims = [in_dim, *hidden, embed_dim]
+        check_count("seed", seed, 0)
+        check_count("in_dim", in_dim, 1)
+        for width in dims[1:-1]:
+            check_count("hidden width", width, 1)
+        check_count("embed_dim", embed_dim, 1)
+        rng = np.random.default_rng(seed)
         tensors = {}
         for i in range(len(dims) - 1):
             fan_in = dims[i]
@@ -495,8 +488,9 @@ def _layer_names(ckpt, n_layers, embed_dim):
                 raise CheckpointError(f"checkpoint has no tensor {name!r} "
                                       f"(metadata 'n_layers' is {n_layers})")
         shape = ckpt[w].shape
-        if len(shape) != 2:
-            raise CheckpointError(f"tensor {w!r} has shape {shape}; expected a matrix")
+        if len(shape) != 2 or 0 in shape:
+            raise CheckpointError(f"tensor {w!r} has shape {shape}; expected a matrix "
+                                  f"with no zero dimension")
         if width is not None and shape[1] != width:
             raise CheckpointError(f"tensor {w!r} has shape {shape}; the layer before "
                                   f"outputs {width} features")
@@ -655,13 +649,9 @@ def baseline_frontiers(model, task, supported_task, config: TrainConfig, snapsho
     Each frontier's alpha slot carries the baseline's own sweep parameter
     rescaled to [0, 1]; the dict key labels the method.
     """
-    if not _is_int(snapshot_every):
-        raise ValueError(f"snapshot_every must be an integer, got {snapshot_every!r}")
-    if snapshot_every <= 0:
-        raise ValueError(f"snapshot_every must be > 0, got {snapshot_every}")
-    if config.iterations < 1:  # each frontier needs its alpha=1 point
-        raise ValueError(f"iterations must be >= 1 for baseline frontiers, "
-                         f"got {config.iterations}")
+    check_count("snapshot_every", snapshot_every, 1)
+    # Each frontier needs its alpha=1 point.
+    check_count("iterations for baseline frontiers", config.iterations, 1)
     for t in (task, supported_task):
         _check_width(model, t)
 

@@ -1,5 +1,5 @@
 """The reducer of tools/bench_ab.py on canned benchmark runs, what it keeps of
-a run's output, the trees it runs, and its refusal of a base revision that
+a run's output (its set-up spread included), the trees it runs, and its refusal of a base revision that
 does not resolve and of uncommitted changes."""
 
 import importlib.util
@@ -25,9 +25,10 @@ def bench_ab():
     return module
 
 
-def canned_run(seed, patch_s, minflt_per_op, failed=0):
+def canned_run(seed, patch_s, minflt_per_op, failed=0, setups=(0.07, 0.07)):
     return {"seed": seed, "metrics": {"patch_s": patch_s, "patches_per_min": 60.0 / patch_s},
             "attempted": 100, "failed": failed, "minflt_per_op": minflt_per_op,
+            "setup_range": dict(zip(("fastest", "slowest"), setups)),
             "versions": {"python": "3.x"}, "source_sha256": f"sha-{minflt_per_op > 500}"}
 
 
@@ -60,6 +61,21 @@ def test_reducer_on_canned_runs(bench_ab):
     assert per_min["change"] < 0 and per_min["within_bound"]
 
 
+def test_reducer_reports_the_spread_of_each_run_s_set_ups(bench_ab):
+    # Within a run the base's slowest set-up took 2.22, 1.1, 1.2 and 1.3
+    # times its fastest, the head's 1.0: a setup_s change inside the base's
+    # spread reads as a host phase.
+    base = [(0.063, 0.14), (0.06, 0.066), (0.07, 0.084), (0.05, 0.065)]
+    pairs = [{"first": "base", "base": canned_run(seed, 0.02, 2.0, setups=b),
+              "head": canned_run(seed, 0.02, 2.0, setups=(0.07, 0.07))}
+             for seed, b in enumerate(base)]
+    out = bench_ab.reduce_workload(pairs, END_TO_END)
+    # Inclusive quartiles of 1.1, 1.2, 1.3 and 0.14/0.063: 1.175 and 1.5306.
+    assert out["base"]["setup_slowest_to_fastest"] == {
+        "median": pytest.approx(1.25), "iqr": pytest.approx(0.975 + 0.14 / 0.063 / 4 - 1.175)}
+    assert out["head"]["setup_slowest_to_fastest"] == {"median": 1.0, "iqr": 0.0}
+
+
 def test_change_beyond_a_bound_is_reported(bench_ab):
     pairs = [{"first": "base", "base": canned_run(0, 0.020, 2.0),
               "head": canned_run(0, 0.030, 2.0)}]
@@ -77,7 +93,8 @@ def test_ties_count_for_neither_side(bench_ab):
 
     def run(seed, rss):
         return {"seed": seed, "metrics": {"peak_rss_mb": rss, "combined_test_acc": 0.75},
-                "attempted": 10, "failed": 0, "minflt_per_op": 2.0, "source_sha256": "x"}
+                "attempted": 10, "failed": 0, "minflt_per_op": 2.0, "source_sha256": "x",
+                "setup_range": {"fastest": 0.07, "slowest": 0.07}}
 
     # The base wins pair 0, the pairs tie at 40.5 MiB in pair 1, the head wins the rest.
     rss = [(40.0, 40.25), (40.5, 40.5), (41.0, 40.75), (40.0, 39.5)]
@@ -116,7 +133,7 @@ def stub_run_once(bench_ab, monkeypatch):
     bytecode variable in the environment."""
     record = {"python": "3.x", "numpy": "2.x", "blas": {"name": "openblas"}, "nproc": 2,
               "affinity_cpus": 2, "blas_threads_pinned": 1, "source_sha256": "abc",
-              "process_threads": 1}
+              "process_threads": 1, "setup_times": [0.07, 0.063, 0.14, 0.071]}
     result = {"attempted": 4, "failed": 0,
               "metrics": {"patch_s": {"value": 0.02, "unit": "s"}}}
     stdout = f"run record: {json.dumps(record)}\n{json.dumps(result)}\n"
@@ -136,6 +153,11 @@ def test_run_records_pins_and_heap_settings(bench_ab, monkeypatch):
         "blas_threads_pinned": 1, "affinity_cpus": 2, "MALLOC_TOP_PAD_": "2000000",
         "PYTHONDONTWRITEBYTECODE": None, "PYTHONPYCACHEPREFIX": None}
     assert (run["seed"], run["metrics"], run["source_sha256"]) == (3, {"patch_s": 0.02}, "abc")
+
+
+def test_run_keeps_its_fastest_and_slowest_set_up(bench_ab, monkeypatch):
+    run = stub_run_once(bench_ab, monkeypatch)()
+    assert run["setup_range"] == {"fastest": 0.063, "slowest": 0.14}
 
 
 def test_run_records_the_bytecode_settings(bench_ab, monkeypatch):

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from paintkit import (Checkpoint, PatchSpec, TaskDataset, ToyModel, TrainConfig, cka,
-                      evaluate, lerp, load_checkpoint, patch_single, save_checkpoint)
+                      evaluate, generate_tasks, lerp, load_checkpoint, patch_single,
+                      save_checkpoint)
 from paintkit.cli import (
     KEYS,
     ConfigError,
@@ -820,6 +821,22 @@ class TestPretrainFinetunePatch:
         assert code == 2
         assert message in capsys.readouterr().err
 
+    def test_zero_width_checkpoint_is_runtime_error(self, tmp_path, capsys):
+        # It once loaded, and every test row of the 3-class task scored as
+        # the first class: test_accuracy 0.333333.
+        path = tmp_path / "z.ckpt"
+        save_checkpoint(Checkpoint({"enc.w0": np.zeros((0, 4)), "enc.b0": np.zeros(0)},
+                                   {"logit_scale": "20.0", "embed_dim": "0", "n_layers": "1"}),
+                        path)
+        task = tmp_path / "t.csv"
+        generate_tasks(0, 3, 4, 10, 0.3, [(0, 1, 2)])[0].to_csv(task)
+        assert main(["metrics", "--ckpt_a", str(path), "--ckpt_b", str(path),
+                     "--task", str(task)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"{path}: tensor 'enc.w0' has shape (0, 4); expected a matrix with no "
+                f"zero dimension") in captured.err
+
     @pytest.mark.parametrize("edit, message", [
         (lambda i, row: [str(int(row[0]) + 1), *row[1:]],
          "task1.csv:2: column 'id': not a valid id (row position 0): '1'"),
@@ -1172,9 +1189,9 @@ def test_out_of_memory_is_runtime_error(tmp_path, sizes):
 
 def test_bare_out_of_memory_is_runtime_error(tmp_path, monkeypatch, capsys):
     # A MemoryError raised without a message, as some allocations raise it.
-    def generate_tasks(*args):
+    def no_memory(*args):
         raise MemoryError()
-    monkeypatch.setattr("paintkit.cli.generate_tasks", generate_tasks)
+    monkeypatch.setattr("paintkit.cli.generate_tasks", no_memory)
     out = tmp_path / "tasks"
     assert main(["gen-tasks", "--out_dir", str(out), "--seed", "0", "--num_classes", "4",
                  "--dim", "3", "--samples_per_class", "20", "--noise_scale", "0.1",
@@ -1203,7 +1220,7 @@ def too_many(count, what):
      too_many(6_400_000_000, "task classes x samples_per_class x dim")),
     (["--num_classes", "100000000000", "--dim", "0", "--samples_per_class", "20",
       "--tasks", "0-49999999999|50000000000-99999999999"],
-     "error: need num_classes >= 2, dim >= 1, samples_per_class >= 10\n"),
+     "error: dim must be >= 1, got 0\n"),
     (["--num_classes", "100000000000000000000", "--dim", "16", "--samples_per_class", "20",
       "--tasks", "0-1|2-99999999999999999999"],
      too_many(1_600_000_000_000_000_000_000, "num_classes x dim")),

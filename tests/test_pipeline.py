@@ -393,12 +393,13 @@ class TestPatchSpecValidation:
                       supported_tasks=[tasks[0]], order_seeds=(), **kw)
 
     @pytest.mark.parametrize("strategy, kw, message", [
-        ("sequential", {"order_seeds": (0, -1)}, "order seed -1 must be an integer >= 0"),
-        ("parallel", {"order_seeds": (-3,)}, "order seed -3 must be an integer >= 0"),
-        ("sequential", {"order_seeds": (1, 0.5)}, "order seed 0.5 must be an integer"),
-        ("single", {"order_seeds": (True,)}, "order seed True must be an integer"),
-        ("parallel", {"budget": 2.5}, "budget must be >= 1 and an integer, got 2.5"),
-        ("parallel", {"budget": np.float64(3.0)}, "budget must be >= 1 and an integer"),
+        ("sequential", {"order_seeds": (0, -1)}, "order seed must be >= 0, got -1"),
+        ("parallel", {"order_seeds": (-3,)}, "order seed must be >= 0, got -3"),
+        ("sequential", {"order_seeds": (1, 0.5)}, "order seed must be an integer, got 0.5"),
+        ("single", {"order_seeds": (True,)}, "order seed must be an integer, got True"),
+        ("parallel", {"budget": 2.5}, "budget must be an integer, got 2.5"),
+        ("parallel", {"budget": np.float64(3.0)},
+         f"budget must be an integer, got {np.float64(3.0)!r}"),
     ], ids=["negative_sequential", "negative_blackbox", "float_seed", "bool_seed",
             "fractional_budget", "float_budget"])
     def test_rejects_a_seed_or_budget_before_fine_tuning(self, env, monkeypatch, strategy,
@@ -406,8 +407,9 @@ class TestPatchSpecValidation:
         # Each of these once fine-tuned first, then failed in numpy or ran
         # past its budget (2.5 scored 3 black-box points).
         finetunes = count_calls(monkeypatch, "finetune")
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError) as info:
             run_patch(spec_for(env, strategy, patch_idx=(1, 2), search="blackbox", **kw))
+        assert str(info.value) == message
         assert finetunes == []
 
     def test_takes_numpy_integer_seeds_and_budget(self, env):
@@ -590,7 +592,8 @@ class TestSplitTask:
         with pytest.raises(ValueError) as info:
             split_task(tasks[0], seed)
         assert type(info.value) is ValueError
-        assert str(info.value) == f"seed must be an integer >= 0, got {seed!r}"
+        assert str(info.value) == (f"seed must be >= 0, got {seed}" if seed == -1
+                                   else f"seed must be an integer, got {seed!r}")
 
     def test_single_class_rejected(self, env):
         _, tasks, _ = env

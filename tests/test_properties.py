@@ -1,7 +1,7 @@
 """Property-based tests for the checkpoint container, weight arithmetic,
 stacked scoring, the patching strategies, task-CSV parsing, the
 capped-simplex projection, the coefficient bound the searches share with
-combine_rows, and the one alpha rule.
+combine_rows, the one alpha rule and the one count rule.
 
 Examples are derandomized and nothing is stored between runs, so every run
 checks the same cases.
@@ -26,7 +26,11 @@ from paintkit import (
     ToyModel,
     TrainConfig,
     average,
+    baseline_frontiers,
+    black_box_search,
+    class_embedding,
     evaluate,
+    finetune,
     generate_tasks,
     grid_search_1d,
     lerp,
@@ -39,11 +43,12 @@ from paintkit import (
     save_checkpoint,
     split_task,
 )
+from paintkit import toylab
 from paintkit.cli import ConfigError, main, parse_grid
 from paintkit.pipeline import SEARCHES, STRATEGIES
 from paintkit.search import _rounded, exhaustive_search_2d, project_capped_simplex
 from paintkit.tensors import combine_rows
-from paintkit.toylab import evaluate_stack
+from paintkit.toylab import evaluate_stack, head_matrix
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=15)
 
@@ -560,3 +565,97 @@ def test_one_alpha_rule_accepts_and_stores_alike(a):
     else:
         assert [kind for kind, _ in outcomes] == ["rejected"] * 4
         assert all(message.endswith(f"alpha out of range: {a}") for _, message in outcomes)
+
+
+def count_values(least):
+    """Bools, integral and fractional floats, numpy floats, and Python and
+    numpy integers on both sides of `least`."""
+    near = st.integers(least - 3, least + 30)
+    return st.one_of(
+        st.booleans(),
+        near,
+        near.map(np.int64),
+        near.map(float),
+        st.floats(least - 3, least + 30).filter(lambda x: not x.is_integer()),
+        near.map(np.float64),
+    )
+
+
+def count_message(name, value, least):
+    """The one count rule's message for `value`, or None if it is accepted."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        return f"{name} must be an integer, got {value!r}"
+    if value < least:
+        return f"{name} must be >= {least}, got {value}"
+    return None
+
+
+LAB = generate_tasks(1, 4, 3, 10, 0.5, [(0, 1), (2, 3)])
+LAB_MODEL = ToyModel.init(0, 3, (), embed_dim=2)
+ONE_STEP = TrainConfig(iterations=1, warmup=0, batch_size=4, hidden=(), embed_dim=2)
+
+
+def lab_spec(**kw):
+    return PatchSpec(model=LAB_MODEL, patching_tasks=[LAB[1]], supported_tasks=[LAB[0]], **kw)
+
+
+COUNT_ENTRY_POINTS = [
+    ("iterations", 0, lambda v: TrainConfig(iterations=v, warmup=0)),
+    ("warmup", 0, lambda v: TrainConfig(iterations=100, warmup=v)),
+    ("seed", 0, lambda v: TrainConfig(seed=v)),
+    ("batch_size", 1, lambda v: TrainConfig(batch_size=v)),
+    ("embed_dim", 1, lambda v: TrainConfig(embed_dim=v)),
+    ("hidden width", 1, lambda v: TrainConfig(hidden=(4, v))),
+    ("seed", 0, lambda v: generate_tasks(v, 4, 3, 10, 0.5, [(0, 1)])),
+    ("num_classes", 2, lambda v: generate_tasks(0, v, 3, 10, 0.5, [(0, 1)])),
+    ("dim", 1, lambda v: generate_tasks(0, 4, v, 10, 0.5, [(0, 1)])),
+    ("samples_per_class", 10, lambda v: generate_tasks(0, 4, 3, v, 0.5, [(0, 1)])),
+    ("budget", 1, lambda v: lab_spec(budget=v)),
+    ("order seed", 0, lambda v: lab_spec(order_seeds=(v,))),
+    ("seed", 0, lambda v: split_task(TASK, v)),
+    ("k", 1, lambda v: black_box_search(lambda c: 0.0, k=v, budget=1)),
+    ("budget", 1, lambda v: black_box_search(lambda c: 0.0, k=1, budget=v)),
+    ("seed", 0, lambda v: black_box_search(lambda c: 0.0, k=1, budget=1, seed=v)),
+    ("class_id", 0, lambda v: class_embedding(v, 4)),
+    ("dim", 1, lambda v: class_embedding(0, v)),
+    ("seed", 0, lambda v: ToyModel.init(v, 3, (4,), 2)),
+    ("in_dim", 1, lambda v: ToyModel.init(0, v, (4,), 2)),
+    ("hidden width", 1, lambda v: ToyModel.init(0, 3, (4, v), 2)),
+    ("embed_dim", 1, lambda v: ToyModel.init(0, 3, (4,), v)),
+    ("snapshot_every", 1, lambda v: baseline_frontiers(LAB_MODEL, LAB[1], LAB[0], ONE_STEP, v)),
+]
+
+
+@pytest.mark.parametrize("name, least, call", COUNT_ENTRY_POINTS, ids=[
+    "TrainConfig.iterations", "TrainConfig.warmup", "TrainConfig.seed",
+    "TrainConfig.batch_size", "TrainConfig.embed_dim", "TrainConfig.hidden",
+    "generate_tasks.seed", "generate_tasks.num_classes", "generate_tasks.dim",
+    "generate_tasks.samples_per_class", "PatchSpec.budget", "PatchSpec.order_seeds",
+    "split_task.seed", "black_box_search.k", "black_box_search.budget",
+    "black_box_search.seed", "class_embedding.class_id", "class_embedding.dim",
+    "ToyModel.init.seed", "ToyModel.init.in_dim", "ToyModel.init.hidden",
+    "ToyModel.init.embed_dim", "baseline_frontiers.snapshot_every"])
+@settings(PROPERTY, max_examples=20)
+@given(data=st.data())
+def test_one_count_rule_accepts_and_rejects_alike(name, least, call, data):
+    value = data.draw(count_values(least))
+    expected = count_message(name, value, least)
+    try:
+        call(value)
+    except ValueError as exc:
+        assert type(exc) is ValueError and str(exc) == expected
+    else:
+        assert expected is None
+
+
+def test_no_count_is_checked_per_step_or_per_scored_block(monkeypatch):
+    # The checks run when a setting or a head is made, never in a loop.
+    model = ToyModel.init(0, TASK.dim, (4,), embed_dim=4)
+    config = TrainConfig(iterations=20, warmup=2, batch_size=8, hidden=(4,), embed_dim=4)
+    head_matrix(TASK.class_ids, model.embed_dim)  # cached before counting
+    calls = []
+    monkeypatch.setattr(toylab, "check_count", lambda *args: calls.append(args))
+    final = finetune(model, TASK, config).final
+    evaluate_stack(model, np.stack([model.ckpt.flat(), final.flat()]), TASK, "val")
+    head_matrix(TASK.class_ids, model.embed_dim)
+    assert calls == []

@@ -373,8 +373,8 @@ class TestExhaustiveSearch2d:
 
 
 @pytest.mark.parametrize("kw, message", [
-    ({"k": 0}, "k must be >= 1"),
-    ({"k": 2, "budget": 0}, "budget must be >= 1"),
+    ({"k": 0}, "k must be >= 1, got 0"),
+    ({"k": 2, "budget": 0}, "budget must be >= 1, got 0"),
 ], ids=["k_below_1", "budget_below_1"])
 def test_black_box_search_error_paths(kw, message):
     obj = SearchObjective(lambda coeffs: 0.0)
@@ -396,6 +396,20 @@ def test_black_box_search_takes_integer_k_and_budget(kw, message):
     obj = SearchObjective(lambda coeffs: 0.0)
     with pytest.raises(ValueError) as info:
         black_box_search(obj, **kw)
+    assert type(info.value) is ValueError and str(info.value) == message
+    assert obj.evaluations == 0
+
+
+@pytest.mark.parametrize("seed, message", [
+    (1.5, "seed must be an integer, got 1.5"),
+    (-1, "seed must be >= 0, got -1"),
+    (True, "seed must be an integer, got True"),
+], ids=["fractional_seed", "negative_seed", "bool_seed"])
+def test_black_box_search_takes_a_seed_of_at_least_0(seed, message):
+    # 1.5 ended in numpy's TypeError after the first evaluation.
+    obj = SearchObjective(lambda coeffs: 0.0)
+    with pytest.raises(ValueError) as info:
+        black_box_search(obj, k=2, seed=seed)
     assert type(info.value) is ValueError and str(info.value) == message
     assert obj.evaluations == 0
 

@@ -15,12 +15,17 @@ drawn at random. Around each run it reads
 per attempted operation show which heap mode a run was in: glibc trimming the
 heap costs about 1,400 faults per ``sequential_dense`` operation, against
 almost none without it. The count includes the run's start-up and its timed
-set-ups, tens of faults per operation in a full-length run.
+set-ups, tens of faults per operation in a full-length run. Each run also
+keeps the fastest and slowest of its timed cold set-ups (the run record's
+``setup_times``): within one run they have ranged 0.063-0.14 s, so their
+ratio shows how far the host moved ``setup_s`` while the run lasted.
 
 It writes ``BENCH_<short HEAD sha>.json`` at the repository root, rewritten
 after each workload. Per workload and tree: the median and IQR of each
-end-to-end metric, the faults per operation, and the operations attempted and
-failed. Per metric: the pairs the head tree won, the median of the pairwise
+end-to-end metric, of the faults per operation and of the per-run ratio of
+slowest to fastest set-up, and the operations attempted and failed. A
+``setup_s`` change inside that ratio's spread reads as a host phase, not as
+the code. Per metric: the pairs the head tree won, the median of the pairwise
 ratios, the change of the medians beside the metric's bound, and
 ``gain_rule_met``: the head tree won at least 9/10 of the pairs and its median
 is better than the base's by more than the base's IQR. With them go the seeds,
@@ -87,8 +92,9 @@ def extract(sha, tree):
 
 
 def run_once(tree, workload, seed, seconds):
-    """One benchmark run on `tree`: its result and run record, and the minor
-    page faults of the run and everything it waited for."""
+    """One benchmark run on `tree`: its result and run record, the minor
+    page faults of the run and everything it waited for, and the fastest and
+    slowest of its timed set-ups."""
     before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     proc = subprocess.run(
         [sys.executable, os.path.join(tree, "perfbench", "run.py"), "--workload", workload,
@@ -109,6 +115,8 @@ def run_once(tree, workload, seed, seconds):
         "attempted": result["attempted"],
         "failed": result["failed"],
         "minflt_per_op": minflt / result["attempted"],
+        "setup_range": {"fastest": min(record["setup_times"]),
+                        "slowest": max(record["setup_times"])},
         "versions": {**{key: record.get(key) for key in VERSION_KEYS},
                      **{key: os.environ.get(key) for key in BYTECODE_KEYS},
                      **{key: value for key, value in os.environ.items()
@@ -137,6 +145,8 @@ def reduce_workload(pairs, end_to_end):
             "metrics": {m["name"]: spread([r["metrics"][m["name"]] for r in runs])
                         for m in end_to_end},
             "minflt_per_op": spread([r["minflt_per_op"] for r in runs]),
+            "setup_slowest_to_fastest": spread([r["setup_range"]["slowest"]
+                                                / r["setup_range"]["fastest"] for r in runs]),
             "attempted": sum(r["attempted"] for r in runs),
             "failed": sum(r["failed"] for r in runs),
             "source_sha256": sorted({r["source_sha256"] for r in runs}),
