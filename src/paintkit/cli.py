@@ -26,6 +26,7 @@ from .pipeline import PatchSpec, check_selection, run_patch, split_task
 from .tensors import (
     CheckpointError,
     check_alphas,
+    check_real,
     cosine_similarity,
     l1_mean_distance,
     load_checkpoint,
@@ -101,15 +102,15 @@ def parse_grid(text):
         raise ConfigError(f"alpha_grid is not numeric: {text!r}") from None
     if ":" in text and len(values) != 3:
         raise ConfigError(f"alpha_grid range must be start:stop:step: {text!r}")
-    try:  # a range's start and stop, before it is expanded
+    try:  # a range's start, stop and step, before it is expanded
         alphas = check_alphas(values[:2] if ":" in text else values)
+        if ":" in text:
+            check_real("step", values[2], 0, strict=True)
     except ValueError as exc:
         raise ConfigError(f"alpha_grid {text!r}: {exc}") from None
     if ":" not in text:
         return alphas
     (start, stop), step = alphas, values[2]
-    if not 0.0 < step < math.inf:
-        raise ConfigError(f"alpha_grid step must be positive and finite: {text!r}")
     if start > stop:
         raise ConfigError(f"alpha_grid range start is above its stop: {text!r}")
     # Bounded before the list is built: a tiny step would otherwise ask for

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._atomic import atomic_open
-from .tensors import check_alphas
+from .tensors import _is_real, check_alphas
 
 
 @dataclass(frozen=True)
@@ -33,20 +33,24 @@ class Frontier:
     def __post_init__(self):
         if self.unit not in ("percent", "fraction"):
             raise ValueError(f"unknown unit {self.unit!r}")
+        hi = 100.0 if self.unit == "percent" else 1.0
+
+        def accuracy(value):
+            if not _is_real(value):
+                raise ValueError(f"accuracy must be a real number, got {value!r}")
+            if not 0.0 <= value <= hi:  # before the cast, which overflows on a huge int
+                raise ValueError(f"accuracy {value} outside [0, {hi}]")
+            return float(value)
+
         # Checked before the sort, which leaves a NaN alpha wherever it happens to fall.
-        pts = [FrontierPoint(*check_alphas([p.alpha]), float(p.supported_acc),
-                             float(p.patching_acc)) for p in self.points]
+        pts = [FrontierPoint(*check_alphas([p.alpha]), accuracy(p.supported_acc),
+                             accuracy(p.patching_acc)) for p in self.points]
         pts.sort(key=lambda p: p.alpha)
         alphas = [p.alpha for p in pts]
-        hi = 100.0 if self.unit == "percent" else 1.0
         if len(set(alphas)) != len(alphas):
             raise ValueError("duplicate alpha in frontier")
         if not pts or alphas[0] != 0.0 or alphas[-1] != 1.0:
             raise ValueError("frontier must contain alpha=0 and alpha=1")
-        for p in pts:
-            for v in (p.supported_acc, p.patching_acc):
-                if not 0.0 <= v <= hi:
-                    raise ValueError(f"accuracy {v} outside [0, {hi}]")
         self.points = pts
 
     @property
@@ -92,15 +96,9 @@ class Frontier:
 
     @classmethod
     def from_records(cls, records, unit):
-        """The inverse of `to_records`. A point that is not three numbers, or
-        points that do not form a frontier, are a ValueError."""
-        pts = []
-        for r in records:
-            point = (r["alpha"], r["supported_acc"], r["patching_acc"])
-            if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in point):
-                raise ValueError(f"frontier point is not three numbers: {point!r}")
-            pts.append(FrontierPoint(*point))
-        return cls(pts, unit)
+        """The inverse of `to_records`; points that are not a frontier are a ValueError."""
+        return cls([FrontierPoint(r["alpha"], r["supported_acc"], r["patching_acc"])
+                    for r in records], unit)
 
 
 def mean_accuracy(accs) -> float:

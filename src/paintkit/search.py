@@ -104,7 +104,7 @@ def _rounded(point):
 
 def black_box_search(obj, k, budget=50, init=0.5, seed=0) -> SearchResult:
     """Derivative-free coordinate pattern search with step halving, box- and
-    simplex-constrained, starting from the all-`init` point.
+    simplex-constrained, starting from the all-`init` point, `init` an alpha.
 
     Performs at most `budget` objective evaluations and returns the best
     point seen; `k` and `budget` are integers >= 1. Deterministic for a
@@ -113,8 +113,9 @@ def black_box_search(obj, k, budget=50, init=0.5, seed=0) -> SearchResult:
     check_count("k", k, 1)
     check_count("budget", budget, 1)
     check_count("seed", seed, 0)
+    (init,) = check_alphas([init])
     rng = np.random.default_rng(seed)
-    current = project_capped_simplex(np.full(k, float(init)))
+    current = project_capped_simplex(np.full(k, init))
     start = _rounded(current)
     scored = {start: obj(start)}  # every point evaluated, rounded, in order: its value
     current_value = scored[start]

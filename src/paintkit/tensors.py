@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
 from collections import Counter
 
 import numpy as np
@@ -46,6 +47,11 @@ def _layout(shapes):
 def _is_int(value):
     """Whether `value` is a Python or numpy integer, not a bool."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_real(value):
+    """Whether `value` is a Python or numpy integer or float, not a bool."""
+    return _is_int(value) or isinstance(value, (float, np.floating))
 
 
 def _repeated(values):
@@ -264,12 +270,15 @@ def _parse(data) -> Checkpoint:
 
 
 def check_alphas(values):
-    """`values` as a list of floats, each an alpha in [0, 1], a zero of either
-    sign stored as 0.0. Any other value, NaN included, is a ValueError."""
-    alphas = [float(a) + 0.0 for a in values]
-    for a in alphas:
-        if not 0.0 <= a <= 1.0:
+    """`values` as a list of floats, each a real number in [0, 1], a zero of
+    either sign stored as 0.0. Any other value, NaN included, is a ValueError."""
+    alphas = []
+    for a in values:
+        if not _is_real(a):
+            raise ValueError(f"alpha must be a real number, got {a!r}")
+        if not 0 <= a <= 1:
             raise ValueError(f"alpha out of range: {a}")
+        alphas.append(float(a) + 0.0)
     return alphas
 
 
@@ -280,6 +289,19 @@ def check_count(name, value, least):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
+def check_real(name, value, least, strict=False, error=ValueError):
+    """Reject a real setting `value` that is not a finite Python or numpy integer
+    or float (bools excluded) at least `least` (above it, if `strict`), with an
+    `error` that names it."""
+    if not _is_real(value):
+        raise error(f"{name} must be a real number, got {value!r}")
+    # math.isfinite cannot take an integer past float64's range.
+    if isinstance(value, int) and abs(value) > sys.float_info.max or not math.isfinite(value):
+        raise error(f"{name} must be finite, got {value}")
+    if value < least or strict and value == least:
+        raise error(f"{name} must be {'>' if strict else '>='} {least}, got {value}")
 
 
 def lerp(zs: Checkpoint, ft: Checkpoint, alpha: float) -> Checkpoint:
@@ -299,16 +321,14 @@ def combine_rows(zs: Checkpoint, fts, alpha_rows) -> np.ndarray:
     A row whose coefficients are all 0 is an exact copy of zs, and a row with
     one coefficient of 1 and the rest 0 an exact copy of that fine-tuned
     model: the arithmetic could flip the sign of a zero weight."""
-    alpha_rows = [[float(a) for a in alphas] for alphas in alpha_rows]
+    alpha_rows = [list(alphas) for alphas in alpha_rows]
     totals = []
     for alphas in alpha_rows:
         if len(alphas) != len(fts):
             raise ValueError("alphas and fts length mismatch")
-        if not all(map(math.isfinite, alphas)):
-            raise ValueError(f"non-finite coefficient in {alphas}")
-        if any(a < 0 for a in alphas):
-            raise ValueError("negative coefficient")
-        total = sum(alphas)
+        for a in alphas:
+            check_real("coefficient", a, 0)
+        total = sum(map(float, alphas))  # in float64, whatever the coefficients' type
         if total > _MAX_COEFF_SUM:
             raise ValueError(f"coefficients sum to {total} > 1")
         totals.append(total)

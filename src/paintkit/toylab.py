@@ -16,7 +16,7 @@ import numpy as np
 
 from ._atomic import atomic_open
 from .metrics import Frontier, FrontierPoint
-from .tensors import Checkpoint, CheckpointError, _is_int, _repeated, check_count
+from .tensors import Checkpoint, CheckpointError, _is_int, _repeated, check_count, check_real
 
 _EMBED_STREAM = 0x0E03BEDD  # fixed stream id so embeddings depend only on the class id
 _HEAD_CACHE_SIZE = 256  # distinct (class ids, dim) heads kept per process
@@ -207,17 +207,14 @@ def generate_tasks(seed, num_classes, dim, samples_per_class, noise_scale, parti
 
     `partition` is a list of class-id sets (disjoint, integer ids in
     [0, num_classes)); one TaskDataset is produced per set. The seed (>= 0)
-    and the counts (num_classes >= 2, dim >= 1, samples_per_class >= 10) are
-    Python or numpy integers, not bools, checked in that order before any draw.
+    and the counts (num_classes >= 2, dim >= 1, samples_per_class >= 10) take
+    `check_count`, and noise_scale (>= 0) `check_real`, in that order before any draw.
     """
     check_count("seed", seed, 0)
     check_count("num_classes", num_classes, 2)
     check_count("dim", dim, 1)
     check_count("samples_per_class", samples_per_class, 10)
-    if not math.isfinite(noise_scale):
-        raise ValueError(f"noise_scale must be finite, got {noise_scale}")
-    if noise_scale < 0:
-        raise ValueError("noise_scale must be >= 0")
+    check_real("noise_scale", noise_scale, 0)
     partition = [list(group) for group in partition]
     bad = [c for group in partition for c in group if not _is_int(c)]
     if bad:
@@ -278,8 +275,8 @@ def merge_tasks(tasks, name="merged"):
 @dataclass(frozen=True)
 class TrainConfig:
     """Fine-tuning settings, checked once when built; replace() makes a checked copy.
-    The counts are Python or numpy integers, not bools: iterations, warmup and
-    seed >= 0, and batch_size, embed_dim and each hidden width >= 1."""
+    Counts (`check_count`): iterations, warmup and seed >= 0; batch_size, embed_dim and each
+    hidden width >= 1. Reals (`check_real`): lr, weight_decay, l2_init >= 0; logit_scale > 0."""
     iterations: int = 500
     batch_size: int = 64
     lr: float = 1e-3
@@ -303,13 +300,8 @@ class TrainConfig:
         if self.warmup > self.iterations:
             raise ValueError("warmup must be <= iterations")
         for name in ("lr", "weight_decay", "l2_init"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        for name in ("lr", "weight_decay", "l2_init"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if not 0 < self.logit_scale < math.inf:
-            raise ValueError(f"logit_scale must be positive and finite, got {self.logit_scale}")
+            check_real(name, getattr(self, name), 0)
+        check_real("logit_scale", self.logit_scale, 0, strict=True)
 
 
 def lr_schedule(step, config: TrainConfig) -> float:
@@ -357,6 +349,7 @@ class ToyModel:
     def __init__(self, ckpt: Checkpoint):
         self.ckpt = ckpt
         self.logit_scale = _meta_value(ckpt, "logit_scale", float)
+        check_real("checkpoint metadata 'logit_scale'", self.logit_scale, 0, True, CheckpointError)
         self.embed_dim = _meta_value(ckpt, "embed_dim", int)
         self.n_layers = _meta_value(ckpt, "n_layers", int)
         self._names = _layer_names(ckpt, self.n_layers, self.embed_dim)
@@ -369,6 +362,7 @@ class ToyModel:
         for width in dims[1:-1]:
             check_count("hidden width", width, 1)
         check_count("embed_dim", embed_dim, 1)
+        check_real("logit_scale", logit_scale, 0, strict=True)
         rng = np.random.default_rng(seed)
         tensors = {}
         for i in range(len(dims) - 1):

@@ -117,6 +117,14 @@ class TestConfigParsing:
             grid = parse_grid(text)
             assert grid[0] == 0.0 and math.copysign(1.0, grid[0]) == 1.0, text
 
+    @pytest.mark.parametrize("text, message", [
+        ("0:1:0", "step must be > 0, got 0.0"), ("0:1:-0.1", "step must be > 0, got -0.1"),
+        ("0:1:inf", "step must be finite, got inf"), ("0:1:nan", "step must be finite, got nan")])
+    def test_parse_grid_names_a_bad_step(self, text, message):
+        with pytest.raises(ConfigError) as info:
+            parse_grid(text)
+        assert str(info.value) == f"alpha_grid {text!r}: {message}"
+
     def test_parse_grid_rejects_bad_step_and_values(self):
         for text in ("0:1:0", "0:1:-0.1", "a,b", "0:1:x", "0:1", "0,nan,1", ""):
             with pytest.raises(ConfigError):
@@ -1123,11 +1131,14 @@ def result_json(points):
     ("results_dir", "patch_result.json", json.dumps({"frontier": {"points": [
         {"alpha": "x", "supported_acc": 0.9, "patching_acc": 0.1},
         {"alpha": 1.0, "supported_acc": 0.5, "patching_acc": 0.8}]}}),
-     ": frontier point is not three numbers: ('x', 0.9, 0.1)"),
+     ": alpha must be a real number, got 'x'"),
     ("results_dir", "patch_result.json", result_json([(0.0, float("nan"), 0.1)]),
      ": accuracy nan outside [0, 1.0]"),
     ("results_dir", "patch_result.json", result_json([(0.0, 0.9, 1.5)]),
      ": accuracy 1.5 outside [0, 1.0]"),
+    # Too large for a float64: it once ended in an OverflowError traceback.
+    ("results_dir", "patch_result.json", result_json([(0.0, 10**400, 0.1)]),
+     f": accuracy {10**400} outside [0, 1.0]"),
     ("results_dir", "patch_result.json", result_json([(0.0, 0.9, 0.1), (0.0, 0.8, 0.2)]),
      ": duplicate alpha in frontier"),
     ("results_dir", "patch_result.json", json.dumps({"frontier": {"points": [
@@ -1136,6 +1147,7 @@ def result_json(points):
 ], ids=["frontier_short_row", "frontier_non_numeric", "result_not_json",
         "result_without_frontier",
         "result_non_numeric_alpha", "result_nan_accuracy", "result_out_of_range",
+        "result_huge_int_accuracy",
         "result_duplicate_alpha", "result_without_endpoint"])
 @pytest.mark.filterwarnings("error")  # a message names the file; no library warning
 def test_malformed_metrics_or_report_input_names_the_file(tmp_path, capsys, key, name,
@@ -1287,15 +1299,20 @@ def test_csv_the_csv_module_rejects_is_runtime_error(workspace, tmp_path, capsys
     (b"PAIN", "truncated payload"),
     (b"NOTACKPT" + bytes(16), "bad magic"),
     (None, "checkpoint metadata has no 'logit_scale'"),
-], ids=["truncated", "bad_magic", "no_model_metadata"])
+    ("-20.0", "checkpoint metadata 'logit_scale' must be > 0, got -20.0"),
+    ("nan", "checkpoint metadata 'logit_scale' must be finite, got nan"),
+], ids=["truncated", "bad_magic", "no_model_metadata", "negative_logit_scale",
+        "nan_logit_scale"])
 @pytest.mark.parametrize("flag", ["ckpt_b", "zs_checkpoint"])
 def test_checkpoint_error_names_the_file(workspace, tmp_path, capsys, flag, content, message):
+    # A logit scale of -20 once loaded, and scored every test row wrong.
     path = tmp_path / "bad.ckpt"
-    if content is None:
+    if not isinstance(content, bytes):
         # Only a model needs the metadata: metrics reads ckpt_b as one with a task.
         zs = load_checkpoint(workspace / "zero_shot.ckpt")
-        save_checkpoint(zs.with_meta({k: v for k, v in zs.meta.items() if k != "logit_scale"}),
-                        path)
+        meta = {k: v for k, v in zs.meta.items() if k != "logit_scale"}
+        save_checkpoint(zs.with_meta(meta if content is None
+                                     else {**meta, "logit_scale": content}), path)
     else:
         path.write_bytes(content)
     out = tmp_path / "out"

@@ -112,8 +112,10 @@ class TestFrontier:
     def test_records_reject_non_numbers(self, field, value):
         records = frontier([(0.0, 0.9, 0.1), (1.0, 0.5, 0.8)]).to_records()
         records[1][field] = value
-        with pytest.raises(ValueError, match="frontier point is not three numbers"):
+        name = "alpha" if field == "alpha" else "accuracy"
+        with pytest.raises(ValueError) as info:
             Frontier.from_records(records, "fraction")
+        assert str(info.value) == f"{name} must be a real number, got {value!r}"
 
 
 class TestCombinedAccuracy:

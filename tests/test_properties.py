@@ -1,7 +1,7 @@
 """Property-based tests for the checkpoint container, weight arithmetic,
 stacked scoring, the patching strategies, task-CSV parsing, the
 capped-simplex projection, the coefficient bound the searches share with
-combine_rows, the one alpha rule and the one count rule.
+combine_rows, the one alpha rule, the one count rule and the one real rule.
 
 Examples are derandomized and nothing is stored between runs, so every run
 checks the same cases.
@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from paintkit import (
     Checkpoint,
+    CheckpointError,
     FormatError,
     Frontier,
     FrontierPoint,
@@ -649,13 +650,115 @@ def test_one_count_rule_accepts_and_rejects_alike(name, least, call, data):
 
 
 def test_no_count_is_checked_per_step_or_per_scored_block(monkeypatch):
-    # The checks run when a setting or a head is made, never in a loop.
+    # The count and real checks run when a setting, a model or a head is made,
+    # never in a loop.
     model = ToyModel.init(0, TASK.dim, (4,), embed_dim=4)
     config = TrainConfig(iterations=20, warmup=2, batch_size=8, hidden=(4,), embed_dim=4)
     head_matrix(TASK.class_ids, model.embed_dim)  # cached before counting
     calls = []
     monkeypatch.setattr(toylab, "check_count", lambda *args: calls.append(args))
+    monkeypatch.setattr(toylab, "check_real", lambda *args: calls.append(args))
     final = finetune(model, TASK, config).final
     evaluate_stack(model, np.stack([model.ckpt.flat(), final.flat()]), TASK, "val")
     head_matrix(TASK.class_ids, model.embed_dim)
     assert calls == []
+
+
+def real_values(lo, hi):
+    """Bools, str, bytes, None, complex numbers, Python and numpy integers
+    (10**400 included), floats with -0.0, NaN and +-inf, and float32 and
+    float64 numpy floats, the finite numbers drawn from [lo, hi]."""
+    ints = st.integers(lo, hi)
+    floats = st.floats(lo, hi)
+    return st.one_of(
+        st.sampled_from([True, False, "0.5", b"1", None, 1j, complex(0.5, 0), 10**400,
+                         -10**400, -0.0, math.nan, math.inf, -math.inf]),
+        ints, ints.map(np.int64), floats, floats.map(np.float32), floats.map(np.float64),
+    )
+
+
+def is_real(value):
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+def real_rule(name, least, strict=False):
+    """The one real rule's message for a value, or None if it is accepted."""
+    def message(value):
+        if not is_real(value):
+            return f"{name} must be a real number, got {value!r}"
+        if not (abs(value) < 2**1024 if isinstance(value, int) else math.isfinite(value)):
+            return f"{name} must be finite, got {value}"
+        if value < least or strict and value == least:
+            return f"{name} must be {'>' if strict else '>='} {least}, got {value}"
+        return None
+    return message
+
+
+def alpha_rule(value):
+    """The one alpha rule's message for a value, or None if it is accepted."""
+    if not is_real(value):
+        return f"alpha must be a real number, got {value!r}"
+    return None if 0 <= value <= 1 else f"alpha out of range: {value}"
+
+
+def accuracy_rule(value):
+    """Frontier's accuracy rule, in the fraction unit: the real rule's type
+    test, then a range message of its own."""
+    if not is_real(value):
+        return f"accuracy must be a real number, got {value!r}"
+    return None if 0 <= value <= 1 else f"accuracy {value} outside [0, 1.0]"
+
+
+def with_endpoints(value, make):
+    """`make(value)` followed by `make(0.0)` and `make(1.0)`, bar one equal to `value`."""
+    return [make(value), *(make(x) for x in (0.0, 1.0) if x != value)]
+
+
+ZS, (FT,) = _one_weight_lab(1)
+# Floats with -0.0, NaN and +-inf, each written to a checkpoint as its repr.
+META_SCALES = st.one_of(st.floats(-3, 30), st.sampled_from([-0.0, math.nan, math.inf, -math.inf]))
+REAL_ENTRY_POINTS = {
+    "TrainConfig.lr": (real_rule("lr", 0), real_values(-3, 30), lambda v: TrainConfig(lr=v)),
+    "TrainConfig.weight_decay": (real_rule("weight_decay", 0), real_values(-3, 30),
+                                 lambda v: TrainConfig(weight_decay=v)),
+    "TrainConfig.l2_init": (real_rule("l2_init", 0), real_values(-3, 30),
+                            lambda v: TrainConfig(l2_init=v)),
+    "TrainConfig.logit_scale": (real_rule("logit_scale", 0, True), real_values(-3, 30),
+                                lambda v: TrainConfig(logit_scale=v)),
+    "generate_tasks.noise_scale": (real_rule("noise_scale", 0), real_values(-3, 30),
+                                   lambda v: generate_tasks(0, 4, 3, 10, v, [(0, 1)])),
+    "ToyModel.init.logit_scale": (real_rule("logit_scale", 0, True), real_values(-3, 30),
+                                  lambda v: ToyModel.init(0, 3, (), 2, v)),
+    "checkpoint.logit_scale": (
+        real_rule("checkpoint metadata 'logit_scale'", 0, True), META_SCALES,
+        lambda v: ToyModel(LAB_MODEL.ckpt.with_meta({**LAB_MODEL.ckpt.meta,
+                                                     "logit_scale": repr(v)}))),
+    # Above 1, a single coefficient meets the bound on the sum instead.
+    "multi_combine.coefficient": (real_rule("coefficient", 0), real_values(-3, 1),
+                                  lambda v: multi_combine(ZS, [FT], [v])),
+    "lerp.alpha": (alpha_rule, real_values(-3, 4), lambda v: lerp(ZS, FT, v)),
+    "PatchSpec.alpha_grid": (alpha_rule, real_values(-3, 4),
+                             lambda v: lab_spec(alpha_grid=with_endpoints(v, lambda a: a))),
+    "Frontier.alpha": (alpha_rule, real_values(-3, 4), lambda v: Frontier(
+        with_endpoints(v, lambda a: FrontierPoint(a, 1, 1)), "fraction")),
+    "Frontier.accuracy": (accuracy_rule, real_values(-3, 4), lambda v: Frontier(
+        [FrontierPoint(0.0, v, 1), FrontierPoint(1.0, 1, 1)], "fraction")),
+    "black_box_search.init": (alpha_rule, real_values(-3, 4),
+                              lambda v: black_box_search(lambda c: 0.0, k=2, budget=1, init=v)),
+}
+
+
+@pytest.mark.parametrize("rule, draws, call", REAL_ENTRY_POINTS.values(),
+                         ids=list(REAL_ENTRY_POINTS))
+@settings(PROPERTY, max_examples=30)
+@given(data=st.data())
+def test_one_real_rule_accepts_and_rejects_alike(rule, draws, call, data):
+    value = data.draw(draws)
+    expected = rule(value)
+    try:
+        call(value)
+    except (ValueError, CheckpointError) as exc:
+        assert str(exc) == expected
+        assert type(exc) is (CheckpointError if expected.startswith("checkpoint") else ValueError)
+    else:
+        assert expected is None

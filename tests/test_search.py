@@ -375,7 +375,12 @@ class TestExhaustiveSearch2d:
 @pytest.mark.parametrize("kw, message", [
     ({"k": 0}, "k must be >= 1, got 0"),
     ({"k": 2, "budget": 0}, "budget must be >= 1, got 0"),
-], ids=["k_below_1", "budget_below_1"])
+    # NaN ended in an IndexError after the first evaluation.
+    ({"k": 2, "init": math.nan}, "alpha out of range: nan"),
+    ({"k": 2, "init": 1.5}, "alpha out of range: 1.5"),
+    ({"k": 2, "init": "0.5"}, "alpha must be a real number, got '0.5'"),
+    ({"k": 2, "init": True}, "alpha must be a real number, got True"),
+], ids=["k_below_1", "budget_below_1", "nan_init", "init_above_1", "str_init", "bool_init"])
 def test_black_box_search_error_paths(kw, message):
     obj = SearchObjective(lambda coeffs: 0.0)
     with pytest.raises(ValueError) as info:

@@ -288,6 +288,23 @@ class TestLerp:
         assert [type(a) for a in alphas] == [float] * 5
         assert math.copysign(1.0, alphas[0]) == math.copysign(1.0, alphas[3]) == 1.0
 
+    def test_alphas_and_coefficients_are_real_numbers(self):
+        # Each was once cast by float(): "1" interpolated, and True was 1.0.
+        a = ck(w=np.zeros(1))
+        for check, message in (
+            (lambda: lerp(a, a, "1"), "alpha must be a real number, got '1'"),
+            (lambda: check_alphas([0.5, True]), "alpha must be a real number, got True"),
+            (lambda: check_alphas([b"1"]), "alpha must be a real number, got b'1'"),
+            (lambda: multi_combine(a, [a], ["0.5"]),
+             "coefficient must be a real number, got '0.5'"),
+            (lambda: multi_combine(a, [a], [True]), "coefficient must be a real number, got True"),
+            (lambda: multi_combine(a, [a], [10**400]),
+             f"coefficient must be finite, got {10**400}"),
+        ):
+            with pytest.raises(ValueError) as info:
+                check()
+            assert type(info.value) is ValueError and str(info.value) == message
+
     def test_symmetry_identity(self, rng):
         for _ in range(20):
             a = random_checkpoint(rng)
@@ -320,14 +337,16 @@ class TestMultiCombine:
 
     def test_rejects_negative_and_oversum(self):
         a = ck(w=np.zeros(1))
-        with pytest.raises(ValueError):
-            multi_combine(a, [a], [-0.1])
-        with pytest.raises(ValueError):
-            multi_combine(a, [a, a], [0.6, 0.6])
-        with pytest.raises(ValueError, match="non-finite coefficient"):
-            multi_combine(a, [a], [float("nan")])
-        with pytest.raises(ValueError, match="non-finite coefficient"):
-            combine_rows(a, [a, a], [[float("nan"), 0.0]])
+        for combine, message in (
+            (lambda: multi_combine(a, [a], [-0.1]), "coefficient must be >= 0, got -0.1"),
+            (lambda: multi_combine(a, [a, a], [0.6, 0.6]), "coefficients sum to 1.2 > 1"),
+            (lambda: multi_combine(a, [a], [float("nan")]), "coefficient must be finite, got nan"),
+            (lambda: combine_rows(a, [a, a], [[float("nan"), 0.0]]),
+             "coefficient must be finite, got nan"),
+        ):
+            with pytest.raises(ValueError) as info:
+                combine()
+            assert str(info.value) == message
 
     def test_uniform_equals_lerp_of_average(self, rng):
         # beta/k coefficients on k models == lerp toward their average

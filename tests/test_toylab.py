@@ -278,6 +278,28 @@ class TestModelMetadata:
             ToyModel.init(*args, **kw)
         assert type(info.value) is ValueError and str(info.value) == message
 
+    @pytest.mark.parametrize("value, message", [
+        (-1.0, "must be > 0, got -1.0"), (0, "must be > 0, got 0"),
+        (math.nan, "must be finite, got nan"), ("20", "must be a real number, got '20'"),
+    ])
+    def test_init_takes_a_positive_logit_scale(self, value, message):
+        # A logit scale of -1 once built a model.
+        with pytest.raises(ValueError) as info:
+            ToyModel.init(0, 4, hidden=(8,), embed_dim=4, logit_scale=value)
+        assert type(info.value) is ValueError and str(info.value) == f"logit_scale {message}"
+
+    @pytest.mark.parametrize("value, message", [
+        ("-20.0", "must be > 0, got -20.0"), ("0.0", "must be > 0, got 0.0"),
+        ("nan", "must be finite, got nan"), ("-inf", "must be finite, got -inf"),
+    ])
+    def test_logit_scale_metadata_is_finite_and_positive(self, value, message):
+        # Each once loaded: -20 scored every row wrong, and the rest at chance.
+        ckpt = ToyModel.init(0, 4, hidden=(8,), embed_dim=4).ckpt
+        with pytest.raises(CheckpointError) as info:
+            ToyModel(ckpt.with_meta({**ckpt.meta, "logit_scale": value}))
+        assert type(info.value) is CheckpointError
+        assert str(info.value) == f"checkpoint metadata 'logit_scale' {message}"
+
 
 class TestGenerateTasks:
     def test_deterministic(self):
@@ -658,18 +680,18 @@ class TestLrSchedule:
             TrainConfig(**{name: value})
 
     @pytest.mark.parametrize("settings, message", [
-        ({"lr": -1e-3}, "lr must be >= 0"),
-        ({"l2_init": -1.0}, "l2_init must be >= 0"),
+        ({"lr": -1e-3}, "lr must be >= 0, got -0.001"),
+        ({"l2_init": -1.0}, "l2_init must be >= 0, got -1.0"),
         ({"iterations": -3, "warmup": -4}, "iterations must be >= 0, got -3"),
         ({"warmup": -2}, "warmup must be >= 0, got -2"),
         ({"seed": -1}, "seed must be >= 0, got -1"),
         ({"hidden": (16, 0)}, "hidden width must be >= 1, got 0"),
         ({"embed_dim": 0}, "embed_dim must be >= 1, got 0"),
-        ({"logit_scale": 0.0}, "logit_scale must be positive and finite, got 0.0"),
-        ({"logit_scale": -3.0}, "logit_scale must be positive and finite, got -3.0"),
-        ({"logit_scale": math.nan}, "logit_scale must be positive and finite, got nan"),
-        ({"logit_scale": math.inf}, "logit_scale must be positive and finite, got inf"),
-        ({"weight_decay": -5.0}, "weight_decay must be >= 0"),
+        ({"logit_scale": 0.0}, "logit_scale must be > 0, got 0.0"),
+        ({"logit_scale": -3.0}, "logit_scale must be > 0, got -3.0"),
+        ({"logit_scale": math.nan}, "logit_scale must be finite, got nan"),
+        ({"logit_scale": math.inf}, "logit_scale must be finite, got inf"),
+        ({"weight_decay": -5.0}, "weight_decay must be >= 0, got -5.0"),
     ])
     def test_out_of_range_setting_rejected(self, settings, message):
         with pytest.raises(ValueError) as info:
@@ -1056,6 +1078,25 @@ def test_counts_are_integers_and_noise_is_finite(make, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: TrainConfig(lr="0.1"), "lr must be a real number, got '0.1'"),
+    (lambda: TrainConfig(lr=True), "lr must be a real number, got True"),
+    (lambda: TrainConfig(logit_scale=None), "logit_scale must be a real number, got None"),
+    (lambda: TrainConfig(weight_decay=1j), "weight_decay must be a real number, got 1j"),
+    (lambda: TrainConfig(lr=10**400), f"lr must be finite, got {10**400}"),
+    (lambda: TrainConfig(l2_init=-np.float32(0.5)), "l2_init must be >= 0, got -0.5"),
+    (lambda: generate_tasks(0, 4, 3, 10, "0.5", [(0, 1)]),
+     "noise_scale must be a real number, got '0.5'"),
+], ids=["str_lr", "bool_lr", "none_logit_scale", "complex_weight_decay", "huge_int_lr",
+        "float32_l2_init", "str_noise_scale"])
+def test_real_settings_take_real_numbers_only(make, message):
+    # A str or None once ended in a TypeError, a huge int in an OverflowError,
+    # and True was taken as 1.0.
+    with pytest.raises(ValueError) as info:
+        make()
+    assert type(info.value) is ValueError and str(info.value) == message
+
+
 def test_train_config_takes_numpy_integers():
     cfg = TrainConfig(iterations=np.int64(10), batch_size=np.uint8(4), warmup=np.int32(2),
                       seed=np.int16(3), hidden=(np.int64(4),), embed_dim=np.uint16(2))
@@ -1074,7 +1115,7 @@ def _relabelled(task):
      "weight stack of shape (2, 27) does not hold rows of 26 parameters"),
     (lambda model, task: _relabelled(task), "task 'u': label outside class_ids"),
     (lambda model, task: generate_tasks(0, 4, 3, 10, -0.1, [(0, 1), (2, 3)]),
-     "noise_scale must be >= 0"),
+     "noise_scale must be >= 0, got -0.1"),
     (lambda model, task: generate_tasks(0, 4, 3, 10, 0.1, [(0,), (2, 3)]),
      "each task needs at least 2 classes"),
     (lambda model, task: TrainConfig(batch_size=0), "batch_size must be >= 1, got 0"),
